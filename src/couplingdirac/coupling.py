@@ -24,7 +24,7 @@ dictionary is ``W = -[F]^{-1}`` (bivector from data) and ``F = -[M]^{-1}``
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -382,24 +382,59 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
                         ConditionReport("maximality", maxi)])
 
 
-def verify_closure(L: DiracPresentation) -> CheckReport:
-    """Pair every Courant bracket of generators against every generator.
+def _signed_orbit(i: int, j: int, k: int, val) -> tuple:
+    """The six orderings of a totally skew triple with their values."""
+    neg = -val
+    return (((i, j, k), val), ((j, k, i), val), ((k, i, j), val),
+            ((j, i, k), neg), ((i, k, j), neg), ((k, j, i), neg))
 
-    The span is bracket-closed iff all such pairings vanish (the span is
-    maximal isotropic, so membership equals orthogonality).  Each nonzero
-    pairing is filed under the integrability condition its generator-kind
-    pattern instantiates, which localizes a single broken condition.
+
+def verify_closure(L: DiracPresentation) -> CheckReport:
+    """Pair Courant brackets of generators against generators.
+
+    The span is bracket-closed iff every pairing T(i,j,k) = <[e_i,e_j], e_k>
+    vanishes (the span is maximal isotropic, so membership equals
+    orthogonality).  Each nonzero pairing is filed under the integrability
+    condition its generator-kind pattern instantiates, which localizes a
+    single broken condition.
+
+    ``courant_bracket`` is the non-skew (Dorfman) bracket, which obeys
+
+        [a,b] + [b,a] = 2 d<a,b>,
+        X_a <b,c> = <[a,b],c> + <b,[a,c]>.
+
+    When every generator pairing <e_i,e_j> (i = j included) is the exact
+    zero, the first identity makes T skew in its first two slots and the
+    second makes it skew in its last two, so T is totally skew: it
+    vanishes on repeated indices and one bracket per pair i<j and one
+    pairing per triple i<j<k determine the whole table, each nonzero value
+    standing for the six witnesses of its triple (negated for odd
+    orderings).  Expressions are canonical, so those witnesses print
+    exactly as direct pairings would.  A guard decides this isotropy
+    itself (independently of ``check_integrability``) and falls back to
+    all N^2 brackets and N^3 pairings when a generator pairing is nonzero,
+    as on a hand-built presentation.
     """
     gens = list(L.labeled())
+    n = len(gens)
+    sections = [s for _, _, s in gens]
+    isotropic = not any(pairing_plus(sections[i], sections[j])
+                        for i in range(n) for j in range(i, n))
+    pairs = (combinations(range(n), 2) if isotropic
+             else product(range(n), repeat=2))
     buckets = {name: [] for name in CONDITION_ORDER}
-    for k1, n1, s1 in gens:
-        for k2, n2, s2 in gens:
-            br = courant_bracket(s1, s2)
-            for k3, n3, s3 in gens:
-                val = pairing_plus(br, s3)
-                if val:
-                    cls = _RELATION_CLASS[(k1, k2, k3)]
-                    buckets[cls].append(Witness((n1, n2, n3), val))
+    for i, j in pairs:
+        br = courant_bracket(sections[i], sections[j])
+        for k in range(j + 1 if isotropic else 0, n):
+            val = pairing_plus(br, sections[k])
+            if not val:
+                continue
+            orbit = (_signed_orbit(i, j, k, val) if isotropic
+                     else (((i, j, k), val),))
+            for triple, v in orbit:
+                cls = _RELATION_CLASS[tuple(gens[t][0] for t in triple)]
+                buckets[cls].append(
+                    Witness(tuple(gens[t][1] for t in triple), v))
     return CheckReport([ConditionReport(name, buckets[name])
                         for name in CONDITION_ORDER])
 

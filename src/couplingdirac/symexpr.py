@@ -297,9 +297,13 @@ class ScalarExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be natural numbers")
-        out = self.patch.one()
-        for _ in range(n):
-            out = out * self
+        out, square = self.patch.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # -- predicates ----------------------------------------------------------
@@ -493,6 +497,10 @@ class ScalarExpr:
 
 _SYMBOLS = "+-*^/()"
 
+# Parentheses are the parser's only recursion (four frames a level), so
+# this cap keeps any input far from the interpreter's recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -528,6 +536,7 @@ class _Parser:
         self.patch = patch
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -593,8 +602,13 @@ class _Parser:
     def atom(self) -> ScalarExpr:
         kind, value, pos = self.peek()
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         if kind == "-":

@@ -1,12 +1,14 @@
 """Command line interface: manifest handling, reports, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import couplingdirac
 from couplingdirac.cli import Manifest, dumps, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -260,6 +262,21 @@ def test_unreadable_or_invalid_files_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_coefficient_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(fixture("flat")).read_text())
+    doc["vertical_bivector"][0]["coeff"] = "(" * 5000 + "q" + ")" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_lines(
+        capsys, ["check", "--manifest", str(path), "--report", "json"])
+    assert code == 2
+    assert out == []
+    error = json.loads(err)["error"]
+    assert error["code"] == 2
+    assert "nested deeper than" in error["message"]
+    assert "(at position 100)" in error["message"]
+
+
 # ------------------------------------------------------------- round trip
 
 def test_every_shipped_manifest_round_trips_byte_identically():
@@ -270,9 +287,13 @@ def test_every_shipped_manifest_round_trips_byte_identically():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package copy as this process
+    src = str(Path(couplingdirac.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "couplingdirac", "check",
          "--manifest", fixture("flat")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "jacobi: PASS"

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from corpus_util import corpus, mutation_fixtures
+
 from couplingdirac.coupling import (
+    _RELATION_CLASS,
     CONDITION_ORDER,
     CheckReport,
     ConditionReport,
@@ -34,6 +37,8 @@ from couplingdirac.tensorcalc import (
     DiffForm,
     Multivector,
     contract,
+    courant_bracket,
+    pairing_plus,
     schouten,
     sharp,
 )
@@ -238,11 +243,11 @@ def rnd_expr(rng, patch, pool, deg=2):
     return out
 
 
-def test_verdicts_agree_on_random_data():
+def random_data():
+    """Twelve unconstrained data sets on two base and two fiber coordinates."""
     rng = random.Random(20240817)
     patch = FiberedPatch.build("x1 x2", "q p")
     pool = ["x1", "x2", "q", "p"]
-    agreements = 0
     for _ in range(12):
         V = Multivector(patch, 2, {
             (patch.index("q"), patch.index("p")): rnd_expr(rng, patch, pool)})
@@ -251,12 +256,65 @@ def test_verdicts_agree_on_random_data():
             ("p", "x2"): rnd_expr(rng, patch, pool, deg=1)})
         F = BaseForm(patch, 2, {
             (0, 1): rnd_expr(rng, patch, pool)})
-        data = GeometricData(patch, V, conn, F)
+        yield GeometricData(patch, V, conn, F)
+
+
+def test_verdicts_agree_on_random_data():
+    agreements = 0
+    for data in random_data():
         direct = check_integrability(data)
         spanned = verify_closure(build_dirac(data))
         assert direct.passed == spanned.passed
         agreements += 1
     assert agreements == 12
+
+
+def brute_force_closure(L):
+    """Reference closure table: all N^2 brackets against all N generators."""
+    gens = list(L.labeled())
+    buckets = {name: [] for name in CONDITION_ORDER}
+    for k1, n1, s1 in gens:
+        for k2, n2, s2 in gens:
+            br = courant_bracket(s1, s2)
+            for k3, n3, s3 in gens:
+                val = pairing_plus(br, s3)
+                if val:
+                    buckets[_RELATION_CLASS[(k1, k2, k3)]].append(
+                        Witness((n1, n2, n3), val))
+    return CheckReport([ConditionReport(name, buckets[name])
+                        for name in CONDITION_ORDER]).as_document()
+
+
+def non_isotropic_presentation():
+    """Hand-built generators with nonzero pairings <e_i, e_j>."""
+    patch = FiberedPatch.build("x1", "q p")
+
+    def section(vf, form):
+        return CourantSection(
+            Multivector.build(patch, 1, {(k,): patch.parse(v)
+                                         for k, v in vf.items()}),
+            DiffForm.build(patch, 1, {(k,): patch.parse(v)
+                                      for k, v in form.items()}))
+
+    return DiracPresentation(
+        patch,
+        horizontal=[("x1", section({"x1": "1", "p": "q"}, {"q": "x1*p"}))],
+        vertical=[("q", section({"q": "q"}, {"q": "1", "x1": "p^2"})),
+                  ("p", section({"x1": "p"}, {"p": "1"}))])
+
+
+def test_closure_matches_brute_force_reference():
+    sets = [data for _, data in corpus()]
+    sets += list(mutation_fixtures().values())
+    sets += list(random_data())
+    for data in sets:
+        L = build_dirac(data)
+        assert verify_closure(L).as_document() == brute_force_closure(L), data
+    L = non_isotropic_presentation()
+    assert not verify_isotropy(L).condition("isotropy").passed
+    reference = brute_force_closure(L)
+    assert reference["verdict"] == "fail"
+    assert verify_closure(L).as_document() == reference
 
 
 # ----------------------------------------------------------- extract/graph

@@ -14,6 +14,7 @@ from couplingdirac import (
     UnknownCoordinateError,
     parse,
 )
+from couplingdirac.symexpr import _MAX_NESTING
 
 PATCH = Patch.build("x1 x2 q p th", angles=("th",))
 
@@ -97,6 +98,12 @@ def test_power_and_coercion():
     x = PATCH.coord("x1")
     assert x ** 0 == PATCH.one()
     assert x ** 3 == x * x * x
+    for e in (PATCH.parse("x1 - 2*q*p + 1/3"),
+              PATCH.parse("sin(th)*x2 + cos(2*th) - 1")):
+        product = PATCH.one()
+        for n in range(13):
+            assert e ** n == product, (e, n)
+            product = product * e
     assert 2 * x - x == x
     assert (Fraction(1, 2) * x) * 2 == x
 
@@ -236,6 +243,11 @@ def test_parse_errors():
         PATCH.parse("")
     with pytest.raises(ExpressionSyntaxError):
         PATCH.parse("x1^-2")
+    depth = _MAX_NESTING
+    assert PATCH.parse("(" * depth + "q" + ")" * depth) == PATCH.coord("q")
+    with pytest.raises(ExpressionSyntaxError) as err:
+        PATCH.parse("(" * (depth + 1) + "q" + ")" * (depth + 1))
+    assert err.value.position == depth
 
 
 def test_print_parse_round_trip():
