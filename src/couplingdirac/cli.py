@@ -65,6 +65,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_QUOTE_CAP = 60
+
+
+def _quote(value) -> str:
+    """repr of an input value for an error message, cut to a fixed length."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP - 3] + "..."
+
+
 def _entry(row, field: str, key: str):
     if not isinstance(row, dict) or key not in row:
         raise ManifestError(f"every {field} entry needs a {key!r} key")
@@ -122,7 +131,7 @@ class Manifest:
             raise ManifestError("manifest root must be a JSON object")
         unknown = sorted(set(doc) - set(_KNOWN_KEYS))
         if unknown:
-            raise ManifestError(f"unknown manifest keys: {unknown}")
+            raise ManifestError(f"unknown manifest keys: {_quote(unknown)}")
         patch = cls._read_patch(doc.get("coordinates"))
         V = Multivector.build(patch, 2, cls._read_pairs(
             patch, doc.get("vertical_bivector"), "vertical_bivector",
@@ -155,10 +164,11 @@ class Manifest:
             role = _entry(row, "coordinates", "role")
             angle = row.get("angle", False)
             if not isinstance(name, str) or not isinstance(angle, bool):
-                raise ManifestError(f"bad coordinate entry {row!r}")
+                raise ManifestError(f"bad coordinate entry {_quote(row)}")
             if role not in ("base", "fiber"):
                 raise ManifestError(
-                    f"coordinate role must be 'base' or 'fiber', got {role!r}")
+                    f"coordinate role must be 'base' or 'fiber', "
+                    f"got {_quote(role)}")
             (base if role == "base" else fiber).append(name)
             if angle:
                 angles.append(name)
@@ -168,17 +178,19 @@ class Manifest:
     def _parse(patch, text, field: str):
         if not isinstance(text, str):
             raise ManifestError(
-                f"{field} coefficients must be expression strings, got {text!r}")
+                f"{field} coefficients must be expression strings, "
+                f"got {_quote(text)}")
         try:
             return patch.parse(text)
         except ExpressionError as exc:
-            raise ManifestError(f"bad {field} expression {text!r}: {exc}") from exc
+            raise ManifestError(
+                f"bad {field} expression {_quote(text)}: {exc}") from exc
 
     @staticmethod
     def _check_role(patch, name: str, role, field: str):
         if role is not None and patch.coordinate(name).role != role:
             raise ManifestError(
-                f"{field} expects {role} coordinates, got {name!r}")
+                f"{field} expects {role} coordinates, got {_quote(name)}")
 
     @classmethod
     def _read_pairs(cls, patch, rows, field, key, role) -> dict:
@@ -198,9 +210,10 @@ class Manifest:
                 cls._check_role(patch, n, role, field)
             i, j = (patch.index(n) for n in pair)
             if i == j:
-                raise ManifestError(f"{field} pair {pair} is not distinct")
+                raise ManifestError(
+                    f"{field} pair {_quote(pair)} is not distinct")
             if frozenset((i, j)) in seen:
-                raise ManifestError(f"duplicate {field} pair {pair}")
+                raise ManifestError(f"duplicate {field} pair {_quote(pair)}")
             seen.add(frozenset((i, j)))
             table[tuple(pair)] = cls._parse(patch, row.get("coeff"), field)
         return table
@@ -218,11 +231,12 @@ class Manifest:
             if not isinstance(u, str) or not isinstance(a, str):
                 raise ManifestError(
                     f"connection entries name a fiber and a base coordinate, "
-                    f"got {row!r}")
+                    f"got {_quote(row)}")
             cls._check_role(patch, u, "fiber", "connection")
             cls._check_role(patch, a, "base", "connection")
             if (u, a) in table:
-                raise ManifestError(f"duplicate connection pair ({u}, {a})")
+                raise ManifestError(
+                    f"duplicate connection pair {_quote((u, a))}")
             table[(u, a)] = cls._parse(patch, row.get("coeff"), "connection")
         return table
 
@@ -244,10 +258,11 @@ class Manifest:
         for row in rows:
             a = _entry(row, "potential_1form", "base")
             if not isinstance(a, str):
-                raise ManifestError(f"bad potential entry {row!r}")
+                raise ManifestError(f"bad potential entry {_quote(row)}")
             cls._check_role(patch, a, "base", "potential_1form")
             if (a,) in table:
-                raise ManifestError(f"duplicate potential entry for {a!r}")
+                raise ManifestError(
+                    f"duplicate potential entry for {_quote(a)}")
             table[(a,)] = cls._parse(patch, row.get("coeff"),
                                      "potential_1form")
         return BaseForm.build(patch, 1, table)
@@ -354,14 +369,15 @@ def _parse_point(patch: FiberedPatch, text: str) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep or not value:
             raise ManifestError(
-                f"fiber-point entries look like name=value, got {chunk!r}")
+                f"fiber-point entries look like name=value, "
+                f"got {_quote(chunk)}")
         if name in point:
-            raise ManifestError(f"coordinate {name!r} assigned twice")
+            raise ManifestError(f"coordinate {_quote(name)} assigned twice")
         try:
             point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ManifestError(
-                f"bad fiber-point value {value!r}: {exc}") from exc
+                f"bad fiber-point value {_quote(value)}: {exc}") from exc
     if set(point) != set(patch.base_names):
         raise ManifestError(
             "the fiber point must assign exactly the base coordinates "

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .coupling import GeometricData
 from .errors import MalformedDataError, PatchError, PatchMismatchError
 from .fibered import BaseForm, Connection, FiberedPatch
-from .fractionfield import determinant
+from .fractionfield import pfaffian
 from .symexpr import ScalarExpr
 from .tensorcalc import Multivector, d_scalar, poisson_bracket, schouten, sharp
 
@@ -156,8 +156,8 @@ def fat_check(setup: AbelianYMHSetup, momentum_values=None) -> FatnessReport:
 
     With no ``momentum_values`` the symbolic momenta are used; otherwise
     each momentum is replaced by the given expression (one per factor)
-    before taking the determinant.  An odd number of base coordinates is
-    an immediate parity obstruction.
+    before taking the determinant, the squared Pfaffian.  An odd number
+    of base coordinates is an immediate parity obstruction.
     """
     patch = setup.patch
     base = patch.base_indices
@@ -187,7 +187,7 @@ def fat_check(setup: AbelianYMHSetup, momentum_values=None) -> FatnessReport:
             entry = entry + w * curl
         rows[pa][pb] = entry
         rows[pb][pa] = -entry
-    det = determinant(rows, patch)
+    det = pfaffian(rows, patch) ** 2
     return FatnessReport(not det.is_zero(), determinant=det)
 
 

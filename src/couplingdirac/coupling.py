@@ -25,6 +25,7 @@ dictionary is ``W = -[F]^{-1}`` (bivector from data) and ``F = -[M]^{-1}``
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -48,8 +49,8 @@ from .fibered import (
 from .fractionfield import (
     RatExpr,
     null_space,
+    pfaffian_adjugate,
     rat_inverse,
-    to_ratexpr,
 )
 from .symexpr import ScalarExpr
 from .tensorcalc import (
@@ -462,10 +463,10 @@ def extract_poisson(data: GeometricData) -> Multivector:
     """The bivector whose graph is the span of ``build_dirac(data)``.
 
     Pi = V + sum_{a<b} W^{ab} hor(d_a) ^ hor(d_b) with [W] the negated
-    inverse of the 2-form matrix [F_ab]; coefficients that stay rational
-    functions remain so (they are exact wherever the determinant does not
-    vanish).  Graph compatibility: sharp(Pi, form) + vf = 0 for every
-    generator.
+    inverse of the 2-form matrix [F_ab] (Pfaffian minors over Pf(F));
+    coefficients that stay rational functions remain so (they are exact
+    wherever the Pfaffian does not vanish).  Graph compatibility:
+    sharp(Pi, form) + vf = 0 for every generator.
     """
     patch = data.patch
     base = patch.base_indices
@@ -511,6 +512,11 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     Pi^{bu}), and the vertical bivector is what remains after removing
     the horizontal part.  Inverse of :func:`extract_poisson` on
     nondegenerate data.
+
+    The base-base and base-fiber coefficients share one denominator D
+    (each numerator times the other distinct denominators): with N = D*M
+    and C its Pfaffian adjugate, M^{-1} = D*C/Pf(N), D cancels from the
+    connection, and det(M) = Pf(N)^2/D^n.
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -522,12 +528,17 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     fiber = set(patch.fiber_indices)
     n = len(base)
 
-    def comp(i, j):
-        return to_ratexpr(Pi.coefficient(i, j), patch)
-
-    M = [[comp(a, b) for b in base] for a in base]
+    solve = {}
+    for key in product(base, (*base, *sorted(fiber))):
+        c = Pi.coefficient(*key)
+        solve[key] = RatExpr(c) if isinstance(c, ScalarExpr) else c
+    dens = list(dict.fromkeys(c.den for c in solve.values() if c.den != 1))
+    D = prod(dens, start=patch.one())
+    N = {key: prod((d for d in dens if d != c.den), start=c.num)
+         for key, c in solve.items()}
     try:
-        Minv, det = rat_inverse(M, patch)
+        pf, adj = pfaffian_adjugate([[N[(a, b)] for b in base] for a in base],
+                                    patch)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "bivector is not transverse to the fibers: the base-base "
@@ -536,26 +547,26 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     table = {}
     for u in sorted(fiber):
         for pa, a in enumerate(base):
-            g = -sum((Minv[pa][pb] * comp(b, u)
-                      for pb, b in enumerate(base)),
-                     start=to_ratexpr(0, patch))
-            if g:
-                table[(u, a)] = _scalarize(g, "connection coefficient")
+            g = -sum((adj[pa][pb] * N[(b, u)] for pb, b in enumerate(base)),
+                     patch.zero())
+            if not g.is_zero():
+                table[(u, a)] = _scalarize(RatExpr(g, pf),
+                                           "connection coefficient")
     conn = Connection(patch, table)
 
     ftable = {}
     for pa in range(n):
         for pb in range(pa + 1, n):
-            f = -Minv[pa][pb]
-            if f:
-                ftable[(base[pa], base[pb])] = _scalarize(f, "2-form entry")
+            if not adj[pa][pb].is_zero():
+                ftable[(base[pa], base[pb])] = _scalarize(
+                    RatExpr(-D * adj[pa][pb], pf), "2-form entry")
     F = BaseForm(patch, 2, ftable)
 
     hor = [conn.hor(a) for a in base]
     rest = Pi
     for pa in range(n):
         for pb in range(pa + 1, n):
-            w = _tidy(M[pa][pb])
+            w = _tidy(solve[(base[pa], base[pb])])
             if w:
                 rest = rest - hor[pa].wedge(hor[pb]) * w
     vtable = {}
@@ -569,7 +580,7 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
 
     pivots = []
     seen = set()
-    red = det.reduce()
+    red = RatExpr(pf * pf, D ** n).reduce()
     for candidate in (red.num, red.den):
         if candidate.as_rational() is None and str(candidate) not in seen:
             seen.add(str(candidate))

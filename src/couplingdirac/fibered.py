@@ -154,23 +154,6 @@ def horizontal_lift(conn: Connection, X: Multivector) -> Multivector:
     return out
 
 
-def vertical_projection(conn: Connection, Y: Multivector) -> Multivector:
-    """Project a total-space vector field onto the fiber directions along Hor."""
-    patch = conn.patch
-    if Y.degree != 1:
-        raise DegreeError("vertical_projection needs a vector field")
-    comps = {}
-    for (i,), c in Y.items():
-        if i in patch.fiber_indices:
-            comps[(i,)] = comps.get((i,), patch.zero()) + c
-    proj = Multivector(patch, 1, comps)
-    for (u, a), coeff in conn.table.items():
-        c = Y.comps.get((a,))
-        if c is not None:
-            proj = proj + Multivector(patch, 1, {(u,): c * coeff})
-    return proj
-
-
 def curvature(conn: Connection, X: Multivector, Y: Multivector) -> Multivector:
     """Curv(X, Y) = hor([X, Y]) - [hor(X), hor(Y)]; always vertical."""
     bracket = lie_bracket(X, Y)

@@ -11,11 +11,15 @@ operands are ordinary polynomials, where single-divisor multivariate
 division decides divisibility exactly (the quotient, when it exists, is
 conjugate-symmetric and maps back to a real trig-polynomial).
 
-The determinant uses Bareiss fraction-free elimination (its interior
-divisions are exact by the Sylvester identity, so they stay inside the
-ring); the matrix inverse is adjugate-over-determinant; null spaces come
-from fraction-free Gauss-Jordan elimination with the pivots reported so
-callers can name the locus where the answer is valid.
+Matrix routines never divide.  An antisymmetric matrix A is inverted
+through its Pfaffian: first-row expansion memoized on index subsets
+gives Pf(A) and every Pf of A with two rows and columns removed, so
+A^-1 = (signed Pfaffian minors)/Pf(A) and det(A) = Pf(A)^2.  The
+general determinant is a Laplace expansion memoized on column subsets,
+and ``inverse`` the adjugate over it.  Null spaces come from
+fraction-free Gauss-Jordan elimination with the pivots reported so
+callers can name the locus where the answer is valid.  Only
+``RatExpr.reduce`` and ``RatExpr.as_scalar`` call ``divide_exact``.
 """
 
 from __future__ import annotations
@@ -344,37 +348,38 @@ def _shared_monomial(num: ScalarExpr, den: ScalarExpr) -> tuple:
 Matrix = List[List[ScalarExpr]]
 
 
-def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
-    """Fraction-free (Bareiss) determinant of a square expression matrix."""
+def _expansion(rows: Matrix, patch: Patch, split):
+    """value(mask) over index sets held as bitmasks, memoized: value(0) =
+    1, and with (r, S) = split(mask), value(mask) sums (-1)^k rows[r][j]
+    value(S without j) over the j in S, the k-th in increasing order."""
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return patch.one()
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = patch.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
+    if any(len(row) != n for row in rows):
+        raise ValueError("expansion needs a square matrix")
+    memo = {0: patch.one()}
+
+    def value(mask: int) -> ScalarExpr:
+        hit = memo.get(mask)
+        if hit is None:
+            r, cols = split(mask)
+            hit = patch.zero()
+            sign = 1
+            for j in range(n):
+                if cols >> j & 1:
+                    if not rows[r][j].is_zero():
+                        term = rows[r][j] * value(cols & ~(1 << j))
+                        hit = hit + term if sign > 0 else hit - term
                     sign = -sign
-                    break
-            else:
-                return patch.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q = divide_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("Bareiss division failed")
-                m[i][j] = q
-            m[i][k] = patch.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+            memo[mask] = hit
+        return hit
+
+    return value
+
+
+def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
+    """Laplace expansion along the rows, memoized on the unused columns."""
+    n = len(rows)
+    return _expansion(rows, patch, lambda cols: (
+        n - bin(cols).count("1"), cols))((1 << n) - 1)
 
 
 def _minor(rows: Matrix, i: int, j: int) -> Matrix:
@@ -398,60 +403,49 @@ def inverse(rows: Matrix, patch: Patch):
     return inv, det
 
 
-def to_ratexpr(value, patch: Patch) -> RatExpr:
-    """Coerce an int/Fraction/ScalarExpr/RatExpr to a RatExpr on ``patch``."""
-    if isinstance(value, RatExpr):
-        if value.patch != patch:
-            raise PatchMismatchError("value lives on a different patch")
-        return value
-    if isinstance(value, ScalarExpr):
-        if value.patch != patch:
-            raise PatchMismatchError("value lives on a different patch")
-        return RatExpr(value)
-    return RatExpr(patch.rational(value))
+def _first_row(mask: int):
+    first = (mask & -mask).bit_length() - 1
+    return first, mask & ~(1 << first)
 
 
-def rat_determinant(rows, patch: Patch) -> RatExpr:
-    """Cofactor determinant of a small matrix over the fraction field."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-    m = [[to_ratexpr(c, patch) for c in row] for row in rows]
-
-    def expand(sub):
-        if not sub:
-            return RatExpr(patch.one())
-        if len(sub) == 1:
-            return sub[0][0]
-        total = RatExpr(patch.zero())
-        for j, entry in enumerate(sub[0]):
-            if entry.is_zero():
-                continue
-            minor = [[row[k] for k in range(len(sub)) if k != j]
-                     for row in sub[1:]]
-            term = entry * expand(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    return expand(m)
+def _pfaffians(rows: Matrix, patch: Patch):
+    """Pf of the principal submatrix on each index set, by first-row
+    expansion: Pf(S) = sum_k (-1)^k a(s_0, s_k) Pf(S without s_0, s_k)."""
+    pf, n = _expansion(rows, patch, _first_row), len(rows)
+    if any(not (rows[i][j] + rows[j][i]).is_zero()
+           for i in range(n) for j in range(i, n)):
+        raise ValueError("Pfaffian needs an antisymmetric matrix")
+    return pf, (1 << n) - 1
 
 
-def rat_inverse(rows, patch: Patch):
-    """Adjugate inverse over the fraction field: (entries, determinant)."""
-    n = len(rows)
-    m = [[to_ratexpr(c, patch) for c in row] for row in rows]
-    det = rat_determinant(m, patch)
-    if det.is_zero():
+def pfaffian(rows: Matrix, patch: Patch) -> ScalarExpr:
+    """Pfaffian of an antisymmetric matrix; 0 for every odd size."""
+    pf, full = _pfaffians(rows, patch)
+    return pf(full)
+
+
+def pfaffian_adjugate(rows: Matrix, patch: Patch):
+    """(Pf(A), C) with A^-1 = C/Pf(A) for antisymmetric A, where C_ij =
+    -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j.  Raises
+    DegenerateInputError when Pf(A) = 0, which includes every odd size."""
+    pf, full = _pfaffians(rows, patch)
+    total = pf(full)
+    if total.is_zero():
         raise DegenerateInputError("matrix is singular: determinant is 0")
-    inv = [[None] * n for _ in range(n)]
+    n = len(rows)
+    adj = [[patch.zero()] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            cof = rat_determinant(_minor(m, i, j), patch)
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = cof / det
-    return inv, det
+        for j in range(i + 1, n):
+            c = pf(full & ~(1 << i) & ~(1 << j))
+            adj[i][j], adj[j][i] = (-c, c) if (i + j) % 2 else (c, -c)
+    return total, adj
+
+
+def rat_inverse(rows: Matrix, patch: Patch):
+    """Inverse of an antisymmetric matrix over the fraction field:
+    (entries as RatExpr over Pf(A), det(A) = Pf(A)^2)."""
+    total, adj = pfaffian_adjugate(rows, patch)
+    return [[RatExpr(c, total) for c in row] for row in adj], total * total
 
 
 def null_space(rows: Matrix, patch: Patch):

@@ -190,10 +190,6 @@ class _Alternating:
     def items(self):
         return self.comps.items()
 
-    def map_coefficients(self, fn):
-        return type(self)(self.patch, self.degree,
-                          {k: fn(c) for k, c in self.comps.items()})
-
     def wedge(self, other):
         self._check(other)
         table: dict = {}
@@ -212,9 +208,6 @@ class _Alternating:
                 else:
                     table.pop(key, None)
         return type(self)(self.patch, self.degree + other.degree, table)
-
-    def _names(self, key):
-        return ",".join(self.patch.coords[i].name for i in key)
 
     def __str__(self):
         if not self.comps:

@@ -277,6 +277,28 @@ def test_deeply_nested_coefficient_exits_2(tmp_path, capsys):
     assert "(at position 100)" in error["message"]
 
 
+def test_error_messages_quote_a_bounded_part_of_the_input(tmp_path, capsys):
+    flat = json.loads(Path(fixture("flat")).read_text())
+    deep = json.loads(json.dumps(flat))
+    deep["vertical_bivector"][0]["coeff"] = "(" * 5000 + "q" + ")" * 5000
+    wide = json.loads(json.dumps(flat))
+    wide["vertical_bivector"][0]["coeff"] = [0] * 5000
+    bad_row = json.loads(json.dumps(flat))
+    bad_row["coordinates"][0]["angle"] = "x" * 5000
+    for name, doc in (("deep", deep), ("wide", wide), ("row", bad_row)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", "json"])
+        assert code == 2 and out == [], name
+        assert len(err.encode()) < 500, name
+        message = json.loads(err)["error"]["message"]
+        if name == "deep":
+            assert message.startswith("bad vertical_bivector expression '((")
+            assert message.endswith(
+                "...: parentheses nested deeper than 100 (at position 100)")
+
+
 # ------------------------------------------------------------- round trip
 
 def test_every_shipped_manifest_round_trips_byte_identically():

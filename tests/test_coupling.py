@@ -413,6 +413,18 @@ def test_round_trips_on_random_nondegenerate_data():
         F = BaseForm(patch, 2, {(0, 1): f12})
         data = GeometricData(patch, V, conn, F)
         assert decompose_coupling(extract_poisson(data), patch).data == data
+    # a 4-dimensional base with every 2-form entry non-constant: the
+    # extracted bivector's coefficients are fractions over Pf[F_ab]
+    patch = FiberedPatch.build("x1 x2 x3 x4", "q p")
+    P = patch.parse
+    data = GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}),
+        BaseForm.build(patch, 2, {
+            ("x1", "x2"): P("1 + x3*q"), ("x1", "x3"): P("x2 + p"),
+            ("x1", "x4"): P("q*p"), ("x2", "x3"): P("2 + x1*x4"),
+            ("x2", "x4"): P("x3 - q"), ("x3", "x4"): P("1 + p^2")}))
+    assert decompose_coupling(extract_poisson(data), patch).data == data
 
 
 # ---------------------------------------------------------- equivalent data

@@ -15,7 +15,6 @@ from couplingdirac.fibered import (
     d_gamma,
     horizontal_lift,
     promote,
-    vertical_projection,
 )
 from couplingdirac.tensorcalc import (
     DiffForm,
@@ -69,21 +68,6 @@ def test_horizontal_lift_examples():
     assert horizontal_lift(conn, x1 * d1) == x1 * horizontal_lift(conn, d1)
     with pytest.raises(ValueError):
         horizontal_lift(conn, Multivector.basis(FP, "q"))
-
-
-def test_vertical_projection():
-    rng = random.Random(4)
-    for _ in range(25):
-        conn = rnd_connection(rng, FP)
-        X = Multivector.build(
-            FP, 1, {("x1",): rnd_scalar(rng, FP), ("x2",): rnd_scalar(rng, FP)})
-        assert vertical_projection(conn, horizontal_lift(conn, X)).is_zero()
-        dq = Multivector.basis(FP, "q")
-        assert vertical_projection(conn, dq) == dq
-        Y = horizontal_lift(conn, X) + dq
-        proj = vertical_projection(conn, Y)
-        assert proj == dq
-        assert vertical_projection(conn, proj) == proj
 
 
 def test_curvature_example():

@@ -12,6 +12,8 @@ from couplingdirac.fractionfield import (
     divide_exact,
     inverse,
     null_space,
+    pfaffian,
+    rat_inverse,
 )
 
 PATCH = Patch.build("x y p th", angles=("th",))
@@ -189,6 +191,57 @@ def test_inverse():
                 assert entry == (1 if i == j else 0)
     with pytest.raises(DegenerateInputError):
         inverse([[one, one], [one, one]], PATCH)
+
+
+def rnd_skew(rng, n, trig=True):
+    rows = [[PATCH.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = rnd_expr(rng, max_terms=2, max_deg=1, trig=trig)
+            rows[i][j], rows[j][i] = e, -e
+    return rows
+
+
+def test_pfaffian_squares_to_the_determinant():
+    rng = random.Random(271)
+    for n in (2, 4, 2, 4, 2, 4):
+        A = rnd_skew(rng, n)
+        assert pfaffian(A, PATCH) ** 2 == determinant(A, PATCH)
+    p = PATCH.coord("p")
+    assert pfaffian([[PATCH.zero(), p], [-p, PATCH.zero()]], PATCH) == p
+    assert pfaffian([], PATCH) == 1
+    for n in (1, 3, 5):
+        assert pfaffian(rnd_skew(rng, n), PATCH).is_zero()
+    with pytest.raises(ValueError):
+        pfaffian([[PATCH.zero(), p], [p, PATCH.zero()]], PATCH)
+
+
+def test_rat_inverse_is_exact():
+    rng = random.Random(828)
+    cases = [rnd_skew(rng, n, trig=False) for n in (2, 4, 6)]
+    cases += [rnd_skew(rng, n) for n in (2, 4)]
+    assert any("sin" in str(e) or "cos" in str(e) for e in cases[-1][0])
+    for A in cases:
+        n = len(A)
+        inv, det = rat_inverse(A, PATCH)
+        assert det == determinant(A, PATCH)
+        for i in range(n):
+            for j in range(n):
+                entry = sum((RatExpr(A[i][k]) * inv[k][j] for k in range(n)),
+                            RatExpr(PATCH.zero()))
+                assert entry == (1 if i == j else 0)
+
+
+def test_rat_inverse_rejects_singular_and_odd_sizes():
+    x, zero = PATCH.coord("x"), PATCH.zero()
+    rng = random.Random(5)
+    # Pf = a01*a23 - a02*a13 + a03*a12 = 0 - x^2 + x^2
+    singular = [[zero, zero, x, x], [zero, zero, x, x],
+                [-x, -x, zero, zero], [-x, -x, zero, zero]]
+    for bad in (singular, [[zero, zero], [zero, zero]],
+                rnd_skew(rng, 1), rnd_skew(rng, 3)):
+        with pytest.raises(DegenerateInputError):
+            rat_inverse(bad, PATCH)
 
 
 def test_null_space():
