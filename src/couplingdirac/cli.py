@@ -35,12 +35,12 @@ from .coupling import (
     CheckReport,
     ConditionReport,
     GeometricData,
-    _tensor_witnesses,
     build_dirac,
     check_casimir_complex,
     check_integrability,
     decompose_coupling,
     restrict_to_fiber,
+    tensor_witnesses,
     verify_closure,
     verify_isotropy,
 )
@@ -51,6 +51,7 @@ from .errors import (
     MalformedDataError,
     ManifestError,
     PatchError,
+    quote,
 )
 from .fibered import BaseForm, Connection, FiberedPatch
 from .tensorcalc import Multivector, schouten
@@ -63,15 +64,6 @@ _KNOWN_KEYS = ("coordinates",) + _DATA_KEYS + (
 def dumps(doc: dict) -> str:
     """The one JSON serialization used everywhere (diff-stable output)."""
     return json.dumps(doc, indent=2) + "\n"
-
-
-_QUOTE_CAP = 60
-
-
-def _quote(value) -> str:
-    """repr of an input value for an error message, cut to a fixed length."""
-    text = repr(value)
-    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP - 3] + "..."
 
 
 def _entry(row, field: str, key: str):
@@ -131,7 +123,7 @@ class Manifest:
             raise ManifestError("manifest root must be a JSON object")
         unknown = sorted(set(doc) - set(_KNOWN_KEYS))
         if unknown:
-            raise ManifestError(f"unknown manifest keys: {_quote(unknown)}")
+            raise ManifestError(f"unknown manifest keys: {quote(unknown)}")
         patch = cls._read_patch(doc.get("coordinates"))
         V = Multivector.build(patch, 2, cls._read_pairs(
             patch, doc.get("vertical_bivector"), "vertical_bivector",
@@ -164,11 +156,11 @@ class Manifest:
             role = _entry(row, "coordinates", "role")
             angle = row.get("angle", False)
             if not isinstance(name, str) or not isinstance(angle, bool):
-                raise ManifestError(f"bad coordinate entry {_quote(row)}")
+                raise ManifestError(f"bad coordinate entry {quote(row)}")
             if role not in ("base", "fiber"):
                 raise ManifestError(
                     f"coordinate role must be 'base' or 'fiber', "
-                    f"got {_quote(role)}")
+                    f"got {quote(role)}")
             (base if role == "base" else fiber).append(name)
             if angle:
                 angles.append(name)
@@ -179,18 +171,18 @@ class Manifest:
         if not isinstance(text, str):
             raise ManifestError(
                 f"{field} coefficients must be expression strings, "
-                f"got {_quote(text)}")
+                f"got {quote(text)}")
         try:
             return patch.parse(text)
         except ExpressionError as exc:
             raise ManifestError(
-                f"bad {field} expression {_quote(text)}: {exc}") from exc
+                f"bad {field} expression {quote(text)}: {exc}") from exc
 
     @staticmethod
     def _check_role(patch, name: str, role, field: str):
         if role is not None and patch.coordinate(name).role != role:
             raise ManifestError(
-                f"{field} expects {role} coordinates, got {_quote(name)}")
+                f"{field} expects {role} coordinates, got {quote(name)}")
 
     @classmethod
     def _read_pairs(cls, patch, rows, field, key, role) -> dict:
@@ -211,9 +203,9 @@ class Manifest:
             i, j = (patch.index(n) for n in pair)
             if i == j:
                 raise ManifestError(
-                    f"{field} pair {_quote(pair)} is not distinct")
+                    f"{field} pair {quote(pair)} is not distinct")
             if frozenset((i, j)) in seen:
-                raise ManifestError(f"duplicate {field} pair {_quote(pair)}")
+                raise ManifestError(f"duplicate {field} pair {quote(pair)}")
             seen.add(frozenset((i, j)))
             table[tuple(pair)] = cls._parse(patch, row.get("coeff"), field)
         return table
@@ -231,12 +223,12 @@ class Manifest:
             if not isinstance(u, str) or not isinstance(a, str):
                 raise ManifestError(
                     f"connection entries name a fiber and a base coordinate, "
-                    f"got {_quote(row)}")
+                    f"got {quote(row)}")
             cls._check_role(patch, u, "fiber", "connection")
             cls._check_role(patch, a, "base", "connection")
             if (u, a) in table:
                 raise ManifestError(
-                    f"duplicate connection pair {_quote((u, a))}")
+                    f"duplicate connection pair {quote((u, a))}")
             table[(u, a)] = cls._parse(patch, row.get("coeff"), "connection")
         return table
 
@@ -258,11 +250,11 @@ class Manifest:
         for row in rows:
             a = _entry(row, "potential_1form", "base")
             if not isinstance(a, str):
-                raise ManifestError(f"bad potential entry {_quote(row)}")
+                raise ManifestError(f"bad potential entry {quote(row)}")
             cls._check_role(patch, a, "base", "potential_1form")
             if (a,) in table:
                 raise ManifestError(
-                    f"duplicate potential entry for {_quote(a)}")
+                    f"duplicate potential entry for {quote(a)}")
             table[(a,)] = cls._parse(patch, row.get("coeff"),
                                      "potential_1form")
         return BaseForm.build(patch, 1, table)
@@ -370,14 +362,14 @@ def _parse_point(patch: FiberedPatch, text: str) -> dict:
         if not sep or not value:
             raise ManifestError(
                 f"fiber-point entries look like name=value, "
-                f"got {_quote(chunk)}")
+                f"got {quote(chunk)}")
         if name in point:
-            raise ManifestError(f"coordinate {_quote(name)} assigned twice")
+            raise ManifestError(f"coordinate {quote(name)} assigned twice")
         try:
             point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ManifestError(
-                f"bad fiber-point value {_quote(value)}: {exc}") from exc
+                f"bad fiber-point value {quote(value)}: {exc}") from exc
     if set(point) != set(patch.base_names):
         raise ManifestError(
             "the fiber point must assign exactly the base coordinates "
@@ -393,7 +385,7 @@ def _cmd_verify(man: Manifest, args) -> int:
         point = _parse_point(man.patch, args.fiber_point)
         at_point = restrict_to_fiber(man.data, point)
         conditions += (ConditionReport(
-            "fiber_jacobi", _tensor_witnesses(schouten(at_point, at_point))),)
+            "fiber_jacobi", tensor_witnesses(schouten(at_point, at_point))),)
     report = CheckReport(conditions)
     _emit_report(report, args)
     return 0 if report.passed else 1

@@ -258,7 +258,9 @@ class DiracPresentation:
         return f"DiracPresentation({names})"
 
 
-def _tensor_witnesses(T, prefix: tuple = ()) -> list:
+def tensor_witnesses(T, prefix: tuple = ()) -> list:
+    """One witness per nonzero component of ``T``, in index order, located
+    by ``prefix`` followed by the component's coordinate names."""
     patch = T.patch
     return [Witness(prefix + tuple(patch.coords[i].name for i in key),
                     T.comps[key])
@@ -280,22 +282,22 @@ def check_integrability(data: GeometricData) -> CheckReport:
     conn = data.connection
     F = data.horizontal_form
 
-    jac = _tensor_witnesses(schouten(V, V))
+    jac = tensor_witnesses(schouten(V, V))
 
     pres = []
     for a in patch.base_indices:
         moved = lie_derivative(conn.hor(a), V)
-        pres += _tensor_witnesses(moved, prefix=(patch.coords[a].name,))
+        pres += tensor_witnesses(moved, prefix=(patch.coords[a].name,))
 
     curv = []
     for a, b in combinations(patch.base_indices, 2):
         f_ab = F.coefficient(a, b)
         delta = coordinate_curvature(conn, a, b) \
             - sharp(V, d_scalar(patch, f_ab))
-        curv += _tensor_witnesses(
+        curv += tensor_witnesses(
             delta, prefix=(patch.coords[a].name, patch.coords[b].name))
 
-    closed = _tensor_witnesses(d_gamma(conn, F))
+    closed = tensor_witnesses(d_gamma(conn, F))
 
     return CheckReport([
         ConditionReport(JACOBI, jac),
@@ -628,11 +630,11 @@ def check_casimir_complex(data: GeometricData, casimirs) -> CheckReport:
                 f"field is {ham}", witness=ham)
         label = f"C{pos + 1}"
         square = d_gamma(conn, d_gamma(conn, BaseForm.from_scalar(patch, C)))
-        deg0 += _tensor_witnesses(square, prefix=(label,))
+        deg0 += tensor_witnesses(square, prefix=(label,))
         for a in patch.base_indices:
             alpha = BaseForm(patch, 1, {(a,): C})
             square = d_gamma(conn, d_gamma(conn, alpha))
-            deg1 += _tensor_witnesses(
+            deg1 += tensor_witnesses(
                 square, prefix=(label, patch.coords[a].name))
     return CheckReport([ConditionReport("casimir_complex_deg0", deg0),
                         ConditionReport("casimir_complex_deg1", deg1)])

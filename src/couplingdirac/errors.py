@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+QUOTE_CAP = 60
+
+
+def quote(value) -> str:
+    """repr of an input value for an error message, cut to a fixed length."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP - 3] + "..."
+
 
 class PatchError(ValueError):
     """Malformed coordinate patch (duplicate names, missing roles, ...)."""

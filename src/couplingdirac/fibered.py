@@ -102,8 +102,13 @@ class Connection:
 
     # -- lifts ---------------------------------------------------------------
     def hor(self, a) -> Multivector:
-        """Horizontal lift of the base coordinate field d_a."""
+        """Horizontal lift of the base coordinate field d_a; a fiber
+        coordinate raises ``ValueError``."""
         a = self.patch.index(a) if isinstance(a, str) else a
+        if a in self.patch.fiber_indices:
+            raise ValueError(
+                f"cannot lift a field with fiber component "
+                f"{self.patch.coords[a].name}")
         comps = {(a,): self.patch.one()}
         for (u, b), coeff in self.table.items():
             if b == a:
@@ -143,13 +148,8 @@ def horizontal_lift(conn: Connection, X: Multivector) -> Multivector:
         raise PatchMismatchError("vector field lives on a different patch")
     if X.degree != 1:
         raise DegreeError("horizontal_lift needs a vector field")
-    fiber = set(patch.fiber_indices)
     out = Multivector.zero(patch, 1)
     for (i,), c in X.items():
-        if i in fiber:
-            raise ValueError(
-                f"cannot lift a field with fiber component "
-                f"{patch.coords[i].name}")
         out = out + c * conn.hor(i)
     return out
 
@@ -162,12 +162,15 @@ def curvature(conn: Connection, X: Multivector, Y: Multivector) -> Multivector:
 
 
 def coordinate_curvature(conn: Connection, a, b) -> Multivector:
-    """Curvature on the coordinate fields (d_a, d_b)."""
-    patch = conn.patch
-    return curvature(conn, Multivector.basis(patch, a) if isinstance(a, str)
-                     else Multivector(patch, 1, {(a,): patch.one()}),
-                     Multivector.basis(patch, b) if isinstance(b, str)
-                     else Multivector(patch, 1, {(b,): patch.one()}))
+    """Curvature on the coordinate fields (d_a, d_b), by name or index.
+
+    Coordinate fields commute, ``[d_a, d_b] = 0``, so the ``hor([X, Y])``
+    term of :func:`curvature` vanishes and
+    ``Curv(d_a, d_b) = -[hor(d_a), hor(d_b)]``; the lifts are taken from
+    ``conn.hor`` directly, without bracketing the basis fields or lifting
+    through :func:`horizontal_lift`.
+    """
+    return -lie_bracket(conn.hor(a), conn.hor(b))
 
 
 def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:

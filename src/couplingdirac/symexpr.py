@@ -37,6 +37,7 @@ from .errors import (
     PatchError,
     PatchMismatchError,
     UnknownCoordinateError,
+    quote,
 )
 
 COS = 0
@@ -62,9 +63,9 @@ class Coordinate:
 
     def __post_init__(self):
         if self.role not in ("base", "fiber"):
-            raise PatchError(f"coordinate role must be 'base' or 'fiber', got {self.role!r}")
+            raise PatchError(f"coordinate role must be 'base' or 'fiber', got {quote(self.role)}")
         if not self.name.isidentifier() or self.name in _RESERVED:
-            raise PatchError(f"bad coordinate name {self.name!r}")
+            raise PatchError(f"bad coordinate name {quote(self.name)}")
 
 
 class Patch:
@@ -78,7 +79,7 @@ class Patch:
             raise PatchError("a patch needs at least one coordinate")
         names = [c.name for c in coords]
         if len(set(names)) != len(names):
-            raise PatchError(f"duplicate coordinate names in {names}")
+            raise PatchError(f"duplicate coordinate names in {quote(names)}")
         self.coords = coords
         self._index = {c.name: i for i, c in enumerate(coords)}
 
@@ -93,7 +94,8 @@ class Patch:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownCoordinateError(f"unknown coordinate {name!r}") from None
+            raise UnknownCoordinateError(
+                f"unknown coordinate {quote(name)}") from None
 
     def coordinate(self, name: str) -> Coordinate:
         return self.coords[self.index(name)]
@@ -525,7 +527,7 @@ def _tokenize(text: str):
             tokens.append(("IDENT", text[i:j], i))
             i = j
         else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+            raise ExpressionSyntaxError(f"unexpected character {quote(ch)}", i)
     tokens.append(("END", "", n))
     return tokens
 
@@ -550,7 +552,8 @@ class _Parser:
         tok = self.advance()
         if tok[0] != kind:
             raise ExpressionSyntaxError(
-                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+                f"expected {quote(kind)}, found "
+                f"{quote(tok[1] or 'end of input')}", tok[2])
         return tok
 
     # grammar rules ---------------------------------------------------------
@@ -558,7 +561,7 @@ class _Parser:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "END":
-            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+            raise ExpressionSyntaxError(f"unexpected {quote(tok[1])}", tok[2])
         return value
 
     def expr(self) -> ScalarExpr:
@@ -580,23 +583,26 @@ class _Parser:
         value = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("NUM")
-            value = value ** int(tok[1])
+            value = value ** self.natural()
         return value
 
     def natural(self) -> int:
         tok = self.expect("NUM")
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:  # past the interpreter's integer-string limit
+            raise ExpressionSyntaxError(
+                f"number {quote(tok[1])} is too long", tok[2]) from None
 
     def rational(self, sign: int) -> ScalarExpr:
-        tok = self.expect("NUM")
-        num = sign * int(tok[1])
+        num = sign * self.natural()
         if self.peek()[0] == "/":
             self.advance()
-            dtok = self.expect("NUM")
-            if int(dtok[1]) == 0:
-                raise ExpressionSyntaxError("zero denominator", dtok[2])
-            return self.patch.rational(Fraction(num, int(dtok[1])))
+            pos = self.peek()[2]
+            den = self.natural()
+            if den == 0:
+                raise ExpressionSyntaxError("zero denominator", pos)
+            return self.patch.rational(Fraction(num, den))
         return self.patch.rational(num)
 
     def atom(self) -> ScalarExpr:
@@ -625,14 +631,16 @@ class _Parser:
             self.advance()
             return self.coord_atom(value, pos)
         raise ExpressionSyntaxError(
-            f"expected an atom, found {value or 'end of input'!r}", pos)
+            f"expected an atom, found {quote(value or 'end of input')}", pos)
 
     def coord_atom(self, name: str, pos: int) -> ScalarExpr:
         if name not in self.patch:
-            raise UnknownCoordinateError(f"unknown coordinate {name!r}", pos)
+            raise UnknownCoordinateError(
+                f"unknown coordinate {quote(name)}", pos)
         if self.patch.coordinate(name).angle:
             raise AngleDisciplineError(
-                f"angle coordinate {name!r} may appear only inside sin/cos", pos)
+                f"angle coordinate {quote(name)} may appear only inside "
+                f"sin/cos", pos)
         return self.patch.coord(name)
 
     def trig_atom(self, kind: int) -> ScalarExpr:
@@ -646,10 +654,11 @@ class _Parser:
         tok = self.expect("IDENT")
         name, pos = tok[1], tok[2]
         if name not in self.patch:
-            raise UnknownCoordinateError(f"unknown coordinate {name!r}", pos)
+            raise UnknownCoordinateError(
+                f"unknown coordinate {quote(name)}", pos)
         if not self.patch.coordinate(name).angle:
             raise AngleDisciplineError(
-                f"non-angle coordinate {name!r} inside sin/cos", pos)
+                f"non-angle coordinate {quote(name)} inside sin/cos", pos)
         self.expect(")")
         return self.patch.trig(kind, k, name)
 

@@ -441,21 +441,38 @@ def poisson_bracket(V: Multivector, f, g):
 
 
 class CourantSection:
-    """A section (vector field, 1-form) of the generalized tangent bundle."""
+    """A section (vector field, 1-form) of the generalized tangent bundle.
 
-    __slots__ = ("vf", "form")
+    Sections are immutable: assigning an attribute raises
+    ``AttributeError``.  ``dform``, the exterior derivative of ``form``, is
+    computed on first use and kept on the section, so a generator that
+    enters many brackets has its form differentiated once.
+    """
+
+    __slots__ = ("vf", "form", "_dform")
 
     def __init__(self, vf: Multivector, form: DiffForm):
         if vf.degree != 1 or form.degree != 1:
             raise DegreeError("a Courant section pairs a vector field with a 1-form")
         if vf.patch != form.patch:
             raise PatchMismatchError("section halves live on different patches")
-        self.vf = vf
-        self.form = form
+        object.__setattr__(self, "vf", vf)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_dform", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CourantSection is immutable; cannot set {name!r}")
 
     @property
     def patch(self) -> Patch:
         return self.vf.patch
+
+    @property
+    def dform(self) -> DiffForm:
+        """d(form), the 2-form the Courant bracket contracts into."""
+        if self._dform is None:
+            object.__setattr__(self, "_dform", exterior_derivative(self.form))
+        return self._dform
 
     def __eq__(self, other):
         return (isinstance(other, CourantSection)
@@ -474,9 +491,17 @@ def pairing_plus(s1: CourantSection, s2: CourantSection):
 
 
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
-    """Non-skew bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1)."""
+    """Non-skew (Dorfman) bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1).
+
+    The form half is expanded by Cartan's formula
+    ``L_X a = i_X da + d(i_X a)`` into
+    ``i_{X1} dform2 + d<form2, X1> - i_{X2} dform1``, where each section's
+    ``dform`` is taken once and reused across every bracket it enters.
+    """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    vf = lie_bracket(s1.vf, s2.vf)
-    form = lie_derivative(s1.vf, s2.form) - contract(s2.vf, exterior_derivative(s1.form))
+    X1 = s1.vf
+    vf = lie_bracket(X1, s2.vf)
+    form = (contract(X1, s2.dform) + d_scalar(s1.patch, pair(s2.form, X1))
+            - contract(s2.vf, s1.dform))
     return CourantSection(vf, form)

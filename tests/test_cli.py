@@ -1,5 +1,6 @@
 """Command line interface: manifest handling, reports, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -297,6 +298,48 @@ def test_error_messages_quote_a_bounded_part_of_the_input(tmp_path, capsys):
             assert message.startswith("bad vertical_bivector expression '((")
             assert message.endswith(
                 "...: parentheses nested deeper than 100 (at position 100)")
+
+
+def test_expression_and_patch_messages_quote_a_bounded_part_of_the_input(
+        tmp_path, capsys):
+    flat = json.loads(Path(fixture("flat")).read_text())
+    long = "z" * 5000
+
+    def coeff(text):
+        return lambda doc: doc["vertical_bivector"][0].update(coeff=text)
+
+    def rename(*names):
+        return lambda doc: doc["coordinates"].extend(
+            dict(doc["coordinates"][0], name=n) for n in names)
+
+    at = " (at position 2)"
+    cases = (("name", coeff("q*" + long), "unknown coordinate 'zzz", at),
+             ("digits", coeff("q*" + "1" * 5000), "number '111", at),
+             ("token", coeff("q " + "1" * 3000), "unexpected '111", at),
+             ("pair", lambda doc: doc["vertical_bivector"][0].update(
+                 indices=[long, "q"]), "unknown coordinate 'zzz", ""),
+             ("bad_name", rename("1" + long), "bad coordinate name '1zz", ""),
+             ("twice", rename(long, long), "duplicate coordinate names", ""))
+    for name, mutate, phrase, suffix in cases:
+        doc = json.loads(json.dumps(flat))
+        mutate(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", "json"])
+        assert code == 2 and out == [], name
+        assert len(err.encode()) < 300, name
+        message = json.loads(err)["error"]["message"]
+        assert phrase in message and message.endswith(suffix), name
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(couplingdirac.cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("couplingdirac"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ------------------------------------------------------------- round trip

@@ -105,6 +105,23 @@ def test_curvature_properties():
         assert curvature(conn, f * X, Y) == f * c
 
 
+def test_coordinate_curvature_matches_curvature():
+    rng = random.Random(61)
+    for _ in range(15):
+        conn = rnd_connection(rng, FP3)
+        for a in FP3.base_indices:
+            for b in FP3.base_indices:
+                names = FP3.coords[a].name, FP3.coords[b].name
+                expected = curvature(conn, Multivector.basis(FP3, names[0]),
+                                     Multivector.basis(FP3, names[1]))
+                assert coordinate_curvature(conn, *names) == expected
+                assert coordinate_curvature(conn, a, b) == expected
+    with pytest.raises(ValueError):
+        coordinate_curvature(conn, "x1", "q")
+    with pytest.raises(ValueError):
+        coordinate_curvature(conn, FP3.index("p"), 0)
+
+
 def test_d_gamma_examples():
     flat = Connection.flat(FP)
     f = BaseForm.from_scalar(FP, FP.parse("x1*p"))

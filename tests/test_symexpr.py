@@ -250,6 +250,30 @@ def test_parse_errors():
     assert err.value.position == depth
 
 
+def test_parse_errors_quote_a_bounded_part_of_the_input():
+    long = "z" * 5000
+    wide = Patch.build(["x", long + "a", long + "b"], angles=(long + "a",))
+    digits = "1" * 5000
+    cases = (
+        (UnknownCoordinateError, "x*" + long, 2),
+        (AngleDisciplineError, "x + " + long + "a", 4),
+        (AngleDisciplineError, "sin(" + long + "b)", 4),
+        (ExpressionSyntaxError, "x " + long, 2),
+        (ExpressionSyntaxError, "x*" + digits, 2),
+        (ExpressionSyntaxError, "x^" + digits, 2),
+        (ExpressionSyntaxError, "1/" + digits, 2),
+        (ExpressionSyntaxError, "sin(" + digits, 4),
+    )
+    for kind, text, position in cases:
+        with pytest.raises(kind) as err:
+            wide.parse(text)
+        assert err.value.position == position, text[:8]
+        assert len(str(err.value)) < 200, text[:8]
+    with pytest.raises(ExpressionSyntaxError) as err:
+        wide.parse("1/0")
+    assert err.value.position == 2
+
+
 def test_print_parse_round_trip():
     rng = random.Random(13)
     for _ in range(120):

@@ -27,15 +27,20 @@ from couplingdirac.tensorcalc import (
 QP = Patch.build("q p")
 XYZ = Patch.build("x1 x2 x3")
 BIG = Patch.build("x1 x2 q p")
+ANG = Patch.build("x1 q th", angles=("th",))
 
 
 def rnd_scalar(rng, patch, max_terms=2, max_deg=2):
     out = patch.zero()
-    names = [c.name for c in patch.coords]
+    names = [c.name for c in patch.coords if not c.angle]
+    angles = [c.name for c in patch.coords if c.angle]
     for _ in range(rng.randint(1, max_terms)):
         term = patch.rational(rng.randint(-3, 3))
         for name in rng.sample(names, rng.randint(0, 2)):
             term = term * patch.coord(name) ** rng.randint(1, max_deg)
+        if angles and rng.random() < 0.6:
+            term = term * patch.trig(rng.randint(0, 1), rng.randint(1, 2),
+                                     rng.choice(angles))
         out = out + term
     return out
 
@@ -376,6 +381,36 @@ def test_courant_bracket_examples():
     assert b.form == DiffForm.basis(QP, "p")
     b = courant_bracket(CourantSection(zv, qdp), CourantSection(zv, qdp))
     assert b.vf.is_zero() and b.form.is_zero()
+
+
+def test_courant_bracket_matches_cartan_formula():
+    # textbook form: ([X1, X2], L_{X1} a2 - i_{X2} d a1)
+    rng = random.Random(83)
+    for patch in (BIG, ANG):
+        for _ in range(15):
+            s1, s2 = (CourantSection(rnd_vf(rng, patch),
+                                     rnd_tensor(rng, patch, DiffForm, 1))
+                      for _ in range(2))
+            expected = CourantSection(
+                lie_bracket(s1.vf, s2.vf),
+                lie_derivative(s1.vf, s2.form)
+                - contract(s2.vf, exterior_derivative(s1.form)))
+            # the second call reuses both sections' stored d(form)
+            assert courant_bracket(s1, s2) == expected
+            assert courant_bracket(s1, s2) == expected
+            assert s1.dform == exterior_derivative(s1.form)
+            assert courant_bracket(s2, s2).form == (
+                lie_derivative(s2.vf, s2.form)
+                - contract(s2.vf, exterior_derivative(s2.form)))
+
+
+def test_courant_section_is_immutable():
+    s = CourantSection(Multivector.basis(QP, "q"), DiffForm.basis(QP, "p"))
+    for name in ("vf", "form", "dform", "_dform", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, DiffForm.zero(QP, 1))
+    assert s.dform.is_zero()
+    assert s.form == DiffForm.basis(QP, "p")
 
 
 def test_graph_sections_of_closed_form_stay_isotropic():
