@@ -19,6 +19,7 @@ block, non-Casimir coefficient).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -432,7 +433,10 @@ _COMMANDS = {"check": _cmd_check, "build": _cmd_build, "verify": _cmd_verify,
              "construct": _cmd_construct, "decompose": _cmd_decompose}
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, and building it costs some twenty parses."""
     parser = argparse.ArgumentParser(
         prog="couplingdirac",
         description="Check, build, and transform coupling-data manifests.")

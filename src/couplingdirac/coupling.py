@@ -221,16 +221,21 @@ class GeometricData:
 
 
 class DiracPresentation:
-    """Labelled Courant sections split into horizontal/vertical generators."""
+    """Labelled Courant sections split into horizontal/vertical generators.
 
-    __slots__ = ("patch", "horizontal", "vertical")
+    Presentations are immutable: assigning an attribute raises
+    ``AttributeError``.  ``pairings``, the generator pairings, is computed
+    on first use and kept on the presentation, so ``verify_isotropy`` and
+    the isotropy guard of ``verify_closure`` evaluate it once between them.
+    """
+
+    __slots__ = ("patch", "horizontal", "vertical", "_pairings")
 
     def __init__(self, patch, horizontal=(), vertical=()):
-        self.patch = patch
-        self.horizontal = tuple((str(n), s) for n, s in horizontal)
-        self.vertical = tuple((str(n), s) for n, s in vertical)
+        horizontal = tuple((str(n), s) for n, s in horizontal)
+        vertical = tuple((str(n), s) for n, s in vertical)
         seen = set()
-        for name, section in self.horizontal + self.vertical:
+        for name, section in horizontal + vertical:
             if not isinstance(section, CourantSection):
                 raise TypeError("generators must be Courant sections")
             if section.patch != patch:
@@ -239,6 +244,14 @@ class DiracPresentation:
             if name in seen:
                 raise ValueError(f"duplicate generator label {name}")
             seen.add(name)
+        object.__setattr__(self, "patch", patch)
+        object.__setattr__(self, "horizontal", horizontal)
+        object.__setattr__(self, "vertical", vertical)
+        object.__setattr__(self, "_pairings", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"DiracPresentation is immutable; cannot set {name!r}")
 
     def labeled(self) -> Iterator[tuple]:
         for name, section in self.horizontal:
@@ -249,6 +262,18 @@ class DiracPresentation:
     @property
     def sections(self) -> tuple:
         return tuple(s for _, _, s in self.labeled())
+
+    @property
+    def pairings(self) -> tuple:
+        """``(i, j, pairing_plus(e_i, e_j))`` for every i <= j, in
+        ``labeled()`` order."""
+        if self._pairings is None:
+            gens = self.sections
+            n = len(gens)
+            object.__setattr__(self, "_pairings", tuple(
+                (i, j, pairing_plus(gens[i], gens[j]))
+                for i in range(n) for j in range(i, n)))
+        return self._pairings
 
     def __len__(self):
         return len(self.horizontal) + len(self.vertical)
@@ -333,6 +358,9 @@ def build_dirac(data: GeometricData) -> DiracPresentation:
 def verify_isotropy(L: DiracPresentation) -> CheckReport:
     """Check all pairwise symmetric pairings vanish and the span is maximal.
 
+    The pairings are read from ``L.pairings``, which is evaluated once per
+    presentation.
+
     Maximality is certified structurally rather than by a rank
     computation: the labels must claim every patch coordinate exactly
     once (horizontal generators claim the vector slot of their label,
@@ -342,12 +370,8 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
     carry no claimed vector slots and no other claimed form slots).
     """
     gens = list(L.labeled())
-    iso = []
-    for i, (_, n1, s1) in enumerate(gens):
-        for _, n2, s2 in gens[i:]:
-            val = pairing_plus(s1, s2)
-            if val:
-                iso.append(Witness((n1, n2), val))
+    iso = [Witness((gens[i][1], gens[j][1]), val)
+           for i, j, val in L.pairings if val]
 
     maxi = []
     patch = L.patch
@@ -414,15 +438,15 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     standing for the six witnesses of its triple (negated for odd
     orderings).  Expressions are canonical, so those witnesses print
     exactly as direct pairings would.  A guard decides this isotropy
-    itself (independently of ``check_integrability``) and falls back to
-    all N^2 brackets and N^3 pairings when a generator pairing is nonzero,
-    as on a hand-built presentation.
+    itself (independently of ``check_integrability``) from the
+    presentation's ``pairings`` table, which ``verify_isotropy`` shares,
+    and falls back to all N^2 brackets and N^3 pairings when a generator
+    pairing is nonzero, as on a hand-built presentation.
     """
     gens = list(L.labeled())
     n = len(gens)
     sections = [s for _, _, s in gens]
-    isotropic = not any(pairing_plus(sections[i], sections[j])
-                        for i in range(n) for j in range(i, n))
+    isotropic = not any(val for _, _, val in L.pairings)
     pairs = (combinations(range(n), 2) if isotropic
              else product(range(n), repeat=2))
     buckets = {name: [] for name in CONDITION_ORDER}

@@ -16,12 +16,19 @@ An expression is a finite sum of terms
 
     c * x_{i1}^{e1} * ... * sin(k*theta) * cos(m*phi) * ...
 
-with ``c`` a :class:`fractions.Fraction`, polynomial factors only in
-non-angle coordinates and at most one ``sin``/``cos`` factor per angle
-coordinate (Fourier-normal form; products of factors on the same angle
-are rewritten with the product-to-sum identities).  The normal form is
+with ``c`` a nonzero rational, polynomial factors only in non-angle
+coordinates and at most one ``sin``/``cos`` factor per angle coordinate
+(Fourier-normal form; products of factors on the same angle are
+rewritten with the product-to-sum identities).  The normal form is
 canonical: two expressions are equal as functions iff their term tables
 are identical, so ``is_zero`` is a dictionary lookup.
+
+A coefficient is a plain ``int`` whenever it is integral and a
+:class:`fractions.Fraction` only otherwise (a parsed ``1/3``, the halves
+of the product-to-sum rules, exact division).  Equality, hashing and
+printing do not depend on the type, but integer arithmetic is far
+cheaper than ``Fraction`` arithmetic, and most coefficients stay small
+integers.
 """
 
 from __future__ import annotations
@@ -114,7 +121,8 @@ class Patch:
         return iter(self.coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Patch) and self.coords == other.coords
+        return self is other or (isinstance(other, Patch)
+                                 and self.coords == other.coords)
 
     def __hash__(self) -> int:
         return hash(self.coords)
@@ -124,21 +132,22 @@ class Patch:
 
     # -- expression factories ----------------------------------------------
     def zero(self) -> "ScalarExpr":
-        return ScalarExpr(self, {})
+        return _expr(self, {})
 
     def one(self) -> "ScalarExpr":
-        return self.rational(1)
+        return _expr(self, {((), ()): 1})
 
     def rational(self, value: RationalLike) -> "ScalarExpr":
-        value = Fraction(value)
-        return ScalarExpr(self, {((), ()): value} if value else {})
+        if type(value) is not int:
+            value = _coefficient(Fraction(value))
+        return _expr(self, {((), ()): value} if value else {})
 
     def coord(self, name: str) -> "ScalarExpr":
         i = self.index(name)
         if self.coords[i].angle:
             raise AngleDisciplineError(
                 f"angle coordinate {name!r} may appear only inside sin/cos")
-        return ScalarExpr(self, {(((i, 1),), ()): Fraction(1)})
+        return _expr(self, {(((i, 1),), ()): 1})
 
     def trig(self, kind: int, k: int, name: str) -> "ScalarExpr":
         """sin(k*name) for kind=SIN, cos(k*name) for kind=COS."""
@@ -150,14 +159,21 @@ class Patch:
             raise ValueError("trig frequency must be a natural number")
         if k == 0:
             return self.one() if kind == COS else self.zero()
-        return ScalarExpr(self, {((), ((i, kind, k),)): Fraction(1)})
+        return _expr(self, {((), ((i, kind, k),)): 1})
 
     def parse(self, text: str) -> "ScalarExpr":
         return parse(text, self)
 
 
+def _coefficient(c):
+    """An exact rational coefficient as ``int`` when it is integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 def _check_patch(a: "ScalarExpr", b: "ScalarExpr") -> None:
-    if a.patch != b.patch:
+    if a.patch is not b.patch and a.patch != b.patch:
         raise PatchMismatchError("expressions live on different patches")
 
 
@@ -196,7 +212,7 @@ def _combine_same_angle(kind1: int, k1: int, kind2: int, k2: int):
 
 def _mul_trig(t1: Trig, t2: Trig):
     """Multiply two trig words; yields (trig_word, weight) branches."""
-    branches = [([], Fraction(1))]
+    branches = [([], 1)]
     i = j = 0
     while i < len(t1) or j < len(t2):
         if j >= len(t2) or (i < len(t1) and t1[i][0] < t2[j][0]):
@@ -223,6 +239,10 @@ def _mul_trig(t1: Trig, t2: Trig):
 
 
 def _mul_mono(m1: Mono, m2: Mono) -> Mono:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps = {}
     for i, e in m1:
         exps[i] = exps.get(i, 0) + e
@@ -236,9 +256,9 @@ class ScalarExpr:
 
     __slots__ = ("patch", "terms")
 
-    def __init__(self, patch: Patch, terms: Mapping[Key, Fraction]):
+    def __init__(self, patch: Patch, terms: Mapping[Key, RationalLike]):
         self.patch = patch
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = {k: _coefficient(v) for k, v in terms.items() if v}
 
     # -- ring structure ------------------------------------------------------
     def _coerce(self, other) -> "ScalarExpr":
@@ -254,18 +274,19 @@ class ScalarExpr:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
+            s = get(key, 0) + c
             if s:
-                terms[key] = s
+                terms[key] = s if type(s) is int else _coefficient(s)
             else:
-                terms.pop(key, None)
-        return ScalarExpr(self.patch, terms)
+                del terms[key]
+        return _expr(self.patch, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.patch, {k: -c for k, c in self.terms.items()})
+        return _expr(self.patch, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -281,18 +302,24 @@ class ScalarExpr:
         if other is NotImplemented:
             return NotImplemented
         terms: dict = {}
+        get = terms.get
+        right = other.terms.items()
         for (m1, t1), c1 in self.terms.items():
-            for (m2, t2), c2 in other.terms.items():
+            for (m2, t2), c2 in right:
                 mono = _mul_mono(m1, m2)
-                base = c1 * c2
-                for trig, w in _mul_trig(t1, t2):
-                    key = (mono, trig)
-                    s = terms.get(key, 0) + base * w
+                if t1 and t2:
+                    base = c1 * c2
+                    products = [((mono, trig), base * w)
+                                for trig, w in _mul_trig(t1, t2)]
+                else:  # a trig-free side: the other word is the product
+                    products = (((mono, t1 or t2), c1 * c2),)
+                for key, c in products:
+                    s = get(key, 0) + c
                     if s:
-                        terms[key] = s
+                        terms[key] = s if type(s) is int else _coefficient(s)
                     else:
-                        terms.pop(key, None)
-        return ScalarExpr(self.patch, terms)
+                        del terms[key]
+        return _expr(self.patch, terms)
 
     __rmul__ = __mul__
 
@@ -332,7 +359,7 @@ class ScalarExpr:
         if len(self.terms) == 1:
             (key, c), = self.terms.items()
             if key == ((), ()):
-                return c
+                return Fraction(c)
         return None
 
     def coordinates_used(self) -> set:
@@ -348,17 +375,18 @@ class ScalarExpr:
         i = self.patch.index(name)
         angle = self.patch.coords[i].angle
         out: dict = {}
+        get = out.get
         for (mono, trig), c in self.terms.items():
             if not angle:
                 for pos, (j, e) in enumerate(mono):
                     if j == i:
                         rest = mono[:pos] + ((j, e - 1),) * (e > 1) + mono[pos + 1:]
                         key = (rest, trig)
-                        s = out.get(key, 0) + c * e
+                        s = get(key, 0) + c * e
                         if s:
-                            out[key] = s
+                            out[key] = s if type(s) is int else _coefficient(s)
                         else:
-                            out.pop(key, None)
+                            del out[key]
                         break
             else:
                 for pos, (j, kind, k) in enumerate(trig):
@@ -367,13 +395,13 @@ class ScalarExpr:
                         factor = k if kind == SIN else -k
                         rest = trig[:pos] + ((j, newkind, k),) + trig[pos + 1:]
                         key = (mono, rest)
-                        s = out.get(key, 0) + c * factor
+                        s = get(key, 0) + c * factor
                         if s:
-                            out[key] = s
+                            out[key] = s if type(s) is int else _coefficient(s)
                         else:
-                            out.pop(key, None)
+                            del out[key]
                         break
-        return ScalarExpr(self.patch, out)
+        return _expr(self.patch, out)
 
     def angle_average(self, coord: str | Coordinate) -> "ScalarExpr":
         """Fourier constant term in the given angle coordinate."""
@@ -383,7 +411,7 @@ class ScalarExpr:
             raise AngleDisciplineError(f"{name!r} is not an angle coordinate")
         keep = {key: c for key, c in self.terms.items()
                 if all(j != i for j, _, _ in key[1])}
-        return ScalarExpr(self.patch, keep)
+        return _expr(self.patch, keep)
 
     # -- substitution and evaluation ------------------------------------------
     def substitute(self, assignments: Mapping[str, object], target: Patch | None = None) -> "ScalarExpr":
@@ -493,6 +521,18 @@ class ScalarExpr:
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
 
+
+def _expr(patch: Patch, terms: dict) -> ScalarExpr:
+    """A ScalarExpr that owns ``terms`` as given.
+
+    The ring operations build their results here: their tables hold no
+    zero coefficient and no integral ``Fraction`` already, so the public
+    constructor's filtering pass would be wasted work.
+    """
+    e = object.__new__(ScalarExpr)
+    e.patch = patch
+    e.terms = terms
+    return e
 
 # --------------------------------------------------------------------------
 # parsing

@@ -313,8 +313,25 @@ def contract(V: Multivector, omega: DiffForm) -> DiffForm:
 
 
 def pair(omega: DiffForm, X: Multivector):
-    """Full pairing of a 1-form with a vector field, as a scalar."""
-    return contract(X, omega).scalar()
+    """Full pairing <omega, X> = sum_i X^i omega_i of a 1-form with a
+    vector field, as a scalar; any other degrees raise ``DegreeError``.
+
+    Equal to ``contract(X, omega).scalar()``, summed directly over the
+    components the two share.
+    """
+    if not (isinstance(omega, DiffForm) and omega.degree == 1
+            and isinstance(X, Multivector) and X.degree == 1):
+        raise DegreeError("pair needs a 1-form and a vector field")
+    if X.patch != omega.patch:
+        raise PatchMismatchError("tensors live on different patches")
+    form = omega.comps
+    total = None
+    for key, xc in X.comps.items():
+        wc = form.get(key)
+        if wc is not None:
+            term = xc * wc
+            total = term if total is None else total + term
+    return X.patch.zero() if total is None else total
 
 
 def _coefficient_gradient(T, i: int):
@@ -440,6 +457,9 @@ def poisson_bracket(V: Multivector, f, g):
     return contract(V, d_scalar(patch, f).wedge(d_scalar(patch, g))).scalar()
 
 
+_HALF = Fraction(1, 2)
+
+
 class CourantSection:
     """A section (vector field, 1-form) of the generalized tangent bundle.
 
@@ -486,8 +506,8 @@ def pairing_plus(s1: CourantSection, s2: CourantSection):
     """Symmetric pairing (1/2)(form1(vf2) + form2(vf1))."""
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    half = Fraction(1, 2)
-    return (pair(s1.form, s2.vf) + pair(s2.form, s1.vf)) * half
+    total = pair(s1.form, s2.vf) + pair(s2.form, s1.vf)
+    return total * _HALF if total else total
 
 
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:

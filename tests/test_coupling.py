@@ -1,11 +1,13 @@
 """Integrability checker, generator presentation, and the bivector bridge."""
 
+import math
 import random
 
 import pytest
 
 from corpus_util import corpus, mutation_fixtures
 
+from couplingdirac import coupling
 from couplingdirac.coupling import (
     _RELATION_CLASS,
     CONDITION_ORDER,
@@ -315,6 +317,49 @@ def test_closure_matches_brute_force_reference():
     reference = brute_force_closure(L)
     assert reference["verdict"] == "fail"
     assert verify_closure(L).as_document() == reference
+
+
+def test_dirac_presentation_is_immutable():
+    L = build_dirac(ymh_fixture())
+    for name in ("patch", "horizontal", "vertical", "_pairings", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(L, name, None)
+    assert len(L.pairings) == len(L) * (len(L) + 1) // 2
+    assert L.pairings is L.pairings
+
+
+def count_pairings(monkeypatch, L):
+    """Record each pairing_plus call as True when both arguments are
+    generators of L (an isotropy pairing), else False."""
+    generators = {id(s) for s in L.sections}
+    calls = []
+    real = coupling.pairing_plus
+
+    def counting(s1, s2):
+        calls.append(id(s1) in generators and id(s2) in generators)
+        return real(s1, s2)
+
+    monkeypatch.setattr(coupling, "pairing_plus", counting)
+    return calls
+
+
+def test_generator_pairings_are_evaluated_once(monkeypatch):
+    L = build_dirac(ymh_fixture())
+    n = len(L)
+    calls = count_pairings(monkeypatch, L)
+    assert verify_isotropy(L).passed
+    assert verify_closure(L).passed
+    assert calls.count(True) == n * (n + 1) // 2
+    assert calls.count(False) == math.comb(n, 3)
+
+
+def test_closure_of_non_isotropic_presentation_pairs_all_triples(monkeypatch):
+    L = non_isotropic_presentation()
+    n = len(L)
+    calls = count_pairings(monkeypatch, L)
+    assert not verify_closure(L).passed
+    assert calls.count(True) == n * (n + 1) // 2
+    assert calls.count(False) == n ** 3
 
 
 # ----------------------------------------------------------- extract/graph

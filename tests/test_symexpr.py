@@ -11,6 +11,7 @@ from couplingdirac import (
     ExpressionSyntaxError,
     Patch,
     PatchMismatchError,
+    ScalarExpr,
     UnknownCoordinateError,
     parse,
 )
@@ -106,6 +107,97 @@ def test_power_and_coercion():
             product = product * e
     assert 2 * x - x == x
     assert (Fraction(1, 2) * x) * 2 == x
+
+
+# --- coefficient representation -------------------------------------------------
+
+def rnd_int_expr(rng, patch=PATCH, trig=True):
+    """Random expression with integer coefficients and at most one trig factor."""
+    out = patch.zero()
+    names = [c.name for c in patch.coords if not c.angle]
+    for _ in range(rng.randint(1, 3)):
+        term = patch.rational(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for name in rng.sample(names, rng.randint(0, 2)):
+            term = term * patch.coord(name) ** rng.randint(1, 2)
+        if trig and rng.random() < 0.6:
+            term = term * patch.parse(
+                f"{rng.choice(['sin', 'cos'])}({rng.randint(1, 3)}*th)")
+        out = out + term
+    return out
+
+
+def assert_normal_coefficients(e):
+    """Every coefficient is nonzero, an int when integral, else a Fraction."""
+    for key, c in e.terms.items():
+        assert c, (e, key)
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, (e, key, c)
+        else:
+            assert type(c) is Fraction, (e, key, c)
+
+
+def test_integer_coefficients_stay_int():
+    rng = random.Random(31)
+    for _ in range(100):
+        a = rnd_int_expr(rng, trig=False)
+        b = rnd_int_expr(rng)
+        results = [a + b, a - b, -b, a * b, b * a, a ** 3,
+                   b * 2, 3 + b]
+        results += [r.differentiate(c) for r in (a, b, a * b)
+                    for c in PATCH.coords]
+        results += [PATCH.one(), PATCH.coord("x1"), PATCH.rational(-2),
+                    PATCH.parse("2*sin(3*th)"), a ** 0]
+        for r in results:
+            assert all(type(c) is int for c in r.terms.values()), r
+
+
+def test_integral_results_of_fraction_arithmetic_are_int():
+    half = PATCH.parse("1/2")
+    assert_normal_coefficients(half)
+    assert (half + half).terms == {((), ()): 1}
+    two_cos_sq = 2 * PATCH.parse("cos(th)") * PATCH.parse("cos(th)")
+    assert two_cos_sq == PATCH.parse("1 + cos(2*th)")
+    assert_normal_coefficients(two_cos_sq)
+    assert_normal_coefficients(PATCH.parse("1/2*x1^2").differentiate("x1"))
+    assert_normal_coefficients(PATCH.rational(Fraction(6, 3)))
+    rng = random.Random(32)
+    for _ in range(100):
+        a, b = rnd_expr(rng), rnd_expr(rng)
+        for r in (a + b, a - b, a * b, (a * b) * 6, a ** 2,
+                  (6 * a).differentiate("x1"), (6 * b).differentiate("th")):
+            assert_normal_coefficients(r)
+
+
+def test_products_of_trig_and_trig_free_factors_match_evaluation():
+    rng = random.Random(33)
+    for _ in range(200):
+        factors = [rnd_expr(rng) if rng.random() < 0.5
+                   else rnd_int_expr(rng, trig=False)
+                   for _ in range(rng.randint(2, 4))]
+        product = PATCH.one()
+        for f in factors:
+            product = product * f
+        for _ in range(5):
+            pt = sample_point(rng)
+            assert product.evaluate(pt) == pytest.approx(
+                math.prod(f.evaluate(pt) for f in factors), abs=1e-9)
+
+
+def test_public_constructor_normalizes_its_table():
+    key = (((0, 1),), ())
+    assert ScalarExpr(PATCH, {key: 0}).is_zero()
+    assert ScalarExpr(PATCH, {key: Fraction(0)}) == PATCH.zero()
+    e = ScalarExpr(PATCH, {key: Fraction(4, 2), ((), ()): Fraction(1, 3)})
+    assert e == PATCH.parse("2*x1 + 1/3")
+    assert_normal_coefficients(e)
+
+
+def test_as_rational_is_a_fraction():
+    for text in ("0", "3", "-2", "1/3", "4/2"):
+        value = PATCH.parse(text).as_rational()
+        assert type(value) is Fraction and value == Fraction(text)
+    assert (PATCH.parse("x1") - PATCH.parse("x1")).as_rational() == 0
+    assert PATCH.parse("x1 + 1").as_rational() is None
 
 
 def test_patch_mismatch_rejected():

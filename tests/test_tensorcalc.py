@@ -150,6 +150,33 @@ def test_contract_degree_error_and_nilpotence():
         assert contract(X, contract(X, om)).is_zero()
 
 
+def test_pair_equals_full_contraction():
+    rng = random.Random(17)
+    for patch in (QP, BIG, ANG):
+        for _ in range(40):
+            X = rnd_vf(rng, patch)
+            om = rnd_tensor(rng, patch, DiffForm, 1)
+            value = pair(om, X)
+            assert value == contract(X, om).scalar(), (X, om)
+            assert value.patch == patch
+    X = Multivector.basis(BIG, "x1")
+    assert pair(DiffForm.basis(BIG, "q"), X).is_zero()
+    assert pair(DiffForm.zero(BIG, 1), X).is_zero()
+
+
+def test_pair_rejects_other_degrees():
+    X = Multivector.basis(BIG, "x1")
+    om = DiffForm.basis(BIG, "x1")
+    bad = [(DiffForm.from_scalar(BIG, 1), X),
+           (DiffForm.build(BIG, 2, {("x1", "q"): 1}), X),
+           (om, Multivector.from_scalar(BIG, 1)),
+           (om, Multivector.build(BIG, 2, {("x1", "q"): 1})),
+           (X, om)]
+    for form, field in bad:
+        with pytest.raises(DegreeError):
+            pair(form, field)
+
+
 def test_contract_agrees_with_iterated():
     rng = random.Random(8)
     for _ in range(30):
