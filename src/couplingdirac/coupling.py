@@ -542,7 +542,8 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     The base-base and base-fiber coefficients share one denominator D
     (each numerator times the other distinct denominators): with N = D*M
     and C its Pfaffian adjugate, M^{-1} = D*C/Pf(N), D cancels from the
-    connection, and det(M) = Pf(N)^2/D^n.
+    connection, and det(M) = Pf(N)^2/D^n.  The pivots name det(M)'s zero
+    locus through Pf(N)/D^(n/2) reduced, or Pf(N)^2 itself when D = 1.
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -606,7 +607,8 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
 
     pivots = []
     seen = set()
-    red = RatExpr(pf * pf, D ** n).reduce()
+    # det(M) = (Pf(N)/D^(n/2))^2 vanishes where the unexpanded ratio does
+    red = (RatExpr(pf, D ** (n // 2)) if dens else RatExpr(pf * pf)).reduce()
     for candidate in (red.num, red.den):
         if candidate.as_rational() is None and str(candidate) not in seen:
             seen.add(str(candidate))

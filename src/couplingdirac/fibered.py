@@ -118,10 +118,11 @@ class Connection:
     def horizontal_derivative(self, a, f) -> ScalarExpr:
         """hor(d_a) applied to a scalar function."""
         a = self.patch.index(a) if isinstance(a, str) else a
-        out = f.differentiate(self.patch.coords[a].name)
+        coords, used = self.patch.coords, f.coordinates_used()
+        out = f.differentiate(coords[a].name) if a in used else self.patch.zero()
         for (u, b), coeff in self.table.items():
-            if b == a:
-                df = f.differentiate(self.patch.coords[u].name)
+            if b == a and u in used:
+                df = f.differentiate(coords[u].name)
                 if df:
                     out = out - coeff * df
         return out

@@ -187,7 +187,7 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
 class RatExpr:
     """Quotient of two expressions; equality by cross-multiplication."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_support")
 
     def __init__(self, num: ScalarExpr, den: ScalarExpr | None = None):
         if den is None:
@@ -271,6 +271,16 @@ class RatExpr:
         if other is NotImplemented:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
+
+    def coordinates_used(self) -> frozenset:
+        """The union of the numerator's and denominator's supports, as a
+        frozenset computed on the first call and returned as is after that."""
+        try:
+            return self._support
+        except AttributeError:
+            used = self._support = (self.num.coordinates_used()
+                                    | self.den.coordinates_used())
+            return used
 
     def differentiate(self, coord) -> "RatExpr":
         dn = self.num.differentiate(coord)

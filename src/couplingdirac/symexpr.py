@@ -254,7 +254,7 @@ def _mul_mono(m1: Mono, m2: Mono) -> Mono:
 class ScalarExpr:
     """Immutable canonical trig-polynomial over a fixed patch."""
 
-    __slots__ = ("patch", "terms")
+    __slots__ = ("patch", "terms", "_support")
 
     def __init__(self, patch: Patch, terms: Mapping[Key, RationalLike]):
         self.patch = patch
@@ -362,12 +362,16 @@ class ScalarExpr:
                 return Fraction(c)
         return None
 
-    def coordinates_used(self) -> set:
-        used = set()
-        for mono, trig in self.terms:
-            used.update(i for i, _ in mono)
-            used.update(i for i, _, _ in trig)
-        return used
+    def coordinates_used(self) -> frozenset:
+        """Indices of the coordinates occurring in some term, as a frozenset
+        computed on the first call and returned as is after that."""
+        try:
+            return self._support
+        except AttributeError:
+            used = self._support = frozenset(
+                [i for mono, _ in self.terms for i, _ in mono]
+                + [i for _, trig in self.terms for i, _, _ in trig])
+            return used
 
     # -- calculus ------------------------------------------------------------
     def differentiate(self, coord: str | Coordinate) -> "ScalarExpr":
@@ -527,7 +531,8 @@ def _expr(patch: Patch, terms: dict) -> ScalarExpr:
 
     The ring operations build their results here: their tables hold no
     zero coefficient and no integral ``Fraction`` already, so the public
-    constructor's filtering pass would be wasted work.
+    constructor's filtering pass would be wasted work.  The coordinate
+    support is left unset until :meth:`ScalarExpr.coordinates_used`.
     """
     e = object.__new__(ScalarExpr)
     e.patch = patch

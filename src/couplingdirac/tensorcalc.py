@@ -1,10 +1,15 @@
 """Multivector fields, differential forms, and the bracket calculus.
 
 Both tensor kinds are sparse tables: strictly increasing coordinate-index
-tuples mapped to scalar coefficients.  Coefficients are usually
+tuples mapped to nonzero scalar coefficients.  Coefficients are usually
 :class:`~couplingdirac.symexpr.ScalarExpr` but any value supporting the
-same ring/derivative protocol works (the fraction-field layer reuses
-these classes unchanged).
+same ring/derivative/support protocol works (the fraction-field layer
+reuses these classes unchanged).
+
+The public constructor checks every key and drops zero coefficients; a
+table the calculus builds is clean by construction and trusted once
+built.  Derivatives follow each coefficient's coordinate support
+(``coordinates_used()``), as every other partial derivative is zero.
 
 Sign conventions, fixed once and asserted by the tests:
 
@@ -65,6 +70,16 @@ def _sort_indices(indices: Sequence[int]):
     return sign, tuple(idx)
 
 
+def _accumulate(table: dict, key, value) -> None:
+    """Add ``value`` into ``table[key]``, dropping the entry if it cancels."""
+    prev = table.get(key)
+    s = value if prev is None else prev + value
+    if s:
+        table[key] = s
+    else:
+        table.pop(key, None)
+
+
 class _Alternating:
     """Shared sparse storage for multivectors and forms."""
 
@@ -85,6 +100,16 @@ class _Alternating:
             if c:
                 table[key] = c
         self.comps = table
+
+    @classmethod
+    def _trusted(cls, patch: Patch, degree: int, table: dict):
+        """A tensor owning ``table`` as given; the calculus builds it clean:
+        keys of ``degree`` strictly increasing indices, no zero values."""
+        t = object.__new__(cls)
+        t.patch = patch
+        t.degree = degree
+        t.comps = table
+        return t
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -132,17 +157,12 @@ class _Alternating:
             raise DegreeError("cannot add tensors of different degrees")
         table = dict(self.comps)
         for key, c in other.comps.items():
-            s = table.get(key)
-            s = c if s is None else s + c
-            if s:
-                table[key] = s
-            else:
-                table.pop(key, None)
-        return type(self)(self.patch, self.degree, table)
+            _accumulate(table, key, c)
+        return self._trusted(self.patch, self.degree, table)
 
     def __neg__(self):
-        return type(self)(self.patch, self.degree,
-                          {k: -c for k, c in self.comps.items()})
+        return self._trusted(self.patch, self.degree,
+                             {k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -200,14 +220,8 @@ class _Alternating:
                     continue
                 sign, key = hit
                 c = c1 * c2
-                c = c if sign > 0 else -c
-                prev = table.get(key)
-                s = c if prev is None else prev + c
-                if s:
-                    table[key] = s
-                else:
-                    table.pop(key, None)
-        return type(self)(self.patch, self.degree + other.degree, table)
+                _accumulate(table, key, c if sign > 0 else -c)
+        return self._trusted(self.patch, self.degree + other.degree, table)
 
     def __str__(self):
         if not self.comps:
@@ -247,12 +261,9 @@ def wedge(a, b):
 
 def d_scalar(patch: Patch, f) -> DiffForm:
     """Exterior derivative of a scalar function, as a 1-form."""
-    table = {}
-    for i, c in enumerate(patch.coords):
-        df = f.differentiate(c.name)
-        if df:
-            table[(i,)] = df
-    return DiffForm(patch, 1, table)
+    return DiffForm._trusted(patch, 1, {
+        (i,): df for i in sorted(f.coordinates_used())
+        if (df := f.differentiate(patch.coords[i].name))})
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -261,22 +272,15 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     table: dict = {}
     patch = omega.patch
     for key, c in omega.comps.items():
-        for i, coord in enumerate(patch.coords):
-            dc = c.differentiate(coord.name)
-            if not dc:
-                continue
+        for i in sorted(c.coordinates_used()):
             hit = _merge_indices((i,), key)
             if hit is None:
                 continue
-            sign, merged = hit
-            dc = dc if sign > 0 else -dc
-            prev = table.get(merged)
-            s = dc if prev is None else prev + dc
-            if s:
-                table[merged] = s
-            else:
-                table.pop(merged, None)
-    return DiffForm(patch, omega.degree + 1, table)
+            dc = c.differentiate(patch.coords[i].name)
+            if dc:
+                sign, merged = hit
+                _accumulate(table, merged, dc if sign > 0 else -dc)
+    return DiffForm._trusted(patch, omega.degree + 1, table)
 
 
 def contract(V: Multivector, omega: DiffForm) -> DiffForm:
@@ -302,14 +306,8 @@ def contract(V: Multivector, omega: DiffForm) -> DiffForm:
             if rest is None:
                 continue
             c = vc * wc
-            c = c if sign > 0 else -c
-            prev = table.get(rest)
-            s = c if prev is None else prev + c
-            if s:
-                table[rest] = s
-            else:
-                table.pop(rest, None)
-    return DiffForm(omega.patch, omega.degree - V.degree, table)
+            _accumulate(table, rest, c if sign > 0 else -c)
+    return DiffForm._trusted(omega.patch, omega.degree - V.degree, table)
 
 
 def pair(omega: DiffForm, X: Multivector):
@@ -335,10 +333,12 @@ def pair(omega: DiffForm, X: Multivector):
 
 
 def _coefficient_gradient(T, i: int):
-    """Componentwise coordinate derivative of a tensor."""
+    """Componentwise coordinate derivative of a tensor, taken only on the
+    coefficients whose support holds coordinate i."""
     name = T.patch.coords[i].name
-    return type(T)(T.patch, T.degree,
-                   {k: c.differentiate(name) for k, c in T.comps.items()})
+    return T._trusted(T.patch, T.degree, {
+        k: dc for k, c in T.comps.items()
+        if i in c.coordinates_used() and (dc := c.differentiate(name))})
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
@@ -348,26 +348,12 @@ def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
         raise PatchMismatchError("tensors live on different patches")
     table: dict = {}
     for (j,), xc in X.comps.items():
-        dY = _coefficient_gradient(Y, j)
-        for key, c in dY.comps.items():
-            s = table.get(key, None)
-            v = xc * c
-            s = v if s is None else s + v
-            if s:
-                table[key] = s
-            else:
-                table.pop(key, None)
+        for key, c in _coefficient_gradient(Y, j).comps.items():
+            _accumulate(table, key, xc * c)
     for (j,), yc in Y.comps.items():
-        dX = _coefficient_gradient(X, j)
-        for key, c in dX.comps.items():
-            s = table.get(key, None)
-            v = yc * c
-            s = (-v) if s is None else s - v
-            if s:
-                table[key] = s
-            else:
-                table.pop(key, None)
-    return Multivector(X.patch, 1, table)
+        for key, c in _coefficient_gradient(X, j).comps.items():
+            _accumulate(table, key, -(yc * c))
+    return Multivector._trusted(X.patch, 1, table)
 
 
 def _right_odd_derivative(A: Multivector, i: int) -> Multivector:
@@ -382,7 +368,7 @@ def _right_odd_derivative(A: Multivector, i: int) -> Multivector:
         if (A.degree - 1 - m) % 2:
             c = -c
         table[key[:m] + key[m + 1:]] = c
-    return Multivector(A.patch, A.degree - 1, table)
+    return Multivector._trusted(A.patch, A.degree - 1, table)
 
 
 def schouten(A: Multivector, B: Multivector) -> Multivector:
@@ -437,16 +423,8 @@ def sharp(V: Multivector, alpha: DiffForm) -> Multivector:
             if ac is None:
                 continue
             c = vc * ac
-            if flip:
-                c = -c
-            key = (other,)
-            prev = table.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                table[key] = s
-            else:
-                table.pop(key, None)
-    return Multivector(V.patch, 1, table)
+            _accumulate(table, (other,), -c if flip else c)
+    return Multivector._trusted(V.patch, 1, table)
 
 
 def poisson_bracket(V: Multivector, f, g):

@@ -1,5 +1,6 @@
 """Integrability checker, generator presentation, and the bivector bridge."""
 
+from fractions import Fraction
 import math
 import random
 
@@ -33,7 +34,7 @@ from couplingdirac.errors import (
     NonCasimirError,
 )
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch, promote
-from couplingdirac.fractionfield import RatExpr
+from couplingdirac.fractionfield import RatExpr, pfaffian
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
@@ -432,7 +433,10 @@ def test_round_trip_from_data():
     data = ymh_fixture()
     result = decompose_coupling(extract_poisson(data), data.patch)
     assert result.data == data
-    assert [str(p) for p in result.pivot_denominators] == ["p^2"]
+    # the extracted base entry is 1/p, so D = p and the pivot is that of
+    # Pf(N)/D = 1/p, whose square is det(M) = 1/p^2
+    assert [str(p) for p in result.pivot_denominators] == ["p"]
+    assert result.pivot_denominators[0] ** 2 == data.patch.parse("p^2")
 
 
 def test_round_trip_from_bivector():
@@ -470,6 +474,35 @@ def test_round_trips_on_random_nondegenerate_data():
             ("x1", "x4"): P("q*p"), ("x2", "x3"): P("2 + x1*x4"),
             ("x2", "x4"): P("x3 - q"), ("x3", "x4"): P("1 + p^2")}))
     assert decompose_coupling(extract_poisson(data), patch).data == data
+
+
+def test_round_trip_with_six_base_coordinates():
+    # 11 of the 15 entries F_ab are non-constant, so the extracted base
+    # block M = N/D has a shared denominator D of many terms; the pivots
+    # are those of Pf(N)/D^3, without expanding Pf(N)^2 or D^6
+    patch = FiberedPatch.build("x1 x2 x3 x4 x5 x6", "q p")
+    P = patch.parse
+    F = BaseForm.build(patch, 2, {
+        ("x1", "x2"): P("1 + q"), ("x1", "x3"): P("x2"), ("x1", "x4"): P("p"),
+        ("x1", "x5"): P("x6"), ("x1", "x6"): P("1"), ("x2", "x3"): P("2 + x4"),
+        ("x2", "x4"): P("x3 - q"), ("x2", "x5"): P("3"),
+        ("x2", "x6"): P("x5 + 1"), ("x3", "x4"): P("1 + p"),
+        ("x3", "x5"): P("-1"), ("x3", "x6"): P("q"), ("x4", "x5"): P("2"),
+        ("x4", "x6"): P("x1"), ("x5", "x6"): P("1 + x2")})
+    assert sum(c.as_rational() is None for _, c in F.items()) == 11
+    data = GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}), F)
+    result = decompose_coupling(extract_poisson(data), patch)
+    assert result.data == data
+    # det(M) = 1/det(F), so the reported ratio is a constant times 1/Pf(F)
+    num, den = result.pivot_denominators
+    base = patch.base_indices
+    pf = pfaffian([[F.coefficient(a, b) for b in base] for a in base], patch)
+    key = min(den.terms)
+    lhs = num * pf
+    assert key in lhs.terms
+    assert lhs == den * Fraction(lhs.terms[key], den.terms[key])
 
 
 # ---------------------------------------------------------- equivalent data

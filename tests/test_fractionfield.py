@@ -124,6 +124,26 @@ def test_ratexpr_differentiate():
     assert RatExpr(x * x, y).differentiate("x") == RatExpr(2 * x, y)
 
 
+def test_ratexpr_coordinates_used_is_the_cached_union_of_its_parts():
+    rng = random.Random(1618)
+    for patch in (PATCH, Patch.build("x y p")):
+        for _ in range(30):
+            n, d = rnd_expr(rng, patch), rnd_expr(rng, patch)
+            if d.is_zero():
+                continue
+            r = RatExpr(n, d)
+            for e in (r, r + n, r * r, r.differentiate("x")):
+                support = e.coordinates_used()
+                assert type(support) is frozenset
+                assert support == {i for part in (e.num, e.den)
+                                   for mono, trig in part.terms
+                                   for i, *_ in mono + trig}
+                assert e.coordinates_used() is support
+    x, y = PATCH.coord("x"), PATCH.coord("y")
+    assert RatExpr(x, 1 + y).coordinates_used() == {0, 1}
+    assert RatExpr(PATCH.zero(), y).coordinates_used() == {1}
+
+
 def test_ratexpr_reduce_and_as_scalar():
     x, y = PATCH.coord("x"), PATCH.coord("y")
     r = RatExpr(x * y + y * y, y)

@@ -200,6 +200,31 @@ def test_as_rational_is_a_fraction():
     assert PATCH.parse("x1 + 1").as_rational() is None
 
 
+def term_coordinates(e):
+    return {i for mono, trig in e.terms for i, *_ in mono + trig}
+
+
+def test_coordinates_used_is_the_cached_union_of_term_coordinates():
+    rng = random.Random(4141)
+    for patch in (PATCH, Patch.build("x1 x2 q p")):
+        for _ in range(40):
+            a, b = rnd_expr(rng, patch), rnd_expr(rng, patch)
+            # operands whose support is cached must not hand it on
+            assert a.coordinates_used() == term_coordinates(a)
+            assert b.coordinates_used() == term_coordinates(b)
+            name = rng.choice(patch.names)
+            for e in (a + b, a - b, -a, a * b, a ** 2, a.differentiate(name),
+                      ScalarExpr(patch, a.terms)):
+                support = e.coordinates_used()
+                assert type(support) is frozenset
+                assert support == term_coordinates(e)
+                assert e.coordinates_used() is support
+    assert PATCH.zero().coordinates_used() == frozenset()
+    assert PATCH.parse("3").coordinates_used() == frozenset()
+    assert PATCH.parse("x2*cos(th) + p").coordinates_used() == {
+        PATCH.index("x2"), PATCH.index("th"), PATCH.index("p")}
+
+
 def test_patch_mismatch_rejected():
     other = Patch.build("x1 x2")
     with pytest.raises(PatchMismatchError):

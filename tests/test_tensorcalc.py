@@ -6,10 +6,13 @@ import random
 import pytest
 
 from couplingdirac import DegreeError, Patch
+from couplingdirac.fractionfield import RatExpr
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _coefficient_gradient,
+    _right_odd_derivative,
     contract,
     courant_bracket,
     d_scalar,
@@ -45,12 +48,18 @@ def rnd_scalar(rng, patch, max_terms=2, max_deg=2):
     return out
 
 
-def rnd_tensor(rng, patch, cls, degree, max_entries=3):
+def rnd_rat(rng, patch):
+    names = [c.name for c in patch.coords if not c.angle]
+    den = 1 + rng.choice([1, 2, -3]) * patch.coord(rng.choice(names))
+    return RatExpr(rnd_scalar(rng, patch), den)
+
+
+def rnd_tensor(rng, patch, cls, degree, max_entries=3, scalar=rnd_scalar):
     n = len(patch)
     entries = {}
     for _ in range(rng.randint(1, max_entries)):
         idx = tuple(sorted(rng.sample(range(n), degree)))
-        entries[idx] = rnd_scalar(rng, patch)
+        entries[idx] = scalar(rng, patch)
     return cls.build(patch, degree, entries)
 
 
@@ -454,3 +463,111 @@ def test_graph_sections_of_closed_form_stay_isotropic():
             secs.append(CourantSection(X, contract(X, w)))
         sX, sY, sZ = secs
         assert pairing_plus(courant_bracket(sX, sY), sZ).is_zero()
+
+
+# --- coordinate support and trusted tables ------------------------------------
+# The calculus differentiates a coefficient only along its coordinate
+# support; these references differentiate along every coordinate.
+
+def full_gradient(T, i):
+    name = T.patch.coords[i].name
+    return type(T)(T.patch, T.degree,
+                   {k: c.differentiate(name) for k, c in T.items()})
+
+
+def full_d_scalar(patch, f):
+    return DiffForm(patch, 1, {(i,): f.differentiate(c.name)
+                               for i, c in enumerate(patch.coords)})
+
+
+def full_exterior_derivative(omega):
+    patch = omega.patch
+    out = DiffForm.zero(patch, omega.degree + 1)
+    for key, c in omega.items():
+        out = out + full_d_scalar(patch, c).wedge(
+            DiffForm(patch, omega.degree, {key: patch.one()}))
+    return out
+
+
+def full_lie_bracket(X, Y):
+    out = Multivector.zero(X.patch, 1)
+    for j in range(len(X.patch)):
+        out = (out + full_gradient(Y, j) * X.coefficient(j)
+               - full_gradient(X, j) * Y.coefficient(j))
+    return out
+
+
+def odd_derivative(A, i):
+    table = {}
+    for key, c in A.items():
+        if i in key:
+            m = key.index(i)
+            table[key[:m] + key[m + 1:]] = -c if (A.degree - 1 - m) % 2 else c
+    return Multivector(A.patch, A.degree - 1, table)
+
+
+def full_schouten(A, B):
+    a, b = A.degree, B.degree
+    out = Multivector.zero(A.patch, a + b - 1)
+    for i in range(len(A.patch)):
+        term = odd_derivative(B, i).wedge(full_gradient(A, i))
+        out = (out + odd_derivative(A, i).wedge(full_gradient(B, i))
+               + (term if (a - 1) * (b - 1) % 2 else -term))
+    return out
+
+
+def test_calculus_matches_differentiation_along_every_coordinate():
+    rng = random.Random(5150)
+    for scalar in (rnd_scalar, rnd_rat):
+        for patch in (BIG, ANG):
+            for _ in range(8):
+                f = scalar(rng, patch)
+                assert d_scalar(patch, f) == full_d_scalar(patch, f)
+                for degree in (1, 2):
+                    w = rnd_tensor(rng, patch, DiffForm, degree, scalar=scalar)
+                    assert exterior_derivative(w) == full_exterior_derivative(w)
+                X, Y = (rnd_tensor(rng, patch, Multivector, 1, scalar=scalar)
+                        for _ in range(2))
+                V = rnd_tensor(rng, patch, Multivector, 2, scalar=scalar)
+                assert lie_bracket(X, Y) == full_lie_bracket(X, Y)
+                for A, B in ((X, Y), (X, V), (V, V)):
+                    assert schouten(A, B) == full_schouten(A, B)
+
+
+def assert_clean(T):
+    """The checks the public constructor would make on T's table."""
+    for key, c in T.items():
+        assert not c.is_zero()
+        assert len(key) == T.degree
+        assert all(a < b for a, b in zip(key, key[1:]))
+    assert type(T)(T.patch, T.degree, dict(T.comps)) == T
+
+
+def test_calculus_builds_clean_tables():
+    rng = random.Random(6061)
+    for scalar in (rnd_scalar, rnd_rat):
+        for patch in (BIG, ANG):
+            for _ in range(8):
+                X, Y = (rnd_tensor(rng, patch, Multivector, 1, scalar=scalar)
+                        for _ in range(2))
+                V = rnd_tensor(rng, patch, Multivector, 2, scalar=scalar)
+                a, b = (rnd_tensor(rng, patch, DiffForm, 1, scalar=scalar)
+                        for _ in range(2))
+                w = rnd_tensor(rng, patch, DiffForm, 2, scalar=scalar)
+                bracket = courant_bracket(CourantSection(X, a),
+                                          CourantSection(Y, b))
+                cancelling = [X + (-X), V - V, X.wedge(X), lie_bracket(X, X)]
+                assert not any(cancelling)
+                results = cancelling + [
+                    X + Y, -V, a.wedge(b), a.wedge(w), V.wedge(X),
+                    d_scalar(patch, scalar(rng, patch)),
+                    exterior_derivative(a), exterior_derivative(w),
+                    contract(X, w), contract(V, w), contract(X, a),
+                    lie_bracket(X, Y), sharp(V, a), schouten(V, V),
+                    schouten(X, V), bracket.vf, bracket.form]
+                results += [_coefficient_gradient(T, i)
+                            for T in (X, V, w) for i in range(len(patch))]
+                results += [_right_odd_derivative(T, i)
+                            for T in (X, V) for i in range(len(patch))]
+                for T in results:
+                    assert_clean(T)
