@@ -43,12 +43,10 @@ from .fibered import (
     ann_hor_basis,
     coordinate_curvature,
     d_gamma,
-    horizontal_lift,
     promote,
 )
 from .fractionfield import (
     RatExpr,
-    null_space,
     pfaffian_adjugate,
     rat_inverse,
 )
@@ -664,26 +662,6 @@ def check_casimir_complex(data: GeometricData, casimirs) -> CheckReport:
                 square, prefix=(label, patch.coords[a].name))
     return CheckReport([ConditionReport("casimir_complex_deg0", deg0),
                         ConditionReport("casimir_complex_deg1", deg1)])
-
-
-def characteristic_kernel(data: GeometricData) -> list:
-    """Horizontal lifts spanning the null directions of the 2-form.
-
-    Solves the kernel of the component matrix [F_ab] over the fraction
-    field and lifts each (denominator-cleared) solution; the empty list
-    means the 2-form is nondegenerate.
-    """
-    patch = data.patch
-    base = patch.base_indices
-    rows = [[data.horizontal_form.coefficient(i, j) for j in base]
-            for i in base]
-    vectors, _pivots = null_space(rows, patch)
-    out = []
-    for vec in vectors:
-        comps = {(base[pos],): c for pos, c in enumerate(vec) if c}
-        out.append(horizontal_lift(conn=data.connection,
-                                   X=Multivector(patch, 1, comps)))
-    return out
 
 
 def restrict_to_fiber(data: GeometricData, x0: Mapping) -> Multivector:

@@ -1,44 +1,53 @@
-"""Fraction field over the scalar ring, exact division, linear algebra.
+"""Fraction field over the scalar ring, exact division, Pfaffians.
 
-Exact division of trig-polynomials works through a Laurent model: each
+Exact division works on the variables that occur in either operand, in
+patch order, as dense exponent tuples; single-divisor multivariate
+division in lex order then decides divisibility exactly.  Without an
+angle coordinate among them the operands are polynomials and the
+division runs on the ring's own ``int``/``Fraction`` coefficients.  An
 angle coordinate maps to a unit-circle variable ``z`` via
 
     cos(k*t) -> (z^k + z^-k)/2,    sin(k*t) -> (z^k - z^-k)/(2i),
 
-turning an expression into a Laurent polynomial over the Gaussian
-rationals.  After shifting away the minimal ``z`` exponents both
-operands are ordinary polynomials, where single-divisor multivariate
-division decides divisibility exactly (the quotient, when it exists, is
-conjugate-symmetric and maps back to a real trig-polynomial).
+turning both operands into Laurent polynomials over the Gaussian
+rationals; after shifting away the minimal ``z`` exponents they are
+ordinary polynomials, and the quotient, when it exists, is
+conjugate-symmetric and maps back to a real trig-polynomial.
 
 Matrix routines never divide.  An antisymmetric matrix A is inverted
 through its Pfaffian: first-row expansion memoized on index subsets
 gives Pf(A) and every Pf of A with two rows and columns removed, so
 A^-1 = (signed Pfaffian minors)/Pf(A) and det(A) = Pf(A)^2.  The
-general determinant is a Laplace expansion memoized on column subsets,
-and ``inverse`` the adjugate over it.  Null spaces come from
-fraction-free Gauss-Jordan elimination with the pivots reported so
-callers can name the locus where the answer is valid.  Only
-``RatExpr.reduce`` and ``RatExpr.as_scalar`` call ``divide_exact``.
+general determinant is a Laplace expansion memoized on column subsets.
+Only ``RatExpr.reduce`` and ``RatExpr.as_scalar`` call ``divide_exact``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
-from .symexpr import COS, SIN, Patch, ScalarExpr
+from .symexpr import COS, SIN, Patch, ScalarExpr, _coefficient, _expr
+
+
+def _quotient(a, b):
+    """a/b for exact rationals, as an ``int`` whenever it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
 
 
 class _QI:
-    """Gaussian rational: exact complex number with Fraction parts."""
+    """Gaussian rational: exact complex number with int/Fraction parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re
+        self.im = im
 
     def __add__(self, other):
         return _QI(self.re + other.re, self.im + other.im)
@@ -54,8 +63,8 @@ class _QI:
         n = other.re * other.re + other.im * other.im
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _QI((self.re * other.re + self.im * other.im) / n,
-                   (self.im * other.re - self.re * other.im) / n)
+        return _QI(_quotient(self.re * other.re + self.im * other.im, n),
+                   _quotient(self.im * other.re - self.re * other.im, n))
 
     def __neg__(self):
         return _QI(-self.re, -self.im)
@@ -63,72 +72,115 @@ class _QI:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __eq__(self, other):
-        return self.re == other.re and self.im == other.im
 
-    def __repr__(self):
-        return f"({self.re}+{self.im}i)"
+_HALF = Fraction(1, 2)
+# cos(k*t) and sin(k*t) as (sign of the z exponent, Gaussian weight) pairs
+_LAURENT = {COS: ((1, _QI(_HALF)), (-1, _QI(_HALF))),
+            SIN: ((1, _QI(0, -_HALF)), (-1, _QI(0, _HALF)))}
 
 
-def _to_laurent(e: ScalarExpr) -> dict:
-    """Expression as {exponent tuple: _QI}; angle slots may be negative."""
-    n = len(e.patch)
+def _divide(ntab: dict, dtab: dict, quotient) -> Optional[dict]:
+    """Single-divisor division of {exponent tuple: coefficient} tables in
+    lex order: the quotient table when ``dtab`` divides ``ntab`` exactly,
+    else None.  ``quotient`` divides two coefficients."""
+    lead = max(dtab)
+    lead_c = dtab[lead]
+    rest = [(m, c) for m, c in dtab.items() if m != lead]
+    quo: dict = {}
+    rem = dict(ntab)
+    while rem:
+        t = max(rem)
+        qm = tuple(map(sub, t, lead))
+        if min(qm) < 0:
+            return None
+        qc = quo[qm] = quotient(rem.pop(t), lead_c)
+        for dm, dc in rest:
+            key = tuple(map(add, qm, dm))
+            s = rem.get(key)
+            s = -(qc * dc) if s is None else s - qc * dc
+            if s:
+                rem[key] = s
+            else:
+                del rem[key]
+    return quo
+
+
+def _polynomial_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
+    """A trig-free expression as {dense exponent tuple: coefficient}."""
+    table = {}
+    for (mono, _trig), c in e.terms.items():
+        exps = [0] * nvars
+        for i, k in mono:
+            exps[slot[i]] = k
+        table[tuple(exps)] = c
+    return table
+
+
+def _laurent_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
+    """An expression as {dense exponent tuple: _QI}, angle slots Laurent."""
     table: dict = {}
     for (mono, trig), c in e.terms.items():
-        exps = [0] * n
+        exps = [0] * nvars
         for i, k in mono:
-            exps[i] = k
+            exps[slot[i]] = k
         branches = [(exps, _QI(c))]
         for i, kind, k in trig:
-            half = Fraction(1, 2)
-            if kind == COS:
-                weights = ((k, _QI(half)), (-k, _QI(half)))
-            else:
-                weights = ((k, _QI(0, -half)), (-k, _QI(0, half)))
+            pos = slot[i]
             nxt = []
             for ex, w in branches:
-                for dk, piece in weights:
+                for sign, piece in _LAURENT[kind]:
                     ex2 = list(ex)
-                    ex2[i] += dk
+                    ex2[pos] += sign * k
                     nxt.append((ex2, w * piece))
             branches = nxt
         for ex, w in branches:
             key = tuple(ex)
-            s = table.get(key, _QI()) + w
+            prev = table.get(key)
+            s = w if prev is None else prev + w
             if s:
                 table[key] = s
             else:
-                table.pop(key, None)
+                del table[key]
     return table
 
 
-def _from_laurent(table: dict, patch: Patch) -> ScalarExpr:
-    """Back-synthesize a real expression; the imaginary part must cancel."""
-    real = patch.zero()
-    imag = patch.zero()
-    for exps, c in table.items():
-        re, im = patch.rational(c.re), patch.rational(c.im)
-        for i, k in enumerate(exps):
+def _lowered(table: dict, angles: list, nvars: int):
+    """(``table`` with each angle slot's minimal exponent subtracted from
+    every key, those minima as an exponent tuple)."""
+    low = tuple(min(k[p] for k in table) if p in angles else 0
+                for p in range(nvars))
+    return {tuple(map(sub, k, low)): c for k, c in table.items()}, low
+
+
+def _real_terms(quo: dict, support: list, angles: list) -> Optional[dict]:
+    """The real trig-polynomial with Laurent table ``quo`` as ScalarExpr
+    terms, or None when its imaginary part does not cancel.
+
+    z^k = cos(k*t) + i*sin(k*t) on every angle slot, so each Laurent term
+    spreads over the cos/sin choices of its nonzero angle exponents."""
+    real: dict = {}
+    imag: dict = {}
+    polys = [pos for pos in range(len(support)) if pos not in angles]
+    for exps, c in quo.items():
+        mono = tuple((support[p], exps[p]) for p in polys if exps[p])
+        branches = [((), c.re, c.im)]
+        for p in angles:
+            k = exps[p]
             if not k:
                 continue
-            coord = patch.coords[i]
-            if coord.angle:
-                cosk = patch.trig(COS, abs(k), coord.name)
-                sink = patch.trig(SIN, abs(k), coord.name)
-                if k < 0:
-                    sink = -sink
-                re, im = re * cosk - im * sink, re * sink + im * cosk
-            else:
-                if k < 0:
-                    raise ArithmeticError(
-                        f"negative power of non-angle coordinate {coord.name!r}")
-                p = patch.coord(coord.name) ** k
-                re, im = re * p, im * p
-        real = real + re
-        imag = imag + im
-    if not imag.is_zero():
-        raise ArithmeticError("quotient is not a real expression")
-    return real
+            i, s = support[p], (1 if k > 0 else -1)
+            nxt = []
+            for word, re, im in branches:
+                nxt.append((word + ((i, COS, s * k),), re, im))
+                nxt.append((word + ((i, SIN, s * k),), -s * im, s * re))
+            branches = nxt
+        for word, re, im in branches:
+            key = (mono, word)
+            real[key] = real.get(key, 0) + re
+            imag[key] = imag.get(key, 0) + im
+    if any(imag.values()):
+        return None
+    return {k: _coefficient(c) for k, c in real.items() if c}
 
 
 def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
@@ -140,48 +192,30 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
     patch = num.patch
     if num.is_zero():
         return patch.zero()
-    rat = den.as_rational()
-    if rat is not None:
-        return num * Fraction(rat.denominator, rat.numerator)
-    ntab, dtab = _to_laurent(num), _to_laurent(den)
-    nvars = len(patch)
-    shift = [0] * nvars
-    for i in range(nvars):
-        if not patch.coords[i].angle:
-            continue
-        nmin = min(k[i] for k in ntab)
-        dmin = min(k[i] for k in dtab)
-        shift[i] = nmin - dmin
-        if nmin:
-            ntab = {tuple(k[j] - (nmin if j == i else 0) for j in range(nvars)): c
-                    for k, c in ntab.items()}
-        if dmin:
-            dtab = {tuple(k[j] - (dmin if j == i else 0) for j in range(nvars)): c
-                    for k, c in dtab.items()}
-    lead = max(dtab)
-    lead_c = dtab[lead]
-    quo: dict = {}
-    rem = dict(ntab)
-    while rem:
-        t = max(rem)
-        if any(t[i] < lead[i] for i in range(nvars)):
+    if den.as_rational() is not None:
+        c = den.terms[((), ())]
+        return _expr(patch, {k: _quotient(v, c) for k, v in num.terms.items()})
+    support = sorted(num.coordinates_used() | den.coordinates_used())
+    slot = {i: pos for pos, i in enumerate(support)}
+    nvars = len(support)
+    angles = [pos for pos, i in enumerate(support) if patch.coords[i].angle]
+    if not angles:
+        quo = _divide(_polynomial_table(num, slot, nvars),
+                      _polynomial_table(den, slot, nvars), _quotient)
+        if quo is None:
             return None
-        qm = tuple(t[i] - lead[i] for i in range(nvars))
-        qc = rem[t] / lead_c
-        quo[qm] = quo.get(qm, _QI()) + qc
-        for dm, dc in dtab.items():
-            key = tuple(qm[i] + dm[i] for i in range(nvars))
-            s = rem.get(key, _QI()) - qc * dc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    quo = {tuple(k[i] + shift[i] for i in range(nvars)): c
-           for k, c in quo.items()}
-    try:
-        return _from_laurent(quo, patch)
-    except ArithmeticError:
+        return _expr(patch, {
+            (tuple((support[p], k) for p, k in enumerate(exps) if k), ()): c
+            for exps, c in quo.items()})
+    ntab, nlow = _lowered(_laurent_table(num, slot, nvars), angles, nvars)
+    dtab, dlow = _lowered(_laurent_table(den, slot, nvars), angles, nvars)
+    quo = _divide(ntab, dtab, _QI.__truediv__)
+    if quo is None:
         return None
+    shift = tuple(map(sub, nlow, dlow))
+    terms = _real_terms({tuple(map(add, k, shift)): c for k, c in quo.items()},
+                        support, angles)
+    return None if terms is None else _expr(patch, terms)
 
 
 class RatExpr:
@@ -392,27 +426,6 @@ def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
         n - bin(cols).count("1"), cols))((1 << n) - 1)
 
 
-def _minor(rows: Matrix, i: int, j: int) -> Matrix:
-    return [[c for jj, c in enumerate(row) if jj != j]
-            for ii, row in enumerate(rows) if ii != i]
-
-
-def inverse(rows: Matrix, patch: Patch):
-    """Adjugate inverse: (entries as RatExpr over the determinant, det)."""
-    n = len(rows)
-    det = determinant(rows, patch)
-    if det.is_zero():
-        raise DegenerateInputError("matrix is singular: determinant is 0")
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = determinant(_minor(rows, i, j), patch)
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = RatExpr(cof, det)
-    return inv, det
-
-
 def _first_row(mask: int):
     first = (mask & -mask).bit_length() - 1
     return first, mask & ~(1 << first)
@@ -456,63 +469,3 @@ def rat_inverse(rows: Matrix, patch: Patch):
     (entries as RatExpr over Pf(A), det(A) = Pf(A)^2)."""
     total, adj = pfaffian_adjugate(rows, patch)
     return [[RatExpr(c, total) for c in row] for row in adj], total * total
-
-
-def null_space(rows: Matrix, patch: Patch):
-    """Kernel basis of a rectangular expression matrix.
-
-    Returns (vectors, pivots): denominator-cleared kernel vectors (lists
-    of expressions) and the pivot expressions used during elimination.
-    The vectors span the kernel over the fraction field away from the
-    pivots' zero locus.
-    """
-    if not rows:
-        return [], []
-    m, n = len(rows), len(rows[0])
-    work = [list(row) for row in rows]
-    pivots: list = []
-    pivot_cols: list = []
-    r = 0
-    for col in range(n):
-        found = None
-        for i in range(r, m):
-            if not work[i][col].is_zero():
-                found = i
-                break
-        if found is None:
-            continue
-        work[r], work[found] = work[found], work[r]
-        p = work[r][col]
-        for i in range(m):
-            if i == r or work[i][col].is_zero():
-                continue
-            factor = work[i][col]
-            work[i] = [p * work[i][j] - factor * work[r][j] for j in range(n)]
-        pivots.append(p)
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    # later eliminations rescale earlier rows, so read the live pivot
-    # entries for back-substitution; the reported pivots stay the
-    # is_zero-tested quantities
-    live = [work[i][pivot_cols[i]] for i in range(len(pivot_cols))]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    vectors = []
-    total = patch.one()
-    for p in live:
-        total = total * p
-    for f in free_cols:
-        vec = [patch.zero()] * n
-        vec[f] = total
-        for row_idx, c in enumerate(pivot_cols):
-            entry = work[row_idx][f]
-            if entry.is_zero():
-                continue
-            scale = patch.one()
-            for k, p in enumerate(live):
-                if k != row_idx:
-                    scale = scale * p
-            vec[c] = -entry * scale
-        vectors.append(vec)
-    return vectors, pivots

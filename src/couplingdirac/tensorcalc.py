@@ -322,14 +322,19 @@ def pair(omega: DiffForm, X: Multivector):
         raise DegreeError("pair needs a 1-form and a vector field")
     if X.patch != omega.patch:
         raise PatchMismatchError("tensors live on different patches")
-    form = omega.comps
-    total = None
-    for key, xc in X.comps.items():
+    total = _shared_sum(omega.comps, X.comps)
+    return X.patch.zero() if total is None else total
+
+
+def _shared_sum(form: dict, vf: dict, total=None):
+    """``total`` plus the sum of ``vf[k] * form[k]`` over the keys the two
+    tables share; None when ``total`` is None and they share none."""
+    for key, xc in vf.items():
         wc = form.get(key)
         if wc is not None:
             term = xc * wc
             total = term if total is None else total + term
-    return X.patch.zero() if total is None else total
+    return total
 
 
 def _coefficient_gradient(T, i: int):
@@ -481,10 +486,18 @@ class CourantSection:
 
 
 def pairing_plus(s1: CourantSection, s2: CourantSection):
-    """Symmetric pairing (1/2)(form1(vf2) + form2(vf1))."""
+    """Symmetric pairing (1/2)(form1(vf2) + form2(vf1)).
+
+    Both halves sum over the indices a form shares with the other
+    section's vector field, in one pass; when there is no such index the
+    patch's zero comes back before any ring operation.
+    """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    total = pair(s1.form, s2.vf) + pair(s2.form, s1.vf)
+    total = _shared_sum(s2.form.comps, s1.vf.comps,
+                        _shared_sum(s1.form.comps, s2.vf.comps))
+    if total is None:
+        return s1.patch.zero()
     return total * _HALF if total else total
 
 

@@ -18,7 +18,6 @@ from couplingdirac.coupling import (
     GeometricData,
     Witness,
     build_dirac,
-    characteristic_kernel,
     check_casimir_complex,
     check_integrability,
     decompose_coupling,
@@ -573,38 +572,6 @@ def test_casimir_complex_rejects_non_casimir():
     data = ymh_fixture()
     with pytest.raises(NonCasimirError):
         check_casimir_complex(data, ["q"])
-
-
-# ----------------------------------------------------------------- kernel
-
-def test_kernel_of_zero_form_is_every_lift():
-    data = mk("x1 x2", "q p", {("q", "p"): "1"}, conn={("q", "x1"): "p"})
-    kernel = characteristic_kernel(data)
-    assert kernel == [data.connection.hor("x1"), data.connection.hor("x2")]
-
-
-def test_kernel_of_nondegenerate_form_is_empty():
-    data = mk("x1 x2", "q p", {("q", "p"): "1"}, F={("x1", "x2"): "1"})
-    assert characteristic_kernel(data) == []
-
-
-def test_kernel_of_rank_two_form_in_three_base_directions():
-    data = mk("x1 x2 x3", "q p", {("q", "p"): "1"}, F={("x1", "x2"): "1"})
-    (vec,) = characteristic_kernel(data)
-    assert vec.coefficient("x3")
-    assert not vec.coefficient("x1") and not vec.coefficient("x2")
-    Fbar = promote(data.connection, data.horizontal_form)
-    assert contract(vec, Fbar).is_zero()
-
-
-def test_kernel_vectors_annihilate_the_form():
-    data = mk("x1 x2 x3 x4", "q p", {("q", "p"): "1"},
-              F={("x1", "x2"): "x1", ("x3", "x4"): "0"})
-    Fbar = promote(data.connection, data.horizontal_form)
-    kernel = characteristic_kernel(data)
-    assert len(kernel) == 2
-    for vec in kernel:
-        assert contract(vec, Fbar).is_zero()
 
 
 # ------------------------------------------------------------- restriction

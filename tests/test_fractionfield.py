@@ -1,4 +1,4 @@
-"""Exact division, quotient expressions, symbolic linear algebra."""
+"""Exact division, quotient expressions, Pfaffians and determinants."""
 
 from fractions import Fraction
 import random
@@ -10,22 +10,26 @@ from couplingdirac.fractionfield import (
     RatExpr,
     determinant,
     divide_exact,
-    inverse,
-    null_space,
     pfaffian,
     rat_inverse,
 )
 
 PATCH = Patch.build("x y p th", angles=("th",))
+# polynomial only, one angle, two angles
+DIVISION_PATCHES = (Patch.build("x y p w"), PATCH,
+                    Patch.build("x th y ph p", angles=("th", "ph")))
 
 
-def rnd_expr(rng, patch=PATCH, max_terms=3, max_deg=2, trig=True):
+def rnd_expr(rng, patch=PATCH, max_terms=3, max_deg=2, trig=True, among=None):
+    """A random expression in the coordinates named in ``among`` (default:
+    all of the patch's)."""
     out = patch.zero()
-    names = [c.name for c in patch.coords if not c.angle]
-    angles = [c.name for c in patch.coords if c.angle]
+    coords = [c for c in patch.coords if among is None or c.name in among]
+    names = [c.name for c in coords if not c.angle]
+    angles = [c.name for c in coords if c.angle]
     for _ in range(rng.randint(1, max_terms)):
         term = patch.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
-        for name in rng.sample(names, rng.randint(0, 2)):
+        for name in rng.sample(names, min(len(names), rng.randint(0, 2))):
             term = term * patch.coord(name) ** rng.randint(1, max_deg)
         if trig and angles and rng.random() < 0.5:
             term = term * patch.parse(
@@ -35,6 +39,19 @@ def rnd_expr(rng, patch=PATCH, max_terms=3, max_deg=2, trig=True):
 
 
 # --- exact division ---------------------------------------------------------
+
+def rnd_subset(rng, patch, draw):
+    """A strict subset of the patch's coordinate names; every other draw
+    holds the last coordinate."""
+    names = list(patch.names)
+    keep = rng.sample(names[:-1], rng.randint(1, len(names) - 2))
+    return keep + names[-1:] if draw % 2 else keep
+
+
+def assert_integral_coefficients_are_ints(e):
+    for c in e.terms.values():
+        assert type(c) is int or c.denominator != 1, (e, c)
+
 
 def test_divide_exact_round_trip():
     rng = random.Random(314)
@@ -52,6 +69,25 @@ def test_divide_exact_round_trip():
     assert hits > 100
 
 
+def test_divide_exact_over_a_strict_subset_of_the_coordinates():
+    rng = random.Random(2026)
+    for patch in DIVISION_PATCHES:
+        last = len(patch) - 1
+        hits = with_last = 0
+        for draw in range(80):
+            a = rnd_expr(rng, patch, among=rnd_subset(rng, patch, draw))
+            b = rnd_expr(rng, patch, among=rnd_subset(rng, patch, draw))
+            support = (a * b).coordinates_used()
+            if b.as_rational() is not None or len(support) == len(patch):
+                continue
+            q = divide_exact(a * b, b)
+            assert q == a
+            assert_integral_coefficients_are_ints(q)
+            hits += 1
+            with_last += last in support
+        assert hits > 40 and with_last > 15
+
+
 def test_divide_exact_rejects_non_multiples():
     x, y = PATCH.coord("x"), PATCH.coord("y")
     assert divide_exact(y, x) is None
@@ -59,13 +95,17 @@ def test_divide_exact_rejects_non_multiples():
     assert divide_exact(PATCH.one(), x) is None
     assert divide_exact(x * x + y, x) is None
     rng = random.Random(59)
-    for _ in range(60):
-        a, b = rnd_expr(rng), rnd_expr(rng)
-        if b.is_zero() or b.as_rational() is not None:
-            continue
-        q = divide_exact(a, b)
-        if q is not None:
-            assert q * b == a
+    for patch in DIVISION_PATCHES:
+        for draw in range(60):
+            a = rnd_expr(rng, patch, among=rnd_subset(rng, patch, draw))
+            b = rnd_expr(rng, patch, among=rnd_subset(rng, patch, draw))
+            if b.is_zero() or b.as_rational() is not None:
+                continue
+            for num in (a, a * b + rnd_expr(rng, patch, max_terms=1)):
+                q = divide_exact(num, b)
+                if q is not None:
+                    assert q * b == num
+                    assert_integral_coefficients_are_ints(q)
 
 
 def test_divide_exact_trig():
@@ -89,6 +129,14 @@ def test_divide_exact_constant_and_zero():
     assert divide_exact(PATCH.zero(), x) == PATCH.zero()
     with pytest.raises(ZeroDivisionError):
         divide_exact(x, PATCH.zero())
+    rng = random.Random(12)
+    for patch in DIVISION_PATCHES:
+        num = rnd_expr(rng, patch, max_terms=4)
+        for c in (1, -1, 2, Fraction(-1, 2)):
+            q = divide_exact(num, patch.rational(c))
+            assert q * c == num
+            assert q == num * (1 / Fraction(c))
+            assert_integral_coefficients_are_ints(q)
 
 
 # --- RatExpr ------------------------------------------------------------------
@@ -193,26 +241,6 @@ def test_determinant_matches_numeric():
         assert det.evaluate(pt) == pytest.approx(want, abs=1e-7)
 
 
-def test_inverse():
-    rng = random.Random(123)
-    one, zero = PATCH.one(), PATCH.zero()
-    for _ in range(15):
-        n = rng.choice([2, 3])
-        m = [[rnd_expr(rng, max_terms=1, max_deg=1, trig=False)
-              for _ in range(n)] for _ in range(n)]
-        if determinant(m, PATCH).is_zero():
-            continue
-        inv, det = inverse(m, PATCH)
-        assert not det.is_zero()
-        for i in range(n):
-            for j in range(n):
-                entry = sum((RatExpr(m[i][k]) * inv[k][j] for k in range(n)),
-                            RatExpr(zero))
-                assert entry == (1 if i == j else 0)
-    with pytest.raises(DegenerateInputError):
-        inverse([[one, one], [one, one]], PATCH)
-
-
 def rnd_skew(rng, n, trig=True):
     rows = [[PATCH.zero()] * n for _ in range(n)]
     for i in range(n):
@@ -262,38 +290,3 @@ def test_rat_inverse_rejects_singular_and_odd_sizes():
                 rnd_skew(rng, 1), rnd_skew(rng, 3)):
         with pytest.raises(DegenerateInputError):
             rat_inverse(bad, PATCH)
-
-
-def test_null_space():
-    x, y = PATCH.coord("x"), PATCH.coord("y")
-    zero, one = PATCH.zero(), PATCH.one()
-    vecs, pivots = null_space([[one, x], [y, x * y]], PATCH)
-    assert len(vecs) == 1
-    # (one, x) dot vec = 0 and (y, xy) dot vec = 0
-    v = vecs[0]
-    assert (v[0] + x * v[1]).is_zero()
-    assert (y * v[0] + x * y * v[1]).is_zero()
-    assert pivots and not pivots[0].is_zero()
-    # full-rank matrix: empty kernel
-    vecs, _ = null_space([[one, zero], [zero, one]], PATCH)
-    assert vecs == []
-    # zero matrix: full kernel
-    vecs, pivots = null_space([[zero, zero], [zero, zero]], PATCH)
-    assert len(vecs) == 2 and pivots == []
-
-
-def test_null_space_random_rank():
-    rng = random.Random(321)
-    for _ in range(15):
-        rows = 3
-        cols = rng.choice([3, 4])
-        m = [[rnd_expr(rng, max_terms=1, max_deg=1, trig=False)
-              for _ in range(cols)] for _ in range(rows)]
-        vecs, _ = null_space(m, PATCH)
-        for v in vecs:
-            assert any(not e.is_zero() for e in v)
-            for row in m:
-                dot = PATCH.zero()
-                for a, b in zip(row, v):
-                    dot = dot + a * b
-                assert dot.is_zero()

@@ -404,6 +404,26 @@ def test_pairing_plus_examples():
     assert pairing_plus(s1, s2) == pairing_plus(s2, s1)
 
 
+def test_pairing_plus_matches_the_halved_pairs():
+    rng = random.Random(6062)
+    seen = {"shared": 0, "disjoint": 0}
+    for patch in (BIG, ANG):
+        for _ in range(60):
+            s1, s2 = (CourantSection(rnd_vf(rng, patch),
+                                     rnd_tensor(rng, patch, DiffForm, 1))
+                      for _ in range(2))
+            shared = (s1.form.comps.keys() & s2.vf.comps.keys()
+                      or s2.form.comps.keys() & s1.vf.comps.keys())
+            seen["shared" if shared else "disjoint"] += 1
+            got = pairing_plus(s1, s2)
+            want = (pair(s1.form, s2.vf) + pair(s2.form, s1.vf)) * Fraction(1, 2)
+            assert got == want
+            assert got.patch is patch
+            if not shared:
+                assert got.is_zero()
+    assert min(seen.values()) > 10
+
+
 def test_courant_bracket_examples():
     zf = DiffForm.zero(QP, 1)
     zv = Multivector.zero(QP, 1)
