@@ -24,7 +24,7 @@ dictionary is ``W = -[F]^{-1}`` (bivector from data) and ``F = -[M]^{-1}``
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -385,21 +385,26 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
         if claimed.count(name) > 1 or name not in names:
             maxi.append(Witness(("bad_claim", name), one))
     if not maxi:
+        zero = patch.zero()
+        h_slots = [((patch.index(n),), n) for n in h_claim]
+        v_slots = [((patch.index(n),), n) for n in v_claim]
         for kind, name, section in gens:
+            vf = section.vf.comps
             if kind == "H":
-                for slot in h_claim:
-                    want = one if slot == name else patch.zero()
-                    got = section.vf.coefficient(slot)
+                for key, slot in h_slots:
+                    want = one if slot == name else zero
+                    got = vf.get(key, zero)
                     if got != want:
                         maxi.append(Witness((name, slot), got - want))
             else:
-                for slot in v_claim:
-                    want = one if slot == name else patch.zero()
-                    got = section.form.coefficient(slot)
+                form = section.form.comps
+                for key, slot in v_slots:
+                    want = one if slot == name else zero
+                    got = form.get(key, zero)
                     if got != want:
                         maxi.append(Witness((name, slot), got - want))
-                for slot in h_claim:
-                    got = section.vf.coefficient(slot)
+                for key, slot in h_slots:
+                    got = vf.get(key, zero)
                     if got:
                         maxi.append(Witness((name, slot), got))
 
@@ -431,31 +436,51 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     When every generator pairing <e_i,e_j> (i = j included) is the exact
     zero, the first identity makes T skew in its first two slots and the
     second makes it skew in its last two, so T is totally skew: it
-    vanishes on repeated indices and one bracket per pair i<j and one
-    pairing per triple i<j<k determine the whole table, each nonzero value
-    standing for the six witnesses of its triple (negated for odd
-    orderings).  Expressions are canonical, so those witnesses print
-    exactly as direct pairings would.  A guard decides this isotropy
-    itself (independently of ``check_integrability``) from the
-    presentation's ``pairings`` table, which ``verify_isotropy`` shares,
-    and falls back to all N^2 brackets and N^3 pairings when a generator
-    pairing is nonzero, as on a hand-built presentation.
+    vanishes on repeated indices and one pairing per triple i<j<k
+    determines the whole table, each nonzero value standing for the six
+    witnesses of its triple (negated for odd orderings).  Expressions are
+    canonical, so those witnesses print exactly as direct pairings would.
+
+    A triple needs only one of its three pairs bracketed.  Splitting the
+    generators into halves [0, m) and [m, N) with m = ceil(N/2), triple
+    i<j<k reads <[e_i,e_j], e_k> when j < m, and otherwise <[e_j,e_k], e_i>,
+    which is T(j,k,i) = T(i,j,k) since a cyclic permutation is even.  So
+    only pairs inside one half are bracketed: C(m,2) + C(N-m,2) =
+    floor((N-1)^2/4) brackets, the fewest pairs meeting every triple
+    (Mantel), for C(N,3) pairings.
+
+    A guard decides this isotropy itself (independently of
+    ``check_integrability``) from the presentation's ``pairings`` table,
+    which ``verify_isotropy`` shares, and falls back to all N^2 brackets
+    and N^3 pairings when a generator pairing is nonzero, as on a
+    hand-built presentation.
     """
     gens = list(L.labeled())
     n = len(gens)
+    m = (n + 1) // 2
     sections = [s for _, _, s in gens]
     isotropic = not any(val for _, _, val in L.pairings)
-    pairs = (combinations(range(n), 2) if isotropic
-             else product(range(n), repeat=2))
+    pairs = (chain(combinations(range(m), 2), combinations(range(m, n), 2))
+             if isotropic else product(range(n), repeat=2))
     buckets = {name: [] for name in CONDITION_ORDER}
-    for i, j in pairs:
-        br = courant_bracket(sections[i], sections[j])
-        for k in range(j + 1 if isotropic else 0, n):
-            val = pairing_plus(br, sections[k])
+    for a, b in pairs:
+        br = courant_bracket(sections[a], sections[b])
+        if not isotropic:
+            thirds = range(n)
+        elif b < m:
+            thirds = range(b + 1, n)
+        else:
+            thirds = range(a)
+        for c in thirds:
+            val = pairing_plus(br, sections[c])
             if not val:
                 continue
-            orbit = (_signed_orbit(i, j, k, val) if isotropic
-                     else (((i, j, k), val),))
+            if not isotropic:
+                orbit = (((a, b, c), val),)
+            elif b < m:
+                orbit = _signed_orbit(a, b, c, val)
+            else:
+                orbit = _signed_orbit(c, a, b, val)
             for triple, v in orbit:
                 cls = _RELATION_CLASS[tuple(gens[t][0] for t in triple)]
                 buckets[cls].append(

@@ -1,6 +1,8 @@
 """Command line interface: manifest handling, reports, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import couplingdirac
 from couplingdirac.cli import Manifest, dumps, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 MUTATIONS = ("jacobi", "poisson_connection", "curvature_identity",
              "horizontally_closed")
@@ -362,3 +365,53 @@ def test_module_entry_point_runs():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "jacobi: PASS"
+
+
+# ----------------------------------------------------------------- golden
+
+def golden_cases():
+    """``(fixture file, subcommand and options)`` for every golden run."""
+    cases = [(path.name, [cmd, "--report", report])
+             for path in sorted(FIXTURES.glob("*.json"))
+             for cmd in ("check", "verify", "build")
+             for report in ("json", "text")]
+    cases += [("decompose.json", ["decompose", "--report", report])
+              for report in ("json", "text")]
+    cases += [(f"construct_{name}.json",
+               ["construct", "--construct-kind", kind])
+              for name, kind in (("cartan", "cartan"), ("chb", "chb"),
+                                 ("ymh", "yang-mills"))]
+    return cases
+
+
+def replay(name, args):
+    """Run one case in-process; its golden entry."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([args[0], "--manifest", str(FIXTURES / name), *args[1:]])
+    return {"fixture": name, "args": args, "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_outputs_match_golden_file():
+    """Exit code, stdout and stderr of every case in ``golden_cases``,
+    byte for byte, against ``tests/golden/cli.json``.
+
+    The file pins the answers, not the code: it changes only when an
+    answer is meant to change.  Regenerate it with
+
+        PYTHONPATH=src python tests/test_cli.py
+
+    and review the diff of every entry that moved.
+    """
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [(g["fixture"], g["args"]) for g in golden] == golden_cases()
+    for entry in golden:
+        assert replay(entry["fixture"], entry["args"]) == entry
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(dumps([replay(name, args)
+                             for name, args in golden_cases()]),
+                      encoding="utf-8")

@@ -261,6 +261,32 @@ def random_data():
         yield GeometricData(patch, V, conn, F)
 
 
+def random_shaped_data(nb, nf, count=2):
+    """Unconstrained data on ``nb`` base and ``nf`` fiber coordinates, with
+    every bivector, connection and 2-form slot filled at random."""
+    rng = random.Random(31 * nb + nf)
+    patch = FiberedPatch.build([f"x{i + 1}" for i in range(nb)],
+                               [f"y{i + 1}" for i in range(nf)])
+    pool = list(patch.names)
+    base, fiber = patch.base_indices, patch.fiber_indices
+    for _ in range(count):
+        V = Multivector(patch, 2, {
+            (u, v): rnd_expr(rng, patch, pool, deg=1)
+            for u in fiber for v in fiber if u < v})
+        conn = Connection(patch, {
+            (u, a): rnd_expr(rng, patch, pool, deg=1)
+            for u in fiber for a in base})
+        F = BaseForm(patch, 2, {
+            (a, b): rnd_expr(rng, patch, pool, deg=1)
+            for a in base for b in base if a < b})
+        yield GeometricData(patch, V, conn, F)
+
+
+# (nb, nf) with odd and even N = nb + nf up to 8; (3, 1) and (4, 2) put
+# horizontal generators on both sides of the bracket split
+SHAPES = ((1, 2), (2, 1), (3, 1), (2, 3), (3, 2), (4, 2), (3, 4), (4, 4))
+
+
 def test_verdicts_agree_on_random_data():
     agreements = 0
     for data in random_data():
@@ -309,9 +335,22 @@ def test_closure_matches_brute_force_reference():
     sets = [data for _, data in corpus()]
     sets += list(mutation_fixtures().values())
     sets += list(random_data())
+    sets += [data for shape in SHAPES for data in random_shaped_data(*shape)]
+    # closure brackets pairs inside [0, m) and inside [m, N); a triple
+    # i < m <= j takes its value from the second half's bracket [e_j, e_k]
+    straddling = set()
     for data in sets:
         L = build_dirac(data)
-        assert verify_closure(L).as_document() == brute_force_closure(L), data
+        doc = verify_closure(L).as_document()
+        assert doc == brute_force_closure(L), data
+        m = (len(L) + 1) // 2
+        position = {name: t for t, (_, name, _) in enumerate(L.labeled())}
+        for cond in doc["conditions"]:
+            for w in cond["witnesses"]:
+                i, j, _ = sorted(position[name] for name in w["indices"])
+                if i < m <= j:
+                    straddling.add(cond["name"])
+    assert {"curvature_identity", "poisson_connection"} <= straddling
     L = non_isotropic_presentation()
     assert not verify_isotropy(L).condition("isotropy").passed
     reference = brute_force_closure(L)
@@ -343,6 +382,36 @@ def count_pairings(monkeypatch, L):
     return calls
 
 
+def count_brackets(monkeypatch):
+    """Record each courant_bracket call made by the coupling module."""
+    calls = []
+    real = coupling.courant_bracket
+
+    def counting(s1, s2):
+        calls.append((s1, s2))
+        return real(s1, s2)
+
+    monkeypatch.setattr(coupling, "courant_bracket", counting)
+    return calls
+
+
+def test_isotropic_closure_brackets_one_pair_per_triple(monkeypatch):
+    # two halves of sizes m = ceil(N/2) and N - m: floor((N-1)^2/4) pairs
+    presentations = [build_dirac(ymh_fixture())]
+    presentations += [build_dirac(next(random_shaped_data(nb, nf)))
+                      for nb, nf in ((1, 1), *SHAPES)]
+    assert {len(L) for L in presentations} == set(range(2, 9))
+    for L in presentations:
+        n = len(L)
+        assert verify_isotropy(L).condition("isotropy").passed
+        with monkeypatch.context() as patched:
+            brackets = count_brackets(patched)
+            pairings = count_pairings(patched, L)
+            verify_closure(L)
+        assert len(brackets) == (n - 1) ** 2 // 4, n
+        assert pairings.count(False) == math.comb(n, 3), n
+
+
 def test_generator_pairings_are_evaluated_once(monkeypatch):
     L = build_dirac(ymh_fixture())
     n = len(L)
@@ -356,8 +425,10 @@ def test_generator_pairings_are_evaluated_once(monkeypatch):
 def test_closure_of_non_isotropic_presentation_pairs_all_triples(monkeypatch):
     L = non_isotropic_presentation()
     n = len(L)
+    brackets = count_brackets(monkeypatch)
     calls = count_pairings(monkeypatch, L)
     assert not verify_closure(L).passed
+    assert len(brackets) == n ** 2
     assert calls.count(True) == n * (n + 1) // 2
     assert calls.count(False) == n ** 3
 
