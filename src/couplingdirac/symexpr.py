@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -54,6 +55,7 @@ SIN = 1
 Mono = tuple  # tuple[tuple[int, int], ...]
 Trig = tuple  # tuple[tuple[int, int, int], ...]
 Key = tuple   # tuple[Mono, Trig]
+_ONE_KEY = ((), ())  # the key of the constant term
 
 RationalLike = Union[int, Fraction]
 
@@ -135,12 +137,12 @@ class Patch:
         return _expr(self, {})
 
     def one(self) -> "ScalarExpr":
-        return _expr(self, {((), ()): 1})
+        return _expr(self, {_ONE_KEY: 1})
 
     def rational(self, value: RationalLike) -> "ScalarExpr":
         if type(value) is not int:
             value = _coefficient(Fraction(value))
-        return _expr(self, {((), ()): value} if value else {})
+        return _expr(self, {_ONE_KEY: value} if value else {})
 
     def coord(self, name: str) -> "ScalarExpr":
         i = self.index(name)
@@ -269,19 +271,28 @@ class ScalarExpr:
             return self.patch.rational(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other for ``op`` ``add`` or ``sub``, in
+        one pass over ``other``'s terms; a zero operand costs no ring work."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if op is add else -other
         terms = dict(self.terms)
         get = terms.get
         for key, c in other.terms.items():
-            s = get(key, 0) + c
+            s = op(get(key, 0), c)
             if s:
                 terms[key] = s if type(s) is int else _coefficient(s)
             else:
                 del terms[key]
         return _expr(self.patch, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -289,22 +300,31 @@ class ScalarExpr:
         return _expr(self.patch, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; a zero operand is returned as is, a constant one
+        returns the other operand or scales its coefficients, and only
+        two non-constant operands multiply term by term."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        left, right = self.terms, other.terms
+        if not left:
+            return self
+        if not right:
+            return other
+        if len(right) == 1 and _ONE_KEY in right:
+            return _scaled(self, right[_ONE_KEY])
+        if len(left) == 1 and _ONE_KEY in left:
+            return _scaled(other, left[_ONE_KEY])
         terms: dict = {}
         get = terms.get
-        right = other.terms.items()
-        for (m1, t1), c1 in self.terms.items():
+        right = right.items()
+        for (m1, t1), c1 in left.items():
             for (m2, t2), c2 in right:
                 mono = _mul_mono(m1, m2)
                 if t1 and t2:
@@ -358,7 +378,7 @@ class ScalarExpr:
             return Fraction(0)
         if len(self.terms) == 1:
             (key, c), = self.terms.items()
-            if key == ((), ()):
+            if key == _ONE_KEY:
                 return Fraction(c)
         return None
 
@@ -524,6 +544,13 @@ class ScalarExpr:
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
+
+
+def _scaled(e: ScalarExpr, c: RationalLike) -> ScalarExpr:
+    """``e`` times the nonzero rational ``c``, coefficient by coefficient."""
+    if c == 1:
+        return e
+    return _expr(e.patch, {k: _coefficient(v * c) for k, v in e.terms.items()})
 
 
 def _expr(patch: Patch, terms: dict) -> ScalarExpr:

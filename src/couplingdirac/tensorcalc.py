@@ -59,8 +59,6 @@ def _sort_indices(indices: Sequence[int]):
     for i in range(1, len(idx)):
         j = i
         while j > 0 and idx[j - 1] > idx[j]:
-            if idx[j - 1] == idx[j]:
-                return None
             idx[j - 1], idx[j] = idx[j], idx[j - 1]
             sign = -sign
             j -= 1
@@ -151,21 +149,32 @@ class _Alternating:
             raise PatchMismatchError("tensors live on different patches")
 
     # -- linear structure -------------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other when ``subtract``, into one copy
+        of ``self``'s table."""
         self._check(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add tensors of different degrees")
         table = dict(self.comps)
         for key, c in other.comps.items():
-            _accumulate(table, key, c)
+            prev = table.get(key)
+            if prev is None:
+                table[key] = -c if subtract else c
+            elif s := (prev - c if subtract else prev + c):
+                table[key] = s
+            else:
+                del table[key]
         return self._trusted(self.patch, self.degree, table)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __neg__(self):
         return self._trusted(self.patch, self.degree,
                              {k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, True)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -337,68 +346,80 @@ def _shared_sum(form: dict, vf: dict, total=None):
     return total
 
 
-def _coefficient_gradient(T, i: int):
-    """Componentwise coordinate derivative of a tensor, taken only on the
-    coefficients whose support holds coordinate i."""
-    name = T.patch.coords[i].name
-    return T._trusted(T.patch, T.degree, {
-        k: dc for k, c in T.comps.items()
-        if i in c.coordinates_used() and (dc := c.differentiate(name))})
-
-
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
+    """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k, each coefficient differentiated
+    only along the indices of the other field in its support."""
     if X.degree != 1 or Y.degree != 1:
         raise DegreeError("lie_bracket needs two vector fields")
     if X.patch != Y.patch:
         raise PatchMismatchError("tensors live on different patches")
+    coords = X.patch.coords
     table: dict = {}
-    for (j,), xc in X.comps.items():
-        for key, c in _coefficient_gradient(Y, j).comps.items():
-            _accumulate(table, key, xc * c)
-    for (j,), yc in Y.comps.items():
-        for key, c in _coefficient_gradient(X, j).comps.items():
-            _accumulate(table, key, -(yc * c))
+    for P, Q, negate in ((X, Y, False), (Y, X, True)):
+        along = P.comps
+        for key, qc in Q.comps.items():
+            for j in qc.coordinates_used():
+                pc = along.get((j,))
+                if pc is not None and (dc := qc.differentiate(coords[j].name)):
+                    c = pc * dc
+                    _accumulate(table, key, -c if negate else c)
     return Multivector._trusted(X.patch, 1, table)
 
 
-def _right_odd_derivative(A: Multivector, i: int) -> Multivector:
-    """Right derivative with respect to the odd generator of coordinate i."""
-    table: dict = {}
-    for key, c in A.comps.items():
-        if i not in key:
-            continue
-        m = key.index(i)
-        # right derivative: move the factor past the (degree-1-m) generators
-        # sitting to its right
-        if (A.degree - 1 - m) % 2:
-            c = -c
-        table[key[:m] + key[m + 1:]] = c
-    return Multivector._trusted(A.patch, A.degree - 1, table)
+def _odd_derivatives(T: Multivector) -> dict:
+    """T's right derivatives by the odd generators of its indices, as
+    ``{i: [(key without i, sign, coefficient)]}``: the factor on i moves
+    past the generators to its right before it is removed."""
+    out: dict = {}
+    top = T.degree - 1
+    for key, c in T.comps.items():
+        for m, i in enumerate(key):
+            out.setdefault(i, []).append(
+                (key[:m] + key[m + 1:], -1 if (top - m) % 2 else 1, c))
+    return out
+
+
+def _coefficient_support(T) -> set:
+    """The coordinates some coefficient of T depends on."""
+    return set().union(*[c.coordinates_used() for c in T.comps.values()])
 
 
 def schouten(A: Multivector, B: Multivector) -> Multivector:
-    """Schouten-Nijenhuis bracket, normalized to the Lie bracket in degree 1."""
+    """Schouten-Nijenhuis bracket, normalized to the Lie bracket in degree 1:
+
+        [A, B] = sum_i (dA/dxi_i ^ d_i B  -+  dB/dxi_i ^ d_i A)
+
+    with right odd derivatives ``dT/dxi_i`` and a minus sign when
+    (a-1)(b-1) is even.  Coordinate i contributes only when it indexes
+    one operand and lies in the other's coefficient support; both terms
+    accumulate into one table."""
     if A.patch != B.patch:
         raise PatchMismatchError("tensors live on different patches")
     patch = A.patch
     a, b = A.degree, B.degree
     if a + b == 0:
         return Multivector.zero(patch, 0)
-    out = Multivector.zero(patch, a + b - 1)
-    for i in range(len(patch)):
-        if a:
-            dA = _right_odd_derivative(A, i)
-            if dA:
-                out = out + dA.wedge(_coefficient_gradient(B, i))
-        if b:
-            dB = _right_odd_derivative(B, i)
-            if dB:
-                term = dB.wedge(_coefficient_gradient(A, i))
-                if ((a - 1) * (b - 1)) % 2 == 0:
-                    out = out - term
-                else:
-                    out = out + term
-    return out
+    oddA, oddB = _odd_derivatives(A), _odd_derivatives(B)
+    terms = ((oddA, B, 1), (oddB, A, -1 if (a - 1) * (b - 1) % 2 == 0 else 1))
+    table: dict = {}
+    for i in sorted(oddA.keys() & _coefficient_support(B)
+                    | oddB.keys() & _coefficient_support(A)):
+        name = patch.coords[i].name
+        for odd, T, sign in terms:
+            lowered = odd.get(i)
+            if lowered is None:
+                continue
+            gradient = [(key, dc) for key, c in T.comps.items()
+                        if i in c.coordinates_used()
+                        and (dc := c.differentiate(name))]
+            for rest, s, oc in lowered:
+                for key, dc in gradient:
+                    hit = _merge_indices(rest, key)
+                    if hit is not None:
+                        c = oc * dc
+                        _accumulate(table, hit[1],
+                                    c if hit[0] * s * sign > 0 else -c)
+    return Multivector._trusted(patch, a + b - 1, table)
 
 
 def lie_derivative(X: Multivector, T):

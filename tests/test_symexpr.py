@@ -4,13 +4,17 @@ from fractions import Fraction
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from couplingdirac import (
+    COS,
+    SIN,
     AngleDisciplineError,
     ExpressionSyntaxError,
     Patch,
     PatchMismatchError,
+    RatExpr,
     ScalarExpr,
     UnknownCoordinateError,
     parse,
@@ -107,6 +111,112 @@ def test_power_and_coercion():
             product = product * e
     assert 2 * x - x == x
     assert (Fraction(1, 2) * x) * 2 == x
+
+
+# --- unit, constant and zero operands ------------------------------------------
+
+POLY = Patch.build("x1 x2 q p")
+
+
+def operand_pairs():
+    """(x, y) on a polynomial and an angle patch, with int and with
+    Fraction coefficients."""
+    rng = random.Random(77)
+    for patch in (POLY, PATCH):
+        for _ in range(10):
+            yield rnd_int_expr(rng, patch, trig=patch is PATCH), rnd_expr(rng, patch)
+            yield rnd_expr(rng, patch), rnd_int_expr(rng, patch, trig=False)
+
+
+def same_table(a, b):
+    """Equal term tables with the same coefficient types."""
+    return a.terms == b.terms and all(
+        type(c) is type(b.terms[k]) for k, c in a.terms.items())
+
+
+def test_unit_and_zero_operands_give_the_other_operand():
+    for x, _ in operand_pairs():
+        patch = x.patch
+        for one in (1, Fraction(1), patch.one()):
+            assert same_table(x * one, x) and same_table(one * x, x)
+        for zero in (0, Fraction(0), patch.zero()):
+            assert same_table(x + zero, x) and same_table(zero + x, x)
+            assert same_table(x - zero, x)
+            assert same_table(zero - x, -x)
+            assert (x * zero).is_zero() and (zero * x).is_zero()
+            assert (x * zero).terms == {} and (zero * x).terms == {}
+
+
+def test_constant_operands_scale_term_by_term():
+    for x, _ in operand_pairs():
+        patch = x.patch
+        for c in (2, -1, Fraction(1, 2)):
+            want = ScalarExpr(patch, {k: Fraction(c) * v
+                                      for k, v in x.terms.items()})
+            for scalar in (c, patch.rational(c)):
+                assert same_table(x * scalar, want)
+                assert same_table(scalar * x, want)
+            assert_normal_coefficients(x * c)
+        if all(type(v) is int for v in x.terms.values()):
+            back = (Fraction(2, 3) * x) * Fraction(3, 2)
+            assert same_table(back, x)
+            assert all(type(v) is int for v in back.terms.values())
+
+
+def test_subtraction_in_one_pass_matches_adding_the_negative():
+    for x, y in operand_pairs():
+        assert same_table(x - y, x + (-y))
+        assert same_table(y - x, y + (-x))
+        assert (x - x).terms == {}
+        assert_normal_coefficients(x - y)
+
+
+def test_product_with_a_quotient_is_a_quotient():
+    x = POLY.parse("x1 + 2*q")
+    r = RatExpr(POLY.parse("p"), POLY.parse("1 + x2"))
+    for product in (x * r, r * x, POLY.one() * r):
+        assert isinstance(product, RatExpr)
+    assert x * r == RatExpr(POLY.parse("x1*p + 2*q*p"), POLY.parse("1 + x2"))
+
+
+SMALL_POLY = Patch.build("x y")
+SMALL_ANGLE = Patch.build("x th", angles=("th",))
+
+
+@st.composite
+def small_exprs(draw, patch):
+    """Sums of up to three terms with small rational coefficients (some
+    integral Fractions), exponents and frequencies; a zero frequency
+    gives the constants 1 (cos) and 0 (sin)."""
+    out = patch.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = patch.rational(Fraction(draw(st.integers(-4, 4)),
+                                       draw(st.integers(1, 3))))
+        for c in patch.coords:
+            if c.angle:
+                term = term * patch.trig(draw(st.sampled_from((COS, SIN))),
+                                         draw(st.integers(0, 2)), c.name)
+            else:
+                term = term * patch.coord(c.name) ** draw(st.integers(0, 2))
+        out = out + term
+    return out
+
+
+def expr_triples():
+    return st.sampled_from((SMALL_POLY, SMALL_ANGLE)).flatmap(
+        lambda patch: st.tuples(*(small_exprs(patch) for _ in range(3))))
+
+
+@settings(database=None, deadline=None)
+@given(expr_triples())
+def test_ring_results_stay_canonical(triple):
+    a, b, c = triple
+    for e in (a + b, a - b, b - a, a * b, a * a, a - a, a + c, a * c):
+        assert ScalarExpr(e.patch, dict(e.terms)).terms == e.terms
+        assert all(type(v) is int for v in e.terms.values()
+                   if Fraction(v).denominator == 1)
+    assert (a - b) + b == a
+    assert a * (b + c) == a * b + a * c
 
 
 # --- coefficient representation -------------------------------------------------

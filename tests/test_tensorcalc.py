@@ -11,8 +11,6 @@ from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
-    _coefficient_gradient,
-    _right_odd_derivative,
     contract,
     courant_bracket,
     d_scalar,
@@ -530,9 +528,11 @@ def full_schouten(A, B):
     a, b = A.degree, B.degree
     out = Multivector.zero(A.patch, a + b - 1)
     for i in range(len(A.patch)):
-        term = odd_derivative(B, i).wedge(full_gradient(A, i))
-        out = (out + odd_derivative(A, i).wedge(full_gradient(B, i))
-               + (term if (a - 1) * (b - 1) % 2 else -term))
+        if a:  # a function has no odd derivative
+            out = out + odd_derivative(A, i).wedge(full_gradient(B, i))
+        if b:
+            term = odd_derivative(B, i).wedge(full_gradient(A, i))
+            out = out + (term if (a - 1) * (b - 1) % 2 else -term)
     return out
 
 
@@ -552,6 +552,12 @@ def test_calculus_matches_differentiation_along_every_coordinate():
                 assert lie_bracket(X, Y) == full_lie_bracket(X, Y)
                 for A, B in ((X, Y), (X, V), (V, V)):
                     assert schouten(A, B) == full_schouten(A, B)
+                # degree-0 operands and both signs of the second term
+                for a, b in ((0, 1), (1, 0), (0, 2), (2, 0), (2, 3), (3, 2),
+                             (3, 3)):
+                    A = rnd_tensor(rng, patch, Multivector, a, scalar=scalar)
+                    B = rnd_tensor(rng, patch, Multivector, b, scalar=scalar)
+                    assert schouten(A, B) == full_schouten(A, B)
 
 
 def assert_clean(T):
@@ -570,7 +576,8 @@ def test_calculus_builds_clean_tables():
             for _ in range(8):
                 X, Y = (rnd_tensor(rng, patch, Multivector, 1, scalar=scalar)
                         for _ in range(2))
-                V = rnd_tensor(rng, patch, Multivector, 2, scalar=scalar)
+                V, W = (rnd_tensor(rng, patch, Multivector, 2, scalar=scalar)
+                        for _ in range(2))
                 a, b = (rnd_tensor(rng, patch, DiffForm, 1, scalar=scalar)
                         for _ in range(2))
                 w = rnd_tensor(rng, patch, DiffForm, 2, scalar=scalar)
@@ -579,15 +586,12 @@ def test_calculus_builds_clean_tables():
                 cancelling = [X + (-X), V - V, X.wedge(X), lie_bracket(X, X)]
                 assert not any(cancelling)
                 results = cancelling + [
-                    X + Y, -V, a.wedge(b), a.wedge(w), V.wedge(X),
+                    X + Y, X - Y, V - W, a - b, -V,
+                    a.wedge(b), a.wedge(w), V.wedge(X),
                     d_scalar(patch, scalar(rng, patch)),
                     exterior_derivative(a), exterior_derivative(w),
                     contract(X, w), contract(V, w), contract(X, a),
                     lie_bracket(X, Y), sharp(V, a), schouten(V, V),
                     schouten(X, V), bracket.vf, bracket.form]
-                results += [_coefficient_gradient(T, i)
-                            for T in (X, V, w) for i in range(len(patch))]
-                results += [_right_odd_derivative(T, i)
-                            for T in (X, V) for i in range(len(patch))]
                 for T in results:
                     assert_clean(T)
