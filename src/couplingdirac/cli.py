@@ -12,8 +12,10 @@ the package grammar, printed canonically on output.  Optional blocks:
 coordinates).
 
 Exit codes: 0 every check passed, 1 a mathematical check failed,
-2 manifest parse/validation error, 3 degenerate input (singular base
-block, non-Casimir coefficient).
+2 manifest parse/validation error (including a file that is not UTF-8
+or JSON nested past the decoder's recursion limit, and a bad
+``--fiber-point``), 3 degenerate input (singular base block,
+non-Casimir coefficient).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +61,11 @@ from .fibered import BaseForm, Connection, FiberedPatch
 from .tensorcalc import Multivector, schouten
 
 _DATA_KEYS = ("vertical_bivector", "connection", "horizontal_2form")
+# the interpreter's default integer-string limit, which the parser
+# already applies to long literals: a larger decimal exponent in a
+# --fiber-point value would make Fraction expand 10**exponent
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
 _KNOWN_KEYS = ("coordinates",) + _DATA_KEYS + (
     "bivector", "casimirs", "potential_1form", "ymh", "angles_averaged")
 
@@ -323,9 +331,9 @@ class Manifest:
 
 # -- subcommands ---------------------------------------------------------
 
-def _emit_report(report: CheckReport, args, pivots=()) -> None:
+def _emit_report(report: CheckReport, args) -> None:
     if args.report == "json":
-        sys.stdout.write(dumps(report.as_document(pivots)))
+        sys.stdout.write(dumps(report.as_document()))
         return
     for cond in report.conditions:
         print(f"{cond.name}: {cond.status.upper()}")
@@ -366,6 +374,13 @@ def _parse_point(patch: FiberedPatch, text: str) -> dict:
                 f"got {quote(chunk)}")
         if name in point:
             raise ManifestError(f"coordinate {quote(name)} assigned twice")
+        exponent = _EXPONENT.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if digits and (len(digits) > len(str(_MAX_EXPONENT))
+                       or int(digits) > _MAX_EXPONENT):
+            raise ManifestError(
+                f"bad fiber-point value {quote(value)}: decimal exponent "
+                f"larger in magnitude than {_MAX_EXPONENT}")
         try:
             point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -379,11 +394,13 @@ def _parse_point(patch: FiberedPatch, text: str) -> dict:
 
 
 def _cmd_verify(man: Manifest, args) -> int:
+    point = None
+    if args.fiber_point is not None:
+        point = _parse_point(man.patch, args.fiber_point)
     presentation = build_dirac(man.data)
     conditions = (verify_isotropy(presentation).conditions
                   + verify_closure(presentation).conditions)
-    if args.fiber_point is not None:
-        point = _parse_point(man.patch, args.fiber_point)
+    if point is not None:
         at_point = restrict_to_fiber(man.data, point)
         conditions += (ConditionReport(
             "fiber_jacobi", tensor_witnesses(schouten(at_point, at_point))),)
@@ -471,13 +488,19 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         raw = Path(args.manifest).read_text(encoding="utf-8")
-        man = Manifest.from_document(json.loads(raw))
+        try:
+            doc = json.loads(raw)
+        except RecursionError as exc:
+            raise ManifestError(
+                "manifest JSON is nested too deeply to decode") from exc
+        man = Manifest.from_document(doc)
         return _COMMANDS[args.command](man, args)
     except DegenerateInputError as exc:
         _emit_error(args, 3, exc)
         return 3
     except (ManifestError, MalformedDataError, PatchError, DegreeError,
-            ExpressionError, OSError, json.JSONDecodeError) as exc:
+            ExpressionError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         _emit_error(args, 2, exc)
         return 2
 

@@ -45,11 +45,7 @@ from .fibered import (
     d_gamma,
     promote,
 )
-from .fractionfield import (
-    RatExpr,
-    pfaffian_adjugate,
-    rat_inverse,
-)
+from .fractionfield import RatExpr, divide_exact, rat_inverse
 from .symexpr import ScalarExpr
 from .tensorcalc import (
     CourantSection,
@@ -155,10 +151,11 @@ class CheckReport:
     def failing(self) -> tuple:
         return tuple(c.name for c in self.conditions if not c.passed)
 
-    def as_document(self, pivot_denominators: Sequence = ()) -> dict:
+    def as_document(self) -> dict:
+        # a check has no pivots; the key keeps every report's shape fixed
         return {"verdict": self.verdict,
                 "conditions": [c.as_document() for c in self.conditions],
-                "pivot_denominators": [str(p) for p in pivot_denominators]}
+                "pivot_denominators": []}
 
     def __repr__(self):
         body = ", ".join(f"{c.name}={c.status}" for c in self.conditions)
@@ -489,15 +486,6 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
                         for name in CONDITION_ORDER])
 
 
-def _tidy(value):
-    """Collapse a fraction to a plain expression when the division is exact."""
-    if isinstance(value, RatExpr):
-        value = value.reduce()
-        if value.den == 1:
-            return value.num
-    return value
-
-
 def _scalarize(value, what: str) -> ScalarExpr:
     if isinstance(value, ScalarExpr):
         return value
@@ -511,18 +499,20 @@ def _scalarize(value, what: str) -> ScalarExpr:
 def extract_poisson(data: GeometricData) -> Multivector:
     """The bivector whose graph is the span of ``build_dirac(data)``.
 
-    Pi = V + sum_{a<b} W^{ab} hor(d_a) ^ hor(d_b) with [W] the negated
-    inverse of the 2-form matrix [F_ab] (Pfaffian minors over Pf(F));
-    coefficients that stay rational functions remain so (they are exact
-    wherever the Pfaffian does not vanish).  Graph compatibility:
-    sharp(Pi, form) + vf = 0 for every generator.
+    Pi = V + sum_{a<b} W^{ab} hor(d_a) ^ hor(d_b) with [W] = -[F_ab]^{-1}
+    = -C/Pf(F), C the Pfaffian adjugate.  An entry -C_ab that Pf(F)
+    divides exactly becomes that quotient; every other one stays the
+    fraction -C_ab/Pf(F), unreduced, so all fractional coefficients of Pi
+    share the one denominator Pf(F) (they are exact wherever it does not
+    vanish).  Graph compatibility: sharp(Pi, form) + vf = 0 for every
+    generator.
     """
     patch = data.patch
     base = patch.base_indices
     rows = [[data.horizontal_form.coefficient(i, j) for j in base]
             for i in base]
     try:
-        inv, _det = rat_inverse(rows, patch)
+        pf, adj = rat_inverse(rows, patch)
     except DegenerateInputError as exc:
         n = len(base)
         raise DegenerateInputError(
@@ -532,9 +522,11 @@ def extract_poisson(data: GeometricData) -> Multivector:
     Pi = data.vertical_bivector
     for pa in range(len(base)):
         for pb in range(pa + 1, len(base)):
-            w = _tidy(-inv[pa][pb])
+            w = -adj[pa][pb]
             if w:
-                Pi = Pi + hor[pa].wedge(hor[pb]) * w
+                q = divide_exact(w, pf)
+                Pi = Pi + hor[pa].wedge(hor[pb]) * (
+                    RatExpr(w, pf) if q is None else q)
     return Pi
 
 
@@ -562,11 +554,14 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     the horizontal part.  Inverse of :func:`extract_poisson` on
     nondegenerate data.
 
-    The base-base and base-fiber coefficients share one denominator D
-    (each numerator times the other distinct denominators): with N = D*M
-    and C its Pfaffian adjugate, M^{-1} = D*C/Pf(N), D cancels from the
-    connection, and det(M) = Pf(N)^2/D^n.  The pivots name det(M)'s zero
-    locus through Pf(N)/D^(n/2) reduced, or Pf(N)^2 itself when D = 1.
+    The base-base and base-fiber coefficients share one denominator D,
+    the product of their distinct denominators (one, Pf(F), on the output
+    of ``extract_poisson``): with N = D*M and C its Pfaffian adjugate,
+    M^{-1} = D*C/Pf(N), D cancels from the connection, and det(M) =
+    (Pf(N)/D^(n/2))^2.  The pivots name det(M)'s zero locus: Pf(N)^2 when
+    D = 1; otherwise what remains of Pf(N) after dividing D out of it
+    exactly at most n/2 times, plus D itself when fewer than n/2 of those
+    divisions succeed.  Constant pivots are dropped.
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -587,8 +582,8 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     N = {key: prod((d for d in dens if d != c.den), start=c.num)
          for key, c in solve.items()}
     try:
-        pf, adj = pfaffian_adjugate([[N[(a, b)] for b in base] for a in base],
-                                    patch)
+        pf, adj = rat_inverse([[N[(a, b)] for b in base] for a in base],
+                              patch)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "bivector is not transverse to the fibers: the base-base "
@@ -616,7 +611,7 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     rest = Pi
     for pa in range(n):
         for pb in range(pa + 1, n):
-            w = _tidy(solve[(base[pa], base[pb])])
+            w = Pi.coefficient(base[pa], base[pb])
             if w:
                 rest = rest - hor[pa].wedge(hor[pb]) * w
     vtable = {}
@@ -628,14 +623,14 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
         vtable[key] = _scalarize(c, "vertical bivector entry")
     V = Multivector(patch, 2, vtable)
 
-    pivots = []
-    seen = set()
-    # det(M) = (Pf(N)/D^(n/2))^2 vanishes where the unexpanded ratio does
-    red = (RatExpr(pf, D ** (n // 2)) if dens else RatExpr(pf * pf)).reduce()
-    for candidate in (red.num, red.den):
-        if candidate.as_rational() is None and str(candidate) not in seen:
-            seen.add(str(candidate))
-            pivots.append(candidate)
+    if dens:
+        left = n // 2
+        while left and (q := divide_exact(pf, D)) is not None:
+            pf, left = q, left - 1
+        pivots = [pf, D] if left else [pf]
+    else:
+        pivots = [pf * pf]
+    pivots = [p for p in pivots if p.as_rational() is None]
     return DecompositionResult(GeometricData(patch, V, conn, F), pivots)
 
 

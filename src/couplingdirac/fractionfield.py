@@ -19,7 +19,10 @@ through its Pfaffian: first-row expansion memoized on index subsets
 gives Pf(A) and every Pf of A with two rows and columns removed, so
 A^-1 = (signed Pfaffian minors)/Pf(A) and det(A) = Pf(A)^2.  The
 general determinant is a Laplace expansion memoized on column subsets.
-Only ``RatExpr.reduce`` and ``RatExpr.as_scalar`` call ``divide_exact``.
+``RatExpr`` never normalizes itself: a quotient keeps the numerator and
+denominator it was built from, and only ``RatExpr.as_scalar`` (and the
+callers in ``coupling`` that divide by one known Pfaffian) call
+``divide_exact``.
 """
 
 from __future__ import annotations
@@ -281,19 +284,6 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero expression")
-        return RatExpr(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be natural numbers")
-        return RatExpr(self.num ** n, self.den ** n)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -323,31 +313,6 @@ class RatExpr:
             return RatExpr(dn, self.den)
         return RatExpr(dn * self.den - self.num * dd, self.den * self.den)
 
-    def reduce(self) -> "RatExpr":
-        """Divide out the denominator when exact; else cancel the shared
-        monomial content and normalize the denominator's leading rational."""
-        q = divide_exact(self.num, self.den)
-        if q is not None:
-            return RatExpr(q)
-        num, den = self.num, self.den
-        shared = _shared_monomial(num, den)
-        if shared:
-            patch = self.patch
-            mono = patch.one()
-            for idx, exp in shared:
-                mono = mono * patch.coord(patch.coords[idx].name) ** exp
-            num = divide_exact(num, mono)
-            den = divide_exact(den, mono)
-            q = divide_exact(num, den)
-            if q is not None:
-                return RatExpr(q)
-        lead = den.terms[min(den.terms)]
-        if lead != 1:
-            scale = Fraction(1) / lead
-            num = num * scale
-            den = den * scale
-        return RatExpr(num, den)
-
     def as_scalar(self) -> ScalarExpr:
         """The value as a plain expression; raises if not polynomial."""
         q = divide_exact(self.num, self.den)
@@ -357,9 +322,6 @@ class RatExpr:
                 f"without denominators")
         return q
 
-    def evaluate(self, values) -> float:
-        return self.num.evaluate(values) / self.den.evaluate(values)
-
     def __str__(self):
         if self.den == 1:
             return str(self.num)
@@ -367,26 +329,6 @@ class RatExpr:
 
     def __repr__(self):
         return f"RatExpr({self})"
-
-
-def _shared_monomial(num: ScalarExpr, den: ScalarExpr) -> tuple:
-    """The per-coordinate minimum exponents dividing every term of both."""
-
-    def content(e):
-        out = None
-        for mono, _trig in e.terms:
-            exps = dict(mono)
-            if out is None:
-                out = exps
-            else:
-                out = {i: min(x, exps.get(i, 0)) for i, x in out.items()}
-            if not out:
-                break
-        return out or {}
-
-    cn, cd = content(num), content(den)
-    return tuple(sorted((i, min(x, cd[i])) for i, x in cn.items()
-                        if cd.get(i, 0) > 0 and x > 0))
 
 
 Matrix = List[List[ScalarExpr]]
@@ -447,7 +389,7 @@ def pfaffian(rows: Matrix, patch: Patch) -> ScalarExpr:
     return pf(full)
 
 
-def pfaffian_adjugate(rows: Matrix, patch: Patch):
+def rat_inverse(rows: Matrix, patch: Patch):
     """(Pf(A), C) with A^-1 = C/Pf(A) for antisymmetric A, where C_ij =
     -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j.  Raises
     DegenerateInputError when Pf(A) = 0, which includes every odd size."""
@@ -462,10 +404,3 @@ def pfaffian_adjugate(rows: Matrix, patch: Patch):
             c = pf(full & ~(1 << i) & ~(1 << j))
             adj[i][j], adj[j][i] = (-c, c) if (i + j) % 2 else (c, -c)
     return total, adj
-
-
-def rat_inverse(rows: Matrix, patch: Patch):
-    """Inverse of an antisymmetric matrix over the fraction field:
-    (entries as RatExpr over Pf(A), det(A) = Pf(A)^2)."""
-    total, adj = pfaffian_adjugate(rows, patch)
-    return [[RatExpr(c, total) for c in row] for row in adj], total * total

@@ -98,20 +98,26 @@ def test_verify_mutation_names_condition_with_witnesses(capsys):
 
 
 def test_verify_fiber_point_appends_jacobi_condition(capsys):
-    code, lines, _ = run_lines(
-        capsys, ["verify", "--manifest", fixture("flat"),
-                 "--fiber-point", "x1=1, x2=-1/2"])
-    assert code == 0
-    assert lines[-1] == "fiber_jacobi: PASS"
+    for point in ("x1=1, x2=-1/2", "x1=1e3, x2=0.5", "x1=1e-4300, x2=0"):
+        code, lines, _ = run_lines(
+            capsys, ["verify", "--manifest", fixture("flat"),
+                     "--fiber-point", point])
+        assert code == 0, point
+        assert lines[-1] == "fiber_jacobi: PASS"
 
 
-def test_verify_fiber_point_validation(capsys):
-    for point in ("x1=1", "x1=1, x2=2, x1=3", "x1, x2=0", "x1=a, x2=0"):
+def test_verify_fiber_point_validation(capsys, monkeypatch):
+    # a bad point exits before any closure work
+    monkeypatch.setattr(couplingdirac.cli, "build_dirac", None)
+    for point in ("x1=1", "x1=1, x2=2, x1=3", "x1, x2=0", "x1=a, x2=0",
+                  "x1=1e99999999, x2=0", "x1=1e-99999999, x2=0"):
         code, _, err = run_lines(
             capsys, ["verify", "--manifest", fixture("flat"),
                      "--fiber-point", point])
         assert code == 2
         assert err.startswith("error:")
+        if "e99" in point or "e-99" in point:
+            assert "bad fiber-point value" in err
 
 
 # ------------------------------------------------------------------ build
@@ -264,6 +270,24 @@ def test_unreadable_or_invalid_files_exit_2(tmp_path, capsys):
     broken.write_text("{not json")
     code, _, _ = run_lines(capsys, ["check", "--manifest", str(broken)])
     assert code == 2
+
+
+def test_hostile_manifest_files_exit_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"coordinates": "\xff"}')
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (not_utf8, too_deep):
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", "json"])
+        assert code == 2 and out == [], path.name
+        error = json.loads(err)["error"]
+        assert error["code"] == 2
+        assert 0 < len(error["message"]) < 200, path.name
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", "text"])
+        assert code == 2 and out == [], path.name
+        assert err.startswith("error:") and len(err) < 200, path.name
 
 
 def test_deeply_nested_coefficient_exits_2(tmp_path, capsys):

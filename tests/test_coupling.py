@@ -1,6 +1,5 @@
 """Integrability checker, generator presentation, and the bivector bridge."""
 
-from fractions import Fraction
 import math
 import random
 
@@ -33,7 +32,7 @@ from couplingdirac.errors import (
     NonCasimirError,
 )
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch, promote
-from couplingdirac.fractionfield import RatExpr, pfaffian
+from couplingdirac.fractionfield import RatExpr, divide_exact, pfaffian
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
@@ -503,9 +502,9 @@ def test_round_trip_from_data():
     data = ymh_fixture()
     result = decompose_coupling(extract_poisson(data), data.patch)
     assert result.data == data
-    # the extracted base entry is 1/p, so D = p and the pivot is that of
-    # Pf(N)/D = 1/p, whose square is det(M) = 1/p^2
-    assert [str(p) for p in result.pivot_denominators] == ["p"]
+    # the extracted base entry is 1/Pf(F) = 1/(-p), so D = -p, Pf(N) = 1
+    # keeps no factor of D and the pivot is D itself: det(M) = 1/p^2
+    assert [str(p) for p in result.pivot_denominators] == ["-1*p"]
     assert result.pivot_denominators[0] ** 2 == data.patch.parse("p^2")
 
 
@@ -534,22 +533,24 @@ def test_round_trips_on_random_nondegenerate_data():
         assert decompose_coupling(extract_poisson(data), patch).data == data
     # a 4-dimensional base with every 2-form entry non-constant: the
     # extracted bivector's coefficients are fractions over Pf[F_ab]
+    data = four_base_data()
+    assert decompose_coupling(extract_poisson(data), data.patch).data == data
+
+
+def four_base_data():
     patch = FiberedPatch.build("x1 x2 x3 x4", "q p")
     P = patch.parse
-    data = GeometricData(
+    return GeometricData(
         patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
         Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}),
         BaseForm.build(patch, 2, {
             ("x1", "x2"): P("1 + x3*q"), ("x1", "x3"): P("x2 + p"),
             ("x1", "x4"): P("q*p"), ("x2", "x3"): P("2 + x1*x4"),
             ("x2", "x4"): P("x3 - q"), ("x3", "x4"): P("1 + p^2")}))
-    assert decompose_coupling(extract_poisson(data), patch).data == data
 
 
-def test_round_trip_with_six_base_coordinates():
-    # 11 of the 15 entries F_ab are non-constant, so the extracted base
-    # block M = N/D has a shared denominator D of many terms; the pivots
-    # are those of Pf(N)/D^3, without expanding Pf(N)^2 or D^6
+def six_base_data():
+    # 11 of the 15 entries F_ab are non-constant
     patch = FiberedPatch.build("x1 x2 x3 x4 x5 x6", "q p")
     P = patch.parse
     F = BaseForm.build(patch, 2, {
@@ -560,19 +561,100 @@ def test_round_trip_with_six_base_coordinates():
         ("x3", "x5"): P("-1"), ("x3", "x6"): P("q"), ("x4", "x5"): P("2"),
         ("x4", "x6"): P("x1"), ("x5", "x6"): P("1 + x2")})
     assert sum(c.as_rational() is None for _, c in F.items()) == 11
-    data = GeometricData(
+    return GeometricData(
         patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
         Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}), F)
-    result = decompose_coupling(extract_poisson(data), patch)
+
+
+def angle_base_data():
+    # q is an angle; Pf(F) = F12*F34 - F13*F24 + F14*F23 carries cos(q)
+    patch = FiberedPatch.build("x1 x2 x3 x4", "q p", angles=("q",))
+    P = patch.parse
+    return GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("p", "x1"): P("x2*sin(q)")}),
+        BaseForm.build(patch, 2, {
+            ("x1", "x2"): P("2 + cos(q)"), ("x1", "x3"): P("x4"),
+            ("x2", "x4"): P("1 + p"), ("x3", "x4"): P("3")}))
+
+
+def form_pfaffian(data):
+    F, base = data.horizontal_form, data.patch.base_indices
+    return pfaffian([[F.coefficient(a, b) for b in base] for a in base],
+                    data.patch)
+
+
+def test_round_trip_with_six_base_coordinates():
+    # the extracted base block M = N/D has the shared denominator
+    # D = Pf(F) of 29 terms
+    data = six_base_data()
+    result = decompose_coupling(extract_poisson(data), data.patch)
     assert result.data == data
-    # det(M) = 1/det(F), so the reported ratio is a constant times 1/Pf(F)
-    num, den = result.pivot_denominators
-    base = patch.base_indices
-    pf = pfaffian([[F.coefficient(a, b) for b in base] for a in base], patch)
-    key = min(den.terms)
-    lhs = num * pf
-    assert key in lhs.terms
-    assert lhs == den * Fraction(lhs.terms[key], den.terms[key])
+    # det(M) = 1/det(F): Pf(N) = D^3 Pf(M) = -Pf(F)^2 takes two divisions
+    # by D, not three, so the one pivot is D = Pf(F) itself
+    pf = form_pfaffian(data)
+    assert len(pf.terms) == 29
+    (pivot,) = result.pivot_denominators
+    assert pivot == pf or pivot == -pf
+
+
+def test_extract_puts_every_fraction_over_the_one_pfaffian():
+    for data in (four_base_data(), six_base_data(), angle_base_data()):
+        pf = form_pfaffian(data)
+        assert pf.as_rational() is None
+        Pi = extract_poisson(data)
+        fractions = [c for _, c in Pi.items() if isinstance(c, RatExpr)]
+        assert fractions
+        for c in fractions:
+            assert c.den == pf
+            assert divide_exact(c.num, c.den) is None
+        # integral F: no Fraction coefficient anywhere
+        for _, c in Pi.items():
+            for part in (c.num, c.den) if isinstance(c, RatExpr) else (c,):
+                assert all(type(v) is int for v in part.terms.values())
+        assert decompose_coupling(Pi, data.patch).data == data
+
+
+def test_decompose_over_a_product_of_denominators():
+    data = ymh_fixture()
+    patch, P = data.patch, data.patch.parse
+    Pi = extract_poisson(data)
+    # Pf(F) = -p; write the (x2, q) entry over -p*(1 + q), unreduced, so
+    # the shared denominator is D = (-p)(-p(1 + q)) = p^2 + p^2*q
+    key = (patch.index("x2"), patch.index("q"))
+    c = Pi.comps[key]
+    assert c.den == P("-1*p")
+    comps = dict(Pi.comps)
+    comps[key] = RatExpr(c.num * P("1 + q"), c.den * P("1 + q"))
+    result = decompose_coupling(Multivector(patch, 2, comps), patch)
+    assert result.data == data
+    # Pf(N) = N_12 = -p - p*q, which D does not divide: it stays, and so
+    # does D, since none of the n/2 = 1 divisions succeeded
+    assert list(result.pivot_denominators) == [P("-1*p - p*q"),
+                                               P("p^2 + p^2*q")]
+
+
+def test_decompose_divides_the_pfaffian_at_most_half_the_base_dimension(
+        monkeypatch):
+    # every fraction over the constant 2: D = 2 divides Pf(N) = 1 without
+    # end, so only the n/2 = 1 bound stops the pivot loop
+    patch = FiberedPatch.build("x1 x2", "q p")
+    P = patch.parse
+    Pi = Multivector.build(patch, 2, {("x1", "x2"): RatExpr(P("1"), P("2")),
+                                      ("x1", "q"): RatExpr(P("x2"), P("2")),
+                                      ("q", "p"): P("1")})
+    calls = []
+
+    def counted(num, den):
+        calls.append(den)
+        assert len(calls) <= 1, "more than n/2 divisions of Pf(N)"
+        return divide_exact(num, den)
+
+    monkeypatch.setattr(coupling, "divide_exact", counted)
+    result = decompose_coupling(Pi, patch)
+    assert calls == [P("2")]
+    assert result.pivot_denominators == ()
+    assert result.data.horizontal_form.coefficient("x1", "x2") == 2
 
 
 # ---------------------------------------------------------- equivalent data
@@ -674,10 +756,10 @@ def test_restrict_keeps_jacobi():
 
 def test_report_document_key_order():
     report = check_integrability(PURE_MUTATIONS["curvature_identity"])
-    doc = report.as_document(pivot_denominators=["p^2"])
+    doc = report.as_document()
     assert list(doc) == ["verdict", "conditions", "pivot_denominators"]
     assert doc["verdict"] == "fail"
-    assert doc["pivot_denominators"] == ["p^2"]
+    assert doc["pivot_denominators"] == []
     for cond in doc["conditions"]:
         assert list(cond) == ["name", "status", "witnesses"]
         for w in cond["witnesses"]:
