@@ -38,6 +38,31 @@ def _hamiltonian(V: Multivector, f: ScalarExpr) -> Multivector:
     return sharp(V, d_scalar(V.patch, f))
 
 
+def _check_fiber_poisson(patch: FiberedPatch, V: Multivector) -> None:
+    """Refuse a vertical bivector that depends on the base or is not Poisson."""
+    base = set(patch.base_indices)
+    for c in V.comps.values():
+        if c.coordinates_used() & base:
+            raise MalformedDataError(
+                f"bivector coefficient {c} depends on base coordinates")
+    if not schouten(V, V).is_zero():
+        raise MalformedDataError(
+            "the vertical bivector does not self-commute")
+
+
+def _curl(setup: "AbelianYMHSetup", pa: int, pb: int) -> ScalarExpr:
+    """Sum over factors of J (d_a A_b - d_b A_a), a and b by base position."""
+    patch = setup.patch
+    base = patch.base_indices
+    na = patch.coords[base[pa]].name
+    nb = patch.coords[base[pb]].name
+    total = patch.zero()
+    for row, J in zip(setup.potentials, setup.momenta):
+        total = total + J * (row[pb].differentiate(na)
+                             - row[pa].differentiate(nb))
+    return total
+
+
 class AbelianYMHSetup:
     """Commuting momenta on the fiber plus base-only potential rows.
 
@@ -77,13 +102,7 @@ class AbelianYMHSetup:
             if not J.coordinates_used() <= fiber:
                 raise MalformedDataError(f"momentum {J} is not fiber-only")
         V = vertical_bivector
-        for c in V.comps.values():
-            if c.coordinates_used() & base:
-                raise MalformedDataError(
-                    f"bivector coefficient {c} depends on base coordinates")
-        if not schouten(V, V).is_zero():
-            raise MalformedDataError(
-                "the vertical bivector does not self-commute")
+        _check_fiber_poisson(patch, V)
         for J1, J2 in combinations(momenta, 2):
             if poisson_bracket(V, J1, J2):
                 raise MalformedDataError(
@@ -121,12 +140,7 @@ def yang_mills_data(setup: AbelianYMHSetup) -> GeometricData:
     conn = Connection(patch, table)
     ftable: dict = {}
     for pa, pb in combinations(range(len(base)), 2):
-        na = patch.coords[base[pa]].name
-        nb = patch.coords[base[pb]].name
-        total = patch.zero()
-        for row, J in zip(setup.potentials, setup.momenta):
-            curl = row[pb].differentiate(na) - row[pa].differentiate(nb)
-            total = total + J * curl
+        total = _curl(setup, pa, pb)
         if total:
             ftable[(base[pa], base[pb])] = total
     return GeometricData(patch, V, conn, BaseForm(patch, 2, ftable))
@@ -151,13 +165,13 @@ class FatnessReport:
         return f"FatnessReport(fat={self.fat}, det={self.determinant})"
 
 
-def fat_check(setup: AbelianYMHSetup, momentum_values=None) -> FatnessReport:
+def fat_check(setup: AbelianYMHSetup) -> FatnessReport:
     """Decide whether the momentum-weighted curl matrix is nondegenerate.
 
-    With no ``momentum_values`` the symbolic momenta are used; otherwise
-    each momentum is replaced by the given expression (one per factor)
-    before taking the determinant, the squared Pfaffian.  An odd number
-    of base coordinates is an immediate parity obstruction.
+    The matrix has the entries of :func:`yang_mills_data`'s 2-form, with
+    the symbolic momenta as weights; its determinant is the squared
+    Pfaffian.  An odd number of base coordinates is an immediate parity
+    obstruction.
     """
     patch = setup.patch
     base = patch.base_indices
@@ -166,25 +180,9 @@ def fat_check(setup: AbelianYMHSetup, momentum_values=None) -> FatnessReport:
         return FatnessReport(False, obstruction=(
             f"odd base dimension {n}: an antisymmetric matrix is "
             f"always degenerate"))
-    if momentum_values is None:
-        weights = setup.momenta
-    else:
-        if isinstance(momentum_values, (str, ScalarExpr, int)):
-            momentum_values = [momentum_values]
-        weights = tuple(
-            patch.rational(v) if isinstance(v, int) else v
-            for v in _parse_all(patch, momentum_values))
-        if len(weights) != len(setup.momenta):
-            raise MalformedDataError(
-                f"need {len(setup.momenta)} momentum values")
     rows = [[patch.zero() for _ in base] for _ in base]
     for pa, pb in combinations(range(n), 2):
-        na = patch.coords[base[pa]].name
-        nb = patch.coords[base[pb]].name
-        entry = patch.zero()
-        for row, w in zip(setup.potentials, weights):
-            curl = row[pb].differentiate(na) - row[pa].differentiate(nb)
-            entry = entry + w * curl
+        entry = _curl(setup, pa, pb)
         rows[pa][pb] = entry
         rows[pb][pa] = -entry
     det = pfaffian(rows, patch) ** 2
@@ -208,17 +206,9 @@ class CartanSetup:
             raise MalformedDataError("the potential must be a base 1-form")
         if potential.patch != patch:
             raise PatchMismatchError("potential lives on a different patch")
-        V = vertical_bivector
-        base = set(patch.base_indices)
-        for key, c in V.items():
-            if c.coordinates_used() & base:
-                raise MalformedDataError(
-                    f"bivector coefficient {c} depends on base coordinates")
-        if not schouten(V, V).is_zero():
-            raise MalformedDataError(
-                "the vertical bivector does not self-commute")
+        _check_fiber_poisson(patch, vertical_bivector)
         self.patch = patch
-        self.vertical_bivector = V
+        self.vertical_bivector = vertical_bivector
         self.potential = potential
 
 

@@ -63,21 +63,9 @@ JACOBI = "jacobi"
 POISSON_CONNECTION = "poisson_connection"
 CURVATURE_IDENTITY = "curvature_identity"
 HORIZONTALLY_CLOSED = "horizontally_closed"
+# a nonzero <[e_i, e_j], e_k> instantiates CONDITION_ORDER[number of horizontal e's]
 CONDITION_ORDER = (JACOBI, POISSON_CONNECTION, CURVATURE_IDENTITY,
                    HORIZONTALLY_CLOSED)
-
-# which integrability condition a nonzero pairing <[e_i, e_j], e_k>
-# instantiates, keyed by the generator kinds (H = horizontal, V = vertical)
-_RELATION_CLASS = {
-    ("H", "H", "H"): HORIZONTALLY_CLOSED,
-    ("H", "H", "V"): CURVATURE_IDENTITY,
-    ("H", "V", "H"): CURVATURE_IDENTITY,
-    ("V", "H", "H"): CURVATURE_IDENTITY,
-    ("H", "V", "V"): POISSON_CONNECTION,
-    ("V", "H", "V"): POISSON_CONNECTION,
-    ("V", "V", "H"): POISSON_CONNECTION,
-    ("V", "V", "V"): JACOBI,
-}
 
 
 class Witness:
@@ -479,7 +467,7 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
             else:
                 orbit = _signed_orbit(c, a, b, val)
             for triple, v in orbit:
-                cls = _RELATION_CLASS[tuple(gens[t][0] for t in triple)]
+                cls = CONDITION_ORDER[sum(gens[t][0] == "H" for t in triple)]
                 buckets[cls].append(
                     Witness(tuple(gens[t][1] for t in triple), v))
     return CheckReport([ConditionReport(name, buckets[name])
@@ -685,12 +673,15 @@ def check_casimir_complex(data: GeometricData, casimirs) -> CheckReport:
 
 
 def restrict_to_fiber(data: GeometricData, x0: Mapping) -> Multivector:
-    """Evaluate the vertical bivector at a base point, on the fiber patch."""
+    """Evaluate the vertical bivector at a base point, on the fiber patch.
+
+    ``x0`` maps base coordinate names to ``int`` or ``Fraction`` values.
+    """
     patch = data.patch
     fiber = patch.fiber_patch()
     table = {}
     for (u, v), c in data.vertical_bivector.items():
         key = (fiber.index(patch.coords[u].name),
                fiber.index(patch.coords[v].name))
-        table[key] = c.substitute(dict(x0), target=fiber)
+        table[key] = c.substitute(x0, fiber)
     return Multivector(fiber, 2, table)

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     AngleDisciplineError,
+    ExpressionError,
     ExpressionSyntaxError,
     PatchError,
     PatchMismatchError,
@@ -438,69 +439,48 @@ class ScalarExpr:
         return _expr(self.patch, keep)
 
     # -- substitution and evaluation ------------------------------------------
-    def substitute(self, assignments: Mapping[str, object], target: Patch | None = None) -> "ScalarExpr":
-        """Substitute coordinates; the result lives on ``target`` (default: same patch).
+    def substitute(self, values: Mapping[str, RationalLike], target: Patch) -> "ScalarExpr":
+        """Evaluate at a point of some coordinates; the result lives on ``target``.
 
-        Non-angle coordinates may be sent to rationals or expressions on the
-        target patch; angle coordinates only to angle coordinates (by name or
-        :class:`Coordinate`).  Unassigned coordinates must exist on the target
-        patch with the same angle flag.
+        Each coordinate named in ``values`` takes its value, an ``int`` or a
+        :class:`fractions.Fraction`; an angle coordinate that occurs cannot
+        take one.  Every other coordinate that occurs must exist on
+        ``target`` with the same angle flag.
         """
-        target = target or self.patch
-        cache: dict = {}
-
-        def value_for(i: int):
-            if i in cache:
-                return cache[i]
-            src = self.patch.coords[i]
-            if src.name in assignments:
-                val = assignments[src.name]
-                if src.angle:
-                    if isinstance(val, Coordinate):
-                        val = val.name
-                    if not isinstance(val, str):
-                        raise AngleDisciplineError(
-                            f"angle coordinate {src.name!r} may only be renamed "
-                            f"to another angle coordinate")
-                    if not target.coordinate(val).angle:
-                        raise AngleDisciplineError(
-                            f"angle coordinate {src.name!r} mapped to non-angle {val!r}")
-                    cache[i] = ("angle", target.index(val))
-                else:
-                    if isinstance(val, str):
-                        val = target.parse(val)
-                    elif isinstance(val, (int, Fraction)):
-                        val = target.rational(val)
-                    elif isinstance(val, Coordinate):
-                        val = target.coord(val.name)
-                    if not isinstance(val, ScalarExpr) or val.patch != target:
-                        raise PatchMismatchError(
-                            f"substitution value for {src.name!r} is not an "
-                            f"expression on the target patch")
-                    cache[i] = ("expr", val)
-            else:
-                j = target.index(src.name)
-                if target.coords[j].angle != src.angle:
+        coords = self.patch.coords
+        point = {}
+        for name, value in values.items():
+            if not isinstance(value, (int, Fraction)):
+                raise ExpressionError(
+                    f"the value of {name!r} must be an int or a Fraction, "
+                    f"not {quote(value)}")
+            point[self.patch.index(name)] = value
+        where = {}  # index on the target of each other coordinate that occurs
+        for i in self.coordinates_used():
+            if i not in point:
+                j = where[i] = target.index(coords[i].name)
+                if target.coords[j].angle != coords[i].angle:
                     raise AngleDisciplineError(
-                        f"coordinate {src.name!r} changes angle status across patches")
-                cache[i] = ("angle", j) if src.angle else ("expr", target.coord(src.name))
-            return cache[i]
-
-        total = target.zero()
+                        f"coordinate {coords[i].name!r} changes angle status "
+                        f"across patches")
+            elif coords[i].angle:
+                raise AngleDisciplineError(
+                    f"angle coordinate {coords[i].name!r} cannot take a value")
+        out: dict = {}
         for (mono, trig), c in self.terms.items():
-            term = target.rational(c)
             for i, e in mono:
-                kind, val = value_for(i)
-                term = term * (val ** e)
-            for i, tkind, k in trig:
-                kind, j = value_for(i)
-                if kind != "angle":
-                    raise AngleDisciplineError(
-                        f"angle coordinate {self.patch.coords[i].name!r} may only be "
-                        f"renamed to another angle coordinate")
-                term = term * target.trig(tkind, k, target.coords[j].name)
-            total = total + term
-        return total
+                if i in point:
+                    c = c * point[i] ** e
+            if not c:
+                continue
+            key = (tuple(sorted((where[i], e) for i, e in mono if i in where)),
+                   tuple(sorted((where[i], kind, k) for i, kind, k in trig)))
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = _coefficient(s)
+            else:
+                del out[key]
+        return _expr(target, out)
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         """Numeric evaluation (floats); used as an independent test oracle."""

@@ -264,10 +264,6 @@ class DiffForm(_Alternating):
     _basis_symbol = "dx:"
 
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
 def d_scalar(patch: Patch, f) -> DiffForm:
     """Exterior derivative of a scalar function, as a 1-form."""
     return DiffForm._trusted(patch, 1, {

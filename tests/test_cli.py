@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from couplingdirac.cli import Manifest, dumps, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+README = Path(__file__).parents[1] / "README.md"
 
 MUTATIONS = ("jacobi", "poisson_connection", "curvature_identity",
              "horizontally_closed")
@@ -118,6 +120,25 @@ def test_verify_fiber_point_validation(capsys, monkeypatch):
         assert err.startswith("error:")
         if "e99" in point or "e-99" in point:
             assert "bad fiber-point value" in err
+
+
+def test_verify_fiber_point_on_an_angle_the_bivector_uses_exits_2(
+        tmp_path, capsys):
+    coords = [("t", "base", True), ("x", "base", False),
+              ("q", "fiber", False), ("p", "fiber", False)]
+    doc = {"coordinates": [{"name": n, "role": r, "angle": a}
+                           for n, r, a in coords],
+           "vertical_bivector": [{"indices": ["q", "p"],
+                                  "coeff": "2 + cos(t)"}]}
+    path = tmp_path / "angle.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--manifest", str(path), "--fiber-point", "t=0, x=1"]
+    message = "angle coordinate 't' cannot take a value"
+    code, _, err = run_lines(capsys, argv)
+    assert code == 2 and err == f"error: {message}\n"
+    code, _, err = run_lines(capsys, argv + ["--report", "json"])
+    assert code == 2
+    assert json.loads(err) == {"error": {"code": 2, "message": message}}
 
 
 # ------------------------------------------------------------------ build
@@ -389,6 +410,19 @@ def test_module_entry_point_runs():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "jacobi: PASS"
+
+
+def test_readme_python_blocks_run_in_order():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 2
+    ns = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), ns)
+    assert ns["check_integrability"](ns["data"]).passed
+    assert ns["verify_closure"](ns["build_dirac"](ns["data"])).passed
+    assert ns["check_integrability"](ns["yang_mills_data"](ns["setup"])).passed
+    assert ns["fat_check"](ns["setup"]).determinant == ns["patch"].parse("p^2")
 
 
 # ----------------------------------------------------------------- golden

@@ -131,12 +131,6 @@ def test_fat_check_reports_symbolic_determinant():
     assert report.obstruction is None
 
 
-def test_fat_check_with_momentum_values():
-    setup = gauge_fixture()
-    assert fat_check(setup, [3]).determinant == setup.patch.rational(9)
-    assert not fat_check(setup, [0])
-
-
 def test_fat_check_zero_potential_not_fat():
     patch = area_patch()
     setup = AbelianYMHSetup(patch, area_bivector(patch), ["0", "0"], "p")

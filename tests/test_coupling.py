@@ -9,7 +9,6 @@ from corpus_util import corpus, mutation_fixtures
 
 from couplingdirac import coupling
 from couplingdirac.coupling import (
-    _RELATION_CLASS,
     CONDITION_ORDER,
     CheckReport,
     ConditionReport,
@@ -28,6 +27,7 @@ from couplingdirac.coupling import (
 )
 from couplingdirac.errors import (
     DegenerateInputError,
+    ExpressionError,
     MalformedDataError,
     NonCasimirError,
 )
@@ -296,6 +296,20 @@ def test_verdicts_agree_on_random_data():
     assert agreements == 12
 
 
+# the condition a nonzero pairing <[e_i, e_j], e_k> instantiates, keyed by
+# the generator kinds (H = horizontal, V = vertical), written out in full
+RELATION_CLASS = {
+    ("H", "H", "H"): "horizontally_closed",
+    ("H", "H", "V"): "curvature_identity",
+    ("H", "V", "H"): "curvature_identity",
+    ("V", "H", "H"): "curvature_identity",
+    ("H", "V", "V"): "poisson_connection",
+    ("V", "H", "V"): "poisson_connection",
+    ("V", "V", "H"): "poisson_connection",
+    ("V", "V", "V"): "jacobi",
+}
+
+
 def brute_force_closure(L):
     """Reference closure table: all N^2 brackets against all N generators."""
     gens = list(L.labeled())
@@ -306,7 +320,7 @@ def brute_force_closure(L):
             for k3, n3, s3 in gens:
                 val = pairing_plus(br, s3)
                 if val:
-                    buckets[_RELATION_CLASS[(k1, k2, k3)]].append(
+                    buckets[RELATION_CLASS[(k1, k2, k3)]].append(
                         Witness((n1, n2, n3), val))
     return CheckReport([ConditionReport(name, buckets[name])
                         for name in CONDITION_ORDER]).as_document()
@@ -750,6 +764,12 @@ def test_restrict_keeps_jacobi():
     assert schouten(data.vertical_bivector, data.vertical_bivector).is_zero()
     fib = restrict_to_fiber(data, {"x1": 3, "x2": 1})
     assert schouten(fib, fib).is_zero()
+
+
+def test_restrict_rejects_inexact_values():
+    data = mk("x1 x2", "q p", {("q", "p"): "x1"})
+    with pytest.raises(ExpressionError, match="'x1' must be an int"):
+        restrict_to_fiber(data, {"x1": 0.5, "x2": 0})
 
 
 # ------------------------------------------------------------- report shape

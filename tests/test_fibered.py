@@ -11,20 +11,40 @@ from couplingdirac.fibered import (
     FiberedPatch,
     ann_hor_basis,
     coordinate_curvature,
-    curvature,
     d_gamma,
-    horizontal_lift,
     promote,
 )
+from couplingdirac.errors import DegreeError, PatchMismatchError
 from couplingdirac.tensorcalc import (
     DiffForm,
     Multivector,
     contract,
+    lie_bracket,
     pair,
 )
 
 FP = FiberedPatch.build("x1 x2", "q p")
 FP3 = FiberedPatch.build("x1 x2 x3", "q p")
+
+
+def horizontal_lift(conn, X):
+    """Lift a base vector field through the connection."""
+    patch = conn.patch
+    if X.patch != patch:
+        raise PatchMismatchError("vector field lives on a different patch")
+    if X.degree != 1:
+        raise DegreeError("horizontal_lift needs a vector field")
+    out = Multivector.zero(patch, 1)
+    for (i,), c in X.items():
+        out = out + c * conn.hor(i)
+    return out
+
+
+def curvature(conn, X, Y):
+    """Curv(X, Y) = hor([X, Y]) - [hor(X), hor(Y)]; always vertical."""
+    bracket = lie_bracket(X, Y)
+    return horizontal_lift(conn, bracket) - lie_bracket(
+        horizontal_lift(conn, X), horizontal_lift(conn, Y))
 
 
 def rnd_scalar(rng, patch, max_terms=2, max_deg=2):

@@ -11,6 +11,7 @@ from couplingdirac import (
     COS,
     SIN,
     AngleDisciplineError,
+    ExpressionError,
     ExpressionSyntaxError,
     Patch,
     PatchMismatchError,
@@ -406,30 +407,52 @@ def test_angle_average_properties():
 
 # --- substitution ---------------------------------------------------------------
 
-def test_substitute_values_and_expressions():
+def assert_canonical(e):
+    """No zero coefficient and no integral Fraction in the term table."""
+    for c in e.terms.values():
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+
+
+def test_substitute_rational_values():
     e = PATCH.parse("x1^2*p + sin(th)")
-    assert e.substitute({"x1": 2}) == PATCH.parse("4*p + sin(th)")
-    assert e.substitute({"x1": Fraction(1, 2), "p": "q"}) == PATCH.parse("1/4*q + sin(th)")
-    assert e.substitute({"p": "x2 + 1"}) == PATCH.parse("x1^2*x2 + x1^2 + sin(th)")
+    assert e.substitute({"x1": 2}, PATCH) == PATCH.parse("4*p + sin(th)")
+    assert e.substitute({"x1": Fraction(1, 2), "p": Fraction(2, 3)},
+                        PATCH) == PATCH.parse("1/6 + sin(th)")
+    # terms that meet after evaluation are summed, and may cancel
+    cancel = PATCH.parse("x1*q - 2*q + 1/2*x2").substitute(
+        {"x1": 2, "x2": Fraction(4)}, PATCH)
+    assert cancel == PATCH.rational(2) and type(cancel.terms[((), ())]) is int
+    assert PATCH.parse("x1*q - 2*q").substitute({"x1": 2}, PATCH).terms == {}
 
 
 def test_substitute_is_homomorphism():
     rng = random.Random(31)
     for _ in range(40):
         a, b = rnd_expr(rng), rnd_expr(rng)
-        subs = {"x1": "q^2 - 1", "x2": Fraction(3, 2)}
-        assert (a * b).substitute(subs) == a.substitute(subs) * b.substitute(subs)
-        assert (a + b).substitute(subs) == a.substitute(subs) + b.substitute(subs)
+        subs = {"x1": Fraction(-2, 3), "x2": Fraction(3, 2), "q": 2}
+        ab, a_b = (a * b).substitute(subs, PATCH), (a + b).substitute(subs, PATCH)
+        assert ab == a.substitute(subs, PATCH) * b.substitute(subs, PATCH)
+        assert a_b == a.substitute(subs, PATCH) + b.substitute(subs, PATCH)
+        assert_canonical(ab)
+        assert_canonical(a_b)
 
 
 def test_substitute_angle_discipline():
     e = PATCH.parse("sin(th)")
+    with pytest.raises(AngleDisciplineError, match="'th' cannot take a value"):
+        e.substitute({"th": 0}, PATCH)
+    # an angle that does not occur may be given a value
+    assert PATCH.parse("x1").substitute({"th": 0, "x1": 3}, PATCH) == 3
     with pytest.raises(AngleDisciplineError):
-        e.substitute({"th": 0})
-    with pytest.raises(AngleDisciplineError):
-        e.substitute({"th": "x1"})
-    other = Patch.build("x1 x2 q p ph", angles=("ph",))
-    assert e.substitute({"th": "ph"}, target=other) == other.parse("sin(ph)")
+        e.substitute({}, Patch.build("x1 x2 q p th"))
+
+
+def test_substitute_rejects_inexact_values():
+    e = PATCH.parse("x1*q")
+    for value in (0.5, 1.0, "1/2", PATCH.one()):
+        with pytest.raises(ExpressionError, match="'x1' must be an int or a Fraction"):
+            e.substitute({"x1": value}, PATCH)
 
 
 def test_substitute_to_smaller_patch():

@@ -22,7 +22,6 @@ from couplingdirac.tensorcalc import (
     poisson_bracket,
     schouten,
     sharp,
-    wedge,
 )
 
 QP = Patch.build("q p")
@@ -86,7 +85,7 @@ def test_wedge_graded_commutativity():
         b = rnd_tensor(rng, BIG, DiffForm, db)
         flipped = b.wedge(a)
         assert a.wedge(b) == (flipped if (da * db) % 2 == 0 else -flipped)
-        assert wedge(a, b).degree == da + db
+        assert a.wedge(b).degree == da + db
 
 
 def test_wedge_kind_mismatch():
