@@ -394,14 +394,14 @@ def _parse_point(patch: FiberedPatch, text: str) -> dict:
 
 
 def _cmd_verify(man: Manifest, args) -> int:
-    point = None
+    at_point = None
     if args.fiber_point is not None:
-        point = _parse_point(man.patch, args.fiber_point)
+        at_point = restrict_to_fiber(
+            man.data, _parse_point(man.patch, args.fiber_point))
     presentation = build_dirac(man.data)
     conditions = (verify_isotropy(presentation).conditions
                   + verify_closure(presentation).conditions)
-    if point is not None:
-        at_point = restrict_to_fiber(man.data, point)
+    if at_point is not None:
         conditions += (ConditionReport(
             "fiber_jacobi", tensor_witnesses(schouten(at_point, at_point))),)
     report = CheckReport(conditions)

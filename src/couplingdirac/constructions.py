@@ -26,7 +26,7 @@ from .coupling import GeometricData
 from .errors import MalformedDataError, PatchError, PatchMismatchError
 from .fibered import BaseForm, Connection, FiberedPatch
 from .fractionfield import pfaffian
-from .symexpr import ScalarExpr
+from .symexpr import ScalarExpr, _add_terms
 from .tensorcalc import Multivector, d_scalar, poisson_bracket, schouten, sharp
 
 
@@ -128,16 +128,12 @@ def yang_mills_data(setup: AbelianYMHSetup) -> GeometricData:
     patch = setup.patch
     V = setup.vertical_bivector
     base = patch.base_indices
-    table: dict = {}
+    pairs = []
     for row, J in zip(setup.potentials, setup.momenta):
         field = _hamiltonian(V, J)
         for pos, a in enumerate(base):
-            for (u,), c in field.items():
-                coeff = row[pos] * c
-                if (u, a) in table:
-                    coeff = table[(u, a)] + coeff
-                table[(u, a)] = coeff
-    conn = Connection(patch, table)
+            pairs += [((u, a), row[pos] * c) for (u,), c in field.items()]
+    conn = Connection(patch, _add_terms({}, pairs))
     ftable: dict = {}
     for pa, pb in combinations(range(len(base)), 2):
         total = _curl(setup, pa, pb)

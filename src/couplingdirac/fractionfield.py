@@ -32,7 +32,7 @@ from operator import add, sub
 from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
-from .symexpr import COS, SIN, Patch, ScalarExpr, _coefficient, _expr
+from .symexpr import COS, SIN, Patch, ScalarExpr, _add_terms, _coefficient, _expr
 
 
 def _quotient(a, b):
@@ -97,14 +97,8 @@ def _divide(ntab: dict, dtab: dict, quotient) -> Optional[dict]:
         if min(qm) < 0:
             return None
         qc = quo[qm] = quotient(rem.pop(t), lead_c)
-        for dm, dc in rest:
-            key = tuple(map(add, qm, dm))
-            s = rem.get(key)
-            s = -(qc * dc) if s is None else s - qc * dc
-            if s:
-                rem[key] = s
-            else:
-                del rem[key]
+        _add_terms(rem, [(tuple(map(add, qm, dm)), qc * dc)
+                         for dm, dc in rest], sub)
     return quo
 
 
@@ -121,7 +115,7 @@ def _polynomial_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
 
 def _laurent_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
     """An expression as {dense exponent tuple: _QI}, angle slots Laurent."""
-    table: dict = {}
+    pairs = []
     for (mono, trig), c in e.terms.items():
         exps = [0] * nvars
         for i, k in mono:
@@ -136,15 +130,8 @@ def _laurent_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
                     ex2[pos] += sign * k
                     nxt.append((ex2, w * piece))
             branches = nxt
-        for ex, w in branches:
-            key = tuple(ex)
-            prev = table.get(key)
-            s = w if prev is None else prev + w
-            if s:
-                table[key] = s
-            else:
-                del table[key]
-    return table
+        pairs += [(tuple(ex), w) for ex, w in branches]
+    return _add_terms({}, pairs)
 
 
 def _lowered(table: dict, angles: list, nvars: int):
@@ -161,8 +148,7 @@ def _real_terms(quo: dict, support: list, angles: list) -> Optional[dict]:
 
     z^k = cos(k*t) + i*sin(k*t) on every angle slot, so each Laurent term
     spreads over the cos/sin choices of its nonzero angle exponents."""
-    real: dict = {}
-    imag: dict = {}
+    real, imag = [], []
     polys = [pos for pos in range(len(support)) if pos not in angles]
     for exps, c in quo.items():
         mono = tuple((support[p], exps[p]) for p in polys if exps[p])
@@ -177,13 +163,9 @@ def _real_terms(quo: dict, support: list, angles: list) -> Optional[dict]:
                 nxt.append((word + ((i, COS, s * k),), re, im))
                 nxt.append((word + ((i, SIN, s * k),), -s * im, s * re))
             branches = nxt
-        for word, re, im in branches:
-            key = (mono, word)
-            real[key] = real.get(key, 0) + re
-            imag[key] = imag.get(key, 0) + im
-    if any(imag.values()):
-        return None
-    return {k: _coefficient(c) for k, c in real.items() if c}
+        real += [((mono, word), re) for word, re, _ in branches]
+        imag += [((mono, word), im) for word, _, im in branches]
+    return None if _add_terms({}, imag) else _add_terms({}, real)
 
 
 def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:

@@ -33,7 +33,6 @@ integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -142,6 +141,9 @@ class Patch:
 
     def rational(self, value: RationalLike) -> "ScalarExpr":
         if type(value) is not int:
+            if not isinstance(value, (int, Fraction)):
+                raise ExpressionError(
+                    f"a rational must be an int or a Fraction, not {quote(value)}")
             value = _coefficient(Fraction(value))
         return _expr(self, {_ONE_KEY: value} if value else {})
 
@@ -173,6 +175,33 @@ def _coefficient(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _add_terms(table: dict, pairs, op=add) -> dict:
+    """Merge ``(key, value)`` pairs into ``table`` in order, as ``table[key]
+    = op(table[key], value)`` for ``op`` ``add`` or ``sub`` (a missing key
+    takes ``value`` or ``-value``); returns ``table``.
+
+    This is the one place where a term table is kept canonical: a key
+    whose value cancels is dropped, and an integral ``Fraction`` is stored
+    as an ``int``.  Values may be ring rationals, Gaussian rationals,
+    expressions or quotients; only ``Fraction`` values are normalized.
+    """
+    get = table.get
+    negate = op is sub
+    for key, c in pairs:
+        prev = get(key)
+        if prev is not None:
+            c = op(prev, c)
+        elif negate:
+            c = -c
+        if not c:
+            table.pop(key, None)
+        elif type(c) is Fraction and c.denominator == 1:
+            table[key] = c.numerator
+        else:
+            table[key] = c
+    return table
 
 
 def _check_patch(a: "ScalarExpr", b: "ScalarExpr") -> None:
@@ -261,7 +290,7 @@ class ScalarExpr:
 
     def __init__(self, patch: Patch, terms: Mapping[Key, RationalLike]):
         self.patch = patch
-        self.terms = {k: _coefficient(v) for k, v in terms.items() if v}
+        self.terms = _add_terms({}, terms.items())
 
     # -- ring structure ------------------------------------------------------
     def _coerce(self, other) -> "ScalarExpr":
@@ -282,15 +311,8 @@ class ScalarExpr:
             return self
         if not self.terms:
             return other if op is add else -other
-        terms = dict(self.terms)
-        get = terms.get
-        for key, c in other.terms.items():
-            s = op(get(key, 0), c)
-            if s:
-                terms[key] = s if type(s) is int else _coefficient(s)
-            else:
-                del terms[key]
-        return _expr(self.patch, terms)
+        return _expr(self.patch,
+                     _add_terms(dict(self.terms), other.terms.items(), op))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -322,25 +344,18 @@ class ScalarExpr:
             return _scaled(self, right[_ONE_KEY])
         if len(left) == 1 and _ONE_KEY in left:
             return _scaled(other, left[_ONE_KEY])
-        terms: dict = {}
-        get = terms.get
+        products = []
         right = right.items()
         for (m1, t1), c1 in left.items():
             for (m2, t2), c2 in right:
                 mono = _mul_mono(m1, m2)
                 if t1 and t2:
                     base = c1 * c2
-                    products = [((mono, trig), base * w)
-                                for trig, w in _mul_trig(t1, t2)]
+                    products += [((mono, trig), base * w)
+                                 for trig, w in _mul_trig(t1, t2)]
                 else:  # a trig-free side: the other word is the product
-                    products = (((mono, t1 or t2), c1 * c2),)
-                for key, c in products:
-                    s = get(key, 0) + c
-                    if s:
-                        terms[key] = s if type(s) is int else _coefficient(s)
-                    else:
-                        del terms[key]
-        return _expr(self.patch, terms)
+                    products.append(((mono, t1 or t2), c1 * c2))
+        return _expr(self.patch, _add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -399,19 +414,13 @@ class ScalarExpr:
         name = coord.name if isinstance(coord, Coordinate) else coord
         i = self.patch.index(name)
         angle = self.patch.coords[i].angle
-        out: dict = {}
-        get = out.get
+        out = []
         for (mono, trig), c in self.terms.items():
             if not angle:
                 for pos, (j, e) in enumerate(mono):
                     if j == i:
                         rest = mono[:pos] + ((j, e - 1),) * (e > 1) + mono[pos + 1:]
-                        key = (rest, trig)
-                        s = get(key, 0) + c * e
-                        if s:
-                            out[key] = s if type(s) is int else _coefficient(s)
-                        else:
-                            del out[key]
+                        out.append(((rest, trig), c * e))
                         break
             else:
                 for pos, (j, kind, k) in enumerate(trig):
@@ -419,14 +428,9 @@ class ScalarExpr:
                         newkind = COS if kind == SIN else SIN
                         factor = k if kind == SIN else -k
                         rest = trig[:pos] + ((j, newkind, k),) + trig[pos + 1:]
-                        key = (mono, rest)
-                        s = get(key, 0) + c * factor
-                        if s:
-                            out[key] = s if type(s) is int else _coefficient(s)
-                        else:
-                            del out[key]
+                        out.append(((mono, rest), c * factor))
                         break
-        return _expr(self.patch, out)
+        return _expr(self.patch, _add_terms({}, out))
 
     def angle_average(self, coord: str | Coordinate) -> "ScalarExpr":
         """Fourier constant term in the given angle coordinate."""
@@ -438,7 +442,7 @@ class ScalarExpr:
                 if all(j != i for j, _, _ in key[1])}
         return _expr(self.patch, keep)
 
-    # -- substitution and evaluation ------------------------------------------
+    # -- substitution ---------------------------------------------------------
     def substitute(self, values: Mapping[str, RationalLike], target: Patch) -> "ScalarExpr":
         """Evaluate at a point of some coordinates; the result lives on ``target``.
 
@@ -466,34 +470,15 @@ class ScalarExpr:
             elif coords[i].angle:
                 raise AngleDisciplineError(
                     f"angle coordinate {coords[i].name!r} cannot take a value")
-        out: dict = {}
+        out = []
         for (mono, trig), c in self.terms.items():
             for i, e in mono:
                 if i in point:
                     c = c * point[i] ** e
-            if not c:
-                continue
             key = (tuple(sorted((where[i], e) for i, e in mono if i in where)),
                    tuple(sorted((where[i], kind, k) for i, kind, k in trig)))
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = _coefficient(s)
-            else:
-                del out[key]
-        return _expr(target, out)
-
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        """Numeric evaluation (floats); used as an independent test oracle."""
-        total = 0.0
-        for (mono, trig), c in self.terms.items():
-            v = float(c)
-            for i, e in mono:
-                v *= float(values[self.patch.coords[i].name]) ** e
-            for i, kind, k in trig:
-                th = float(values[self.patch.coords[i].name])
-                v *= math.sin(k * th) if kind == SIN else math.cos(k * th)
-            total += v
-        return total
+            out.append((key, c))
+        return _expr(target, _add_terms({}, out))
 
     # -- printing --------------------------------------------------------------
     def _term_str(self, key: Key, coeff: Fraction, lead: bool) -> str:
@@ -536,9 +521,10 @@ def _scaled(e: ScalarExpr, c: RationalLike) -> ScalarExpr:
 def _expr(patch: Patch, terms: dict) -> ScalarExpr:
     """A ScalarExpr that owns ``terms`` as given.
 
-    The ring operations build their results here: their tables hold no
-    zero coefficient and no integral ``Fraction`` already, so the public
-    constructor's filtering pass would be wasted work.  The coordinate
+    The ring operations build their results here: their tables come from
+    :func:`_add_terms`, the one place the canonical form is kept, or from
+    scaling a canonical table by a nonzero rational, so they hold no zero
+    coefficient and no integral ``Fraction`` already.  The coordinate
     support is left unset until :meth:`ScalarExpr.coordinates_used`.
     """
     e = object.__new__(ScalarExpr)

@@ -1,15 +1,17 @@
 """Multivector fields, differential forms, and the bracket calculus.
 
 Both tensor kinds are sparse tables: strictly increasing coordinate-index
-tuples mapped to nonzero scalar coefficients.  Coefficients are usually
-:class:`~couplingdirac.symexpr.ScalarExpr` but any value supporting the
-same ring/derivative/support protocol works (the fraction-field layer
-reuses these classes unchanged).
+tuples mapped to nonzero scalar coefficients.  Coefficients are
+:class:`~couplingdirac.symexpr.ScalarExpr` or, in the fraction-field
+layer, :class:`~couplingdirac.fractionfield.RatExpr` values, which share
+the ring/derivative/support protocol.
 
-The public constructor checks every key and drops zero coefficients; a
-table the calculus builds is clean by construction and trusted once
-built.  Derivatives follow each coefficient's coordinate support
-(``coordinates_used()``), as every other partial derivative is zero.
+The public constructor checks every key and drops zero coefficients.
+Every table the calculus builds is merged by
+:func:`~couplingdirac.symexpr._add_terms`, the one place the canonical
+form of a table is kept, and is trusted once built.  Derivatives follow
+each coefficient's coordinate support (``coordinates_used()``), as every
+other partial derivative is zero.
 
 Sign conventions, fixed once and asserted by the tests:
 
@@ -24,10 +26,12 @@ Sign conventions, fixed once and asserted by the tests:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence
 
-from .errors import DegreeError, PatchMismatchError
-from .symexpr import Patch
+from .errors import DegreeError, ExpressionError, PatchMismatchError, quote
+from .fractionfield import RatExpr
+from .symexpr import Patch, ScalarExpr, _add_terms
 
 
 def _merge_indices(left: tuple, right: tuple):
@@ -68,14 +72,14 @@ def _sort_indices(indices: Sequence[int]):
     return sign, tuple(idx)
 
 
-def _accumulate(table: dict, key, value) -> None:
-    """Add ``value`` into ``table[key]``, dropping the entry if it cancels."""
-    prev = table.get(key)
-    s = value if prev is None else prev + value
-    if s:
-        table[key] = s
-    else:
-        table.pop(key, None)
+def _scalar(patch: Patch, value):
+    """An expression as is, an int or a Fraction as a constant expression."""
+    if isinstance(value, (ScalarExpr, RatExpr)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return patch.rational(value)
+    raise ExpressionError(f"a coefficient must be an int, a Fraction or an "
+                          f"expression, not {quote(value)}")
 
 
 class _Alternating:
@@ -116,26 +120,19 @@ class _Alternating:
 
     @classmethod
     def from_scalar(cls, patch: Patch, value):
-        if isinstance(value, (int, Fraction)):
-            value = patch.rational(value)
-        return cls(patch, 0, {(): value})
+        return cls(patch, 0, {(): _scalar(patch, value)})
 
     @classmethod
     def build(cls, patch: Patch, degree: int, entries: Mapping[Sequence, object]):
         """Build from possibly unsorted name/index tuples, folding signs."""
-        table: dict = {}
+        pairs = []
         for raw, c in entries.items():
             idx = tuple(patch.index(k) if isinstance(k, str) else k for k in raw)
-            if isinstance(c, (int, Fraction)):
-                c = patch.rational(c)
+            c = _scalar(patch, c)
             hit = _sort_indices(idx)
-            if hit is None:
-                continue
-            sign, key = hit
-            c = c if sign > 0 else -c
-            prev = table.get(key)
-            table[key] = c if prev is None else prev + c
-        return cls(patch, degree, table)
+            if hit is not None:
+                pairs.append((hit[1], c if hit[0] > 0 else -c))
+        return cls(patch, degree, _add_terms({}, pairs))
 
     @classmethod
     def basis(cls, patch: Patch, *names: str):
@@ -149,32 +146,24 @@ class _Alternating:
             raise PatchMismatchError("tensors live on different patches")
 
     # -- linear structure -------------------------------------------------------
-    def _combine(self, other, subtract: bool):
-        """self + other, or self - other when ``subtract``, into one copy
-        of ``self``'s table."""
+    def _combine(self, other, op):
+        """self + other or self - other for ``op`` ``add`` or ``sub``, into
+        one copy of ``self``'s table."""
         self._check(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add tensors of different degrees")
-        table = dict(self.comps)
-        for key, c in other.comps.items():
-            prev = table.get(key)
-            if prev is None:
-                table[key] = -c if subtract else c
-            elif s := (prev - c if subtract else prev + c):
-                table[key] = s
-            else:
-                del table[key]
-        return self._trusted(self.patch, self.degree, table)
+        return self._trusted(self.patch, self.degree, _add_terms(
+            dict(self.comps), other.comps.items(), op))
 
     def __add__(self, other):
-        return self._combine(other, False)
+        return self._combine(other, add)
 
     def __neg__(self):
         return self._trusted(self.patch, self.degree,
                              {k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self._combine(other, sub)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -221,16 +210,15 @@ class _Alternating:
 
     def wedge(self, other):
         self._check(other)
-        table: dict = {}
+        pairs = []
         for k1, c1 in self.comps.items():
             for k2, c2 in other.comps.items():
                 hit = _merge_indices(k1, k2)
-                if hit is None:
-                    continue
-                sign, key = hit
-                c = c1 * c2
-                _accumulate(table, key, c if sign > 0 else -c)
-        return self._trusted(self.patch, self.degree + other.degree, table)
+                if hit is not None:
+                    c = c1 * c2
+                    pairs.append((hit[1], c if hit[0] > 0 else -c))
+        return self._trusted(self.patch, self.degree + other.degree,
+                             _add_terms({}, pairs))
 
     def __str__(self):
         if not self.comps:
@@ -274,18 +262,14 @@ def d_scalar(patch: Patch, f) -> DiffForm:
 def exterior_derivative(omega: DiffForm) -> DiffForm:
     if not isinstance(omega, DiffForm):
         raise TypeError("exterior_derivative expects a DiffForm")
-    table: dict = {}
+    pairs = []
     patch = omega.patch
     for key, c in omega.comps.items():
         for i in sorted(c.coordinates_used()):
             hit = _merge_indices((i,), key)
-            if hit is None:
-                continue
-            dc = c.differentiate(patch.coords[i].name)
-            if dc:
-                sign, merged = hit
-                _accumulate(table, merged, dc if sign > 0 else -dc)
-    return DiffForm._trusted(patch, omega.degree + 1, table)
+            if hit is not None and (dc := c.differentiate(patch.coords[i].name)):
+                pairs.append((hit[1], dc if hit[0] > 0 else -dc))
+    return DiffForm._trusted(patch, omega.degree + 1, _add_terms({}, pairs))
 
 
 def contract(V: Multivector, omega: DiffForm) -> DiffForm:
@@ -295,7 +279,7 @@ def contract(V: Multivector, omega: DiffForm) -> DiffForm:
             f"cannot contract degree {V.degree} into degree {omega.degree}")
     if V.patch != omega.patch:
         raise PatchMismatchError("tensors live on different patches")
-    table: dict = {}
+    pairs = []
     for I, vc in V.comps.items():
         for J, wc in omega.comps.items():
             sign = 1
@@ -311,8 +295,9 @@ def contract(V: Multivector, omega: DiffForm) -> DiffForm:
             if rest is None:
                 continue
             c = vc * wc
-            _accumulate(table, rest, c if sign > 0 else -c)
-    return DiffForm._trusted(omega.patch, omega.degree - V.degree, table)
+            pairs.append((rest, c if sign > 0 else -c))
+    return DiffForm._trusted(omega.patch, omega.degree - V.degree,
+                             _add_terms({}, pairs))
 
 
 def pair(omega: DiffForm, X: Multivector):
@@ -350,7 +335,7 @@ def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
     if X.patch != Y.patch:
         raise PatchMismatchError("tensors live on different patches")
     coords = X.patch.coords
-    table: dict = {}
+    pairs = []
     for P, Q, negate in ((X, Y, False), (Y, X, True)):
         along = P.comps
         for key, qc in Q.comps.items():
@@ -358,8 +343,8 @@ def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
                 pc = along.get((j,))
                 if pc is not None and (dc := qc.differentiate(coords[j].name)):
                     c = pc * dc
-                    _accumulate(table, key, -c if negate else c)
-    return Multivector._trusted(X.patch, 1, table)
+                    pairs.append((key, -c if negate else c))
+    return Multivector._trusted(X.patch, 1, _add_terms({}, pairs))
 
 
 def _odd_derivatives(T: Multivector) -> dict:
@@ -397,7 +382,7 @@ def schouten(A: Multivector, B: Multivector) -> Multivector:
         return Multivector.zero(patch, 0)
     oddA, oddB = _odd_derivatives(A), _odd_derivatives(B)
     terms = ((oddA, B, 1), (oddB, A, -1 if (a - 1) * (b - 1) % 2 == 0 else 1))
-    table: dict = {}
+    pairs = []
     for i in sorted(oddA.keys() & _coefficient_support(B)
                     | oddB.keys() & _coefficient_support(A)):
         name = patch.coords[i].name
@@ -413,9 +398,8 @@ def schouten(A: Multivector, B: Multivector) -> Multivector:
                     hit = _merge_indices(rest, key)
                     if hit is not None:
                         c = oc * dc
-                        _accumulate(table, hit[1],
-                                    c if hit[0] * s * sign > 0 else -c)
-    return Multivector._trusted(patch, a + b - 1, table)
+                        pairs.append((hit[1], c if hit[0] * s * sign > 0 else -c))
+    return Multivector._trusted(patch, a + b - 1, _add_terms({}, pairs))
 
 
 def lie_derivative(X: Multivector, T):
@@ -438,15 +422,15 @@ def sharp(V: Multivector, alpha: DiffForm) -> Multivector:
         raise DegreeError("sharp needs a bivector and a 1-form")
     if V.patch != alpha.patch:
         raise PatchMismatchError("tensors live on different patches")
-    table: dict = {}
+    pairs = []
     for (i, j), vc in V.comps.items():
         for idx, other, flip in (((i,), j, False), ((j,), i, True)):
             ac = alpha.comps.get(idx)
             if ac is None:
                 continue
             c = vc * ac
-            _accumulate(table, (other,), -c if flip else c)
-    return Multivector._trusted(V.patch, 1, table)
+            pairs.append(((other,), -c if flip else c))
+    return Multivector._trusted(V.patch, 1, _add_terms({}, pairs))
 
 
 def poisson_bracket(V: Multivector, f, g):

@@ -141,6 +141,28 @@ def test_verify_fiber_point_on_an_angle_the_bivector_uses_exits_2(
     assert json.loads(err) == {"error": {"code": 2, "message": message}}
 
 
+def test_verify_evaluates_the_fiber_point_before_any_closure_work(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    closure = couplingdirac.cli.verify_closure
+    monkeypatch.setattr(couplingdirac.cli, "verify_closure",
+                        lambda *a: calls.append(a) or closure(*a))
+    coords = [("t", "base", True), ("x", "base", False),
+              ("q", "fiber", False), ("p", "fiber", False)]
+    doc = {"coordinates": [{"name": n, "role": r, "angle": a}
+                           for n, r, a in coords],
+           "vertical_bivector": [{"indices": ["q", "p"],
+                                  "coeff": "2 + cos(t)"}]}
+    path = tmp_path / "angle.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--manifest", str(path)]
+    code, _, err = run_lines(capsys, argv + ["--fiber-point", "t=0, x=1"])
+    assert (code, err, calls) == (
+        2, "error: angle coordinate 't' cannot take a value\n", [])
+    run_lines(capsys, argv)  # without a point the closure runs
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------------ build
 
 def test_build_emits_generator_sections(capsys):

@@ -20,7 +20,10 @@ from couplingdirac import (
     UnknownCoordinateError,
     parse,
 )
+from couplingdirac.fractionfield import divide_exact
 from couplingdirac.symexpr import _MAX_NESTING
+from couplingdirac.tensorcalc import DiffForm, Multivector, contract, schouten
+from float_oracle import evaluate
 
 PATCH = Patch.build("x1 x2 q p th", angles=("th",))
 
@@ -53,12 +56,12 @@ def test_canonical_form_matches_numeric_evaluation():
     for _ in range(200):
         a = rnd_expr(rng)
         b = rnd_expr(rng)
-        combos = {"sum": (a + b, lambda pt: a.evaluate(pt) + b.evaluate(pt)),
-                  "prod": (a * b, lambda pt: a.evaluate(pt) * b.evaluate(pt))}
+        combos = {"sum": (a + b, lambda pt: evaluate(a, pt) + evaluate(b, pt)),
+                  "prod": (a * b, lambda pt: evaluate(a, pt) * evaluate(b, pt))}
         for label, (expr, oracle) in combos.items():
             for _ in range(20):
                 pt = sample_point(rng)
-                assert expr.evaluate(pt) == pytest.approx(oracle(pt), abs=1e-9), label
+                assert evaluate(expr, pt) == pytest.approx(oracle(pt), abs=1e-9), label
 
 
 def test_zero_iff_identically_zero_numerically():
@@ -69,7 +72,7 @@ def test_zero_iff_identically_zero_numerically():
         assert diff.is_zero()
         b = rnd_expr(rng)
         if not (a - b).is_zero():
-            assert any(abs(a.evaluate(pt) - b.evaluate(pt)) > 1e-12
+            assert any(abs(evaluate(a, pt) - evaluate(b, pt)) > 1e-12
                        for pt in (sample_point(rng) for _ in range(30)))
 
 
@@ -209,15 +212,38 @@ def expr_triples():
 
 
 @settings(database=None, deadline=None)
-@given(expr_triples())
-def test_ring_results_stay_canonical(triple):
+@given(expr_triples(), st.fractions(-3, 3, max_denominator=3))
+def test_ring_results_stay_canonical(triple, value):
+    """Every table the ring, exact division and the calculus build: no
+    zero coefficient or component and no integral Fraction."""
     a, b, c = triple
-    for e in (a + b, a - b, b - a, a * b, a * a, a - a, a + c, a * c):
-        assert ScalarExpr(e.patch, dict(e.terms)).terms == e.terms
-        assert all(type(v) is int for v in e.terms.values()
-                   if Fraction(v).denominator == 1)
+    patch = a.patch
+    rest = Patch(patch.coords[1:])
+    results = [a + b, a - b, b - a, a * b, a * a, a - a, a + c, a * c,
+               a.substitute({"x": value}, rest)]
+    results += [e.differentiate(coord) for e in (a, a * b)
+                for coord in patch.coords]
+    if b:
+        quotient = divide_exact(a * b, b)
+        assert quotient == a
+        results.append(quotient)
+    for e in results:
+        assert_canonical(e)
     assert (a - b) + b == a
     assert a * (b + c) == a * b + a * c
+    X = Multivector.build(patch, 1, {(0,): a, (1,): b})
+    Y = Multivector.build(patch, 1, {(0,): b, (1,): c})
+    V = Multivector.build(patch, 2, {(0, 1): c})
+    w = DiffForm.build(patch, 2, {(0, 1): a * b})
+    alpha = DiffForm.build(patch, 1, {(0,): c, (1,): a})
+    tensors = [X, Y, V, w, alpha, X + Y, X - Y, Y - X, X - X, w + w,
+               X.wedge(Y), alpha.wedge(alpha), contract(X, w), contract(V, w),
+               contract(Y, alpha), schouten(X, Y), schouten(X, V),
+               schouten(V, V)]
+    for T in tensors:
+        for e in T.comps.values():
+            assert e
+            assert_canonical(e)
 
 
 # --- coefficient representation -------------------------------------------------
@@ -290,8 +316,8 @@ def test_products_of_trig_and_trig_free_factors_match_evaluation():
             product = product * f
         for _ in range(5):
             pt = sample_point(rng)
-            assert product.evaluate(pt) == pytest.approx(
-                math.prod(f.evaluate(pt) for f in factors), abs=1e-9)
+            assert evaluate(product, pt) == pytest.approx(
+                math.prod(evaluate(f, pt) for f in factors), abs=1e-9)
 
 
 def test_public_constructor_normalizes_its_table():
@@ -301,6 +327,14 @@ def test_public_constructor_normalizes_its_table():
     e = ScalarExpr(PATCH, {key: Fraction(4, 2), ((), ()): Fraction(1, 3)})
     assert e == PATCH.parse("2*x1 + 1/3")
     assert_normal_coefficients(e)
+
+
+def test_rational_accepts_only_exact_scalars():
+    for value, shown in ((0.1, "0.1"), ("1/2", "'1/2'")):
+        with pytest.raises(ExpressionError, match=(
+                f"must be an int or a Fraction, not {shown}$")):
+            PATCH.rational(value)
+    assert PATCH.rational(Fraction(4, 2)).terms == {((), ()): 2}
 
 
 def test_as_rational_is_a_fraction():
@@ -375,8 +409,8 @@ def test_differentiate_numeric_oracle():
         for name in ("x1", "p", "th"):
             up = dict(pt); up[name] += h
             dn = dict(pt); dn[name] -= h
-            fd = (a.evaluate(up) - a.evaluate(dn)) / (2 * h)
-            assert a.differentiate(name).evaluate(pt) == pytest.approx(fd, abs=1e-5)
+            fd = (evaluate(a, up) - evaluate(a, dn)) / (2 * h)
+            assert evaluate(a.differentiate(name), pt) == pytest.approx(fd, abs=1e-5)
 
 
 # --- angle averaging -----------------------------------------------------------
@@ -541,4 +575,4 @@ def test_numeric_trig_identity_oracle():
     e = PATCH.parse("sin(th)^2")
     for th in (0.0, 0.3, 1.1, 2.9, -1.7):
         pt = {"x1": 0, "x2": 0, "q": 0, "p": 0, "th": th}
-        assert e.evaluate(pt) == pytest.approx(math.sin(th) ** 2, abs=1e-12)
+        assert evaluate(e, pt) == pytest.approx(math.sin(th) ** 2, abs=1e-12)

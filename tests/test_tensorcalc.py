@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from couplingdirac import DegreeError, Patch
+from couplingdirac import DegreeError, ExpressionError, Patch
 from couplingdirac.fractionfield import RatExpr
 from couplingdirac.tensorcalc import (
     CourantSection,
@@ -102,6 +102,21 @@ def test_build_folds_antisymmetry():
 
 
 # --- exterior derivative -------------------------------------------------------
+
+def test_tensor_coefficients_must_be_exact_scalars():
+    with pytest.raises(ExpressionError, match="int, a Fraction or an "
+                       "expression, not 0.5"):
+        Multivector.build(QP, 2, {("q", "p"): 0.5})
+    with pytest.raises(ExpressionError, match="not '1/2'"):
+        DiffForm.build(QP, 1, {("q",): "1/2"})
+    with pytest.raises(ExpressionError, match="not 0.5"):
+        Multivector.from_scalar(QP, 0.5)
+    V = Multivector.build(QP, 2, {("q", "p"): Fraction(1, 2)})
+    assert schouten(V, V).is_zero()
+    assert DiffForm.from_scalar(QP, 3).scalar() == 3
+    half = RatExpr(QP.one(), QP.rational(2))
+    assert Multivector.build(QP, 1, {("q",): half}).coefficient("q") == half
+
 
 def test_exterior_derivative_examples():
     f = BIG.parse("x1*p")
