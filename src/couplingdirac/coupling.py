@@ -43,7 +43,6 @@ from .fibered import (
     ann_hor_basis,
     coordinate_curvature,
     d_gamma,
-    promote,
 )
 from .fractionfield import RatExpr, divide_exact, rat_inverse
 from .symexpr import ScalarExpr
@@ -319,18 +318,20 @@ def build_dirac(data: GeometricData) -> DiracPresentation:
     """Span the almost-Dirac subbundle attached to the data.
 
     One horizontal generator per base coordinate (its lift, paired with
-    the lift's contraction into the promoted 2-form) and one vertical
+    the lift's contraction into the horizontal 2-form) and one vertical
     generator per fiber coordinate (minus the bivector image of the
     annihilator coframe element, paired with that element).
     """
     patch = data.patch
     conn = data.connection
-    Fbar = promote(conn, data.horizontal_form)
+    # F's table, read on the total patch, vanishes on vertical vectors and
+    # restricts to F on the lifts, so each lift contracts into F itself.
+    F = data.horizontal_form
     horizontal = []
     for a in patch.base_indices:
         X = conn.hor(a)
         horizontal.append(
-            (patch.coords[a].name, CourantSection(X, contract(X, Fbar))))
+            (patch.coords[a].name, CourantSection(X, contract(X, F))))
     vertical = []
     for u, eta in zip(patch.fiber_indices, ann_hor_basis(conn)):
         vf = -sharp(data.vertical_bivector, eta)

@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 
 from .errors import DegreeError, PatchError, PatchMismatchError
 from .symexpr import Coordinate, Patch, ScalarExpr
-from .tensorcalc import DiffForm, Multivector, _Alternating, lie_bracket
+from .tensorcalc import (
+    DiffForm, Multivector, _Alternating, d_scalar, lie_bracket, pair)
 
 
 class FiberedPatch(Patch):
@@ -54,20 +55,24 @@ class FiberedPatch(Patch):
 
 
 class Connection:
-    """Ehresmann connection stored by horizontal-lift coefficients G^u_a."""
+    """Ehresmann connection stored by horizontal-lift coefficients G^u_a;
+    ``table`` must not change, as ``hor`` reads the lifts from it once."""
 
-    __slots__ = ("patch", "table")
+    __slots__ = ("patch", "table", "_lifts")
 
     def __init__(self, patch: FiberedPatch, table: Mapping = ()):
         if not isinstance(patch, FiberedPatch):
             raise PatchError("a connection needs a fibered patch")
         self.patch = patch
+        self._lifts = None
         clean = {}
         fiber = set(patch.fiber_indices)
         base = set(patch.base_indices)
         for (u, a), coeff in dict(table).items():
             u = patch.index(u) if isinstance(u, str) else u
             a = patch.index(a) if isinstance(a, str) else a
+            if not (0 <= u < len(patch) and 0 <= a < len(patch)):
+                raise PatchError(f"connection index ({u}, {a}) is outside the patch")
             if u not in fiber or a not in base:
                 raise PatchError(
                     f"connection coefficient indexed by (fiber, base), got "
@@ -109,23 +114,15 @@ class Connection:
             raise ValueError(
                 f"cannot lift a field with fiber component "
                 f"{self.patch.coords[a].name}")
-        comps = {(a,): self.patch.one()}
-        for (u, b), coeff in self.table.items():
-            if b == a:
-                comps[(u,)] = -coeff
-        return Multivector(self.patch, 1, comps)
-
-    def horizontal_derivative(self, a, f) -> ScalarExpr:
-        """hor(d_a) applied to a scalar function."""
-        a = self.patch.index(a) if isinstance(a, str) else a
-        coords, used = self.patch.coords, f.coordinates_used()
-        out = f.differentiate(coords[a].name) if a in used else self.patch.zero()
-        for (u, b), coeff in self.table.items():
-            if b == a and u in used:
-                df = f.differentiate(coords[u].name)
-                if df:
-                    out = out - coeff * df
-        return out
+        if a not in self.patch.base_indices:
+            raise PatchError(f"no base coordinate with index {a}")
+        if self._lifts is None:
+            comps = {b: {(b,): self.patch.one()} for b in self.patch.base_indices}
+            for (u, b), coeff in self.table.items():
+                comps[b][(u,)] = -coeff
+            self._lifts = {b: Multivector._trusted(self.patch, 1, c)
+                           for b, c in comps.items()}
+        return self._lifts[a]
 
 
 class BaseForm(_Alternating):
@@ -163,34 +160,20 @@ def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
     patch = conn.patch
     if alpha.patch != patch:
         raise PatchMismatchError("base form lives on a different patch")
+    lifts = {a: conn.hor(a) for a in patch.base_indices}
+    grad = {key: d_scalar(patch, c) for key, c in alpha.comps.items()}
     table: dict = {}
     for key in combinations(patch.base_indices, alpha.degree + 1):
         total = patch.zero()
         for pos, a in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            c = alpha.comps.get(rest)
-            if c is None:
+            dc = grad.get(key[:pos] + key[pos + 1:])
+            if dc is None:
                 continue
-            d = conn.horizontal_derivative(a, c)
+            d = pair(dc, lifts[a])
             total = total + (d if pos % 2 == 0 else -d)
         if total:
             table[key] = total
     return BaseForm(patch, alpha.degree + 1, table)
-
-
-def promote(conn: Connection, F: BaseForm) -> DiffForm:
-    """Extend a base 2-form to the horizontal 2-form on the total patch.
-
-    The extension vanishes on vertical vectors and restricts to F on
-    horizontal lifts; in coordinates it is literally the same component
-    table read as a total-patch form (the lift coframe dual to hor(d_a)
-    is dx^a).
-    """
-    if F.degree != 2:
-        raise DegreeError("promote expects a base 2-form")
-    if F.patch != conn.patch:
-        raise PatchMismatchError("base form lives on a different patch")
-    return DiffForm(conn.patch, 2, dict(F.comps))
 
 
 def ann_hor_basis(conn: Connection) -> list:

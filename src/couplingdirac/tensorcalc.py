@@ -29,7 +29,8 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .errors import DegreeError, ExpressionError, PatchMismatchError, quote
+from .errors import (
+    DegreeError, ExpressionError, PatchError, PatchMismatchError, quote)
 from .fractionfield import RatExpr
 from .symexpr import Patch, ScalarExpr, _add_terms
 
@@ -99,6 +100,8 @@ class _Alternating:
                     f"index tuple {key} does not match degree {degree}")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise ValueError(f"index tuple {key} is not strictly increasing")
+            if key and not (0 <= key[0] and key[-1] < len(patch)):
+                raise PatchError(f"index tuple {key} is outside the patch")
             if c:
                 table[key] = c
         self.comps = table
@@ -189,6 +192,9 @@ class _Alternating:
     # -- access -------------------------------------------------------------------
     def coefficient(self, *names):
         """Component on the given coordinates (any order; sign folded in)."""
+        if len(names) != self.degree:
+            raise DegreeError(
+                f"{len(names)} coordinates for a degree-{self.degree} tensor")
         idx = tuple(self.patch.index(k) if isinstance(k, str) else k for k in names)
         hit = _sort_indices(idx)
         if hit is None:

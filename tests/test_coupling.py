@@ -31,7 +31,7 @@ from couplingdirac.errors import (
     MalformedDataError,
     NonCasimirError,
 )
-from couplingdirac.fibered import BaseForm, Connection, FiberedPatch, promote
+from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
 from couplingdirac.fractionfield import RatExpr, divide_exact, pfaffian
 from couplingdirac.tensorcalc import (
     CourantSection,
@@ -172,11 +172,10 @@ def test_build_dirac_casimir_direction_gives_zero_field():
 def test_build_dirac_horizontal_generators_use_lifts():
     data = ymh_fixture()
     L = build_dirac(data)
-    Fbar = promote(data.connection, data.horizontal_form)
     for name, section in L.horizontal:
         lift = data.connection.hor(name)
         assert section.vf == lift
-        assert section.form == contract(lift, Fbar)
+        assert section.form == contract(lift, data.horizontal_form)
 
 
 # ---------------------------------------------------------------- isotropy

@@ -1,6 +1,7 @@
 """Connections, lifts, curvature, the twisted Koszul operator."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,6 @@ from couplingdirac.fibered import (
     ann_hor_basis,
     coordinate_curvature,
     d_gamma,
-    promote,
 )
 from couplingdirac.errors import DegreeError, PatchMismatchError
 from couplingdirac.tensorcalc import (
@@ -47,6 +47,20 @@ def curvature(conn, X, Y):
         horizontal_lift(conn, X), horizontal_lift(conn, Y))
 
 
+def horizontal_derivative(conn, a, f):
+    """hor(d_a) applied to a scalar function, written out from the
+    connection table: d_a f - sum_u G^u_a d_u f."""
+    a = conn.patch.index(a) if isinstance(a, str) else a
+    coords, used = conn.patch.coords, f.coordinates_used()
+    out = f.differentiate(coords[a].name) if a in used else conn.patch.zero()
+    for (u, b), coeff in conn.table.items():
+        if b == a and u in used:
+            df = f.differentiate(coords[u].name)
+            if df:
+                out = out - coeff * df
+    return out
+
+
 def rnd_scalar(rng, patch, max_terms=2, max_deg=2):
     out = patch.zero()
     names = [c.name for c in patch.coords]
@@ -75,6 +89,29 @@ def test_patch_roles():
         FiberedPatch.build("x1", "")
     with pytest.raises(PatchError):
         Connection(FP, {("x1", "q"): FP.one()})  # roles swapped
+
+
+def test_connection_rejects_an_index_outside_the_patch():
+    with pytest.raises(PatchError, match="outside the patch"):
+        Connection(FP, {(99, 0): FP.one()})
+    with pytest.raises(PatchError, match="outside the patch"):
+        Connection(FP, {(2, -1): FP.one()})
+
+
+def test_hor_rejects_an_index_outside_the_patch():
+    conn = Connection(FP, {("q", "x1"): FP.coord("p")})
+    with pytest.raises(PatchError, match="no base coordinate"):
+        conn.hor(7)
+    with pytest.raises(ValueError, match="fiber component q") as err:
+        conn.hor("q")
+    assert not isinstance(err.value, PatchError)
+
+
+def test_lifts_are_built_once():
+    conn = Connection(FP, {("q", "x1"): FP.coord("p")})
+    assert conn.hor("x1") is conn.hor("x1")
+    assert conn.hor(0) is conn.hor("x1")
+    assert conn.hor("x2") == Multivector.basis(FP, "x2")
 
 
 def test_horizontal_lift_examples():
@@ -165,22 +202,43 @@ def test_d_gamma_flat_is_base_de_rham():
         assert twice.is_zero()
 
 
+def test_d_gamma_matches_horizontal_derivative():
+    rng = random.Random(71)
+    bases = FP3.base_names
+    for degree in (0, 1, 2):
+        for _ in range(10):
+            conn = rnd_connection(rng, FP3)
+            assert conn.table
+            alpha = BaseForm.build(FP3, degree, {
+                key: rnd_scalar(rng, FP3)
+                for key in combinations(bases, degree)
+                if rng.random() < 0.7})
+            expected = {}
+            for key in combinations(FP3.base_indices, degree + 1):
+                total = FP3.zero()
+                for pos, a in enumerate(key):
+                    rest = key[:pos] + key[pos + 1:]
+                    d = horizontal_derivative(
+                        conn, a, alpha.coefficient(*rest))
+                    total = total + (d if pos % 2 == 0 else -d)
+                expected[key] = total
+            assert d_gamma(conn, alpha) == BaseForm(FP3, degree + 1, expected)
+
+
 def test_promote_and_round_trip():
     rng = random.Random(27)
     for _ in range(20):
         conn = rnd_connection(rng, FP3)
         F = BaseForm.build(FP3, 2, {("x1", "x2"): rnd_scalar(rng, FP3),
                                     ("x2", "x3"): rnd_scalar(rng, FP3)})
-        Fbar = promote(conn, F)
-        # vanishes on vertical directions
+        # read on the total patch, F vanishes on vertical directions
         for u in ("q", "p"):
-            assert contract(Multivector.basis(FP3, u), Fbar).is_zero()
+            assert contract(Multivector.basis(FP3, u), F).is_zero()
         # pulls back to F through horizontal lifts
         for a, b in (("x1", "x2"), ("x1", "x3"), ("x2", "x3")):
             ha = horizontal_lift(conn, Multivector.basis(FP3, a))
             hb = horizontal_lift(conn, Multivector.basis(FP3, b))
-            assert contract(ha.wedge(hb), Fbar).scalar() == F.coefficient(a, b)
-    assert promote(Connection.flat(FP), BaseForm.zero(FP, 2)).is_zero()
+            assert contract(ha.wedge(hb), F).scalar() == F.coefficient(a, b)
 
 
 def test_ann_hor_basis():

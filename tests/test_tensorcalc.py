@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from couplingdirac import DegreeError, ExpressionError, Patch
+from couplingdirac import DegreeError, ExpressionError, Patch, PatchError
 from couplingdirac.fractionfield import RatExpr
 from couplingdirac.tensorcalc import (
     CourantSection,
@@ -99,6 +99,28 @@ def test_build_folds_antisymmetry():
     assert Multivector.build(QP, 2, {("q", "q"): 1}).is_zero()
     assert v.coefficient("q", "p") == -1
     assert v.coefficient("p", "q") == 1
+
+
+def test_constructor_rejects_an_index_outside_the_patch():
+    for key in ((99,), (-1,)):
+        with pytest.raises(PatchError, match="outside the patch"):
+            Multivector(BIG, 1, {key: BIG.one()})
+    with pytest.raises(PatchError, match="outside the patch"):
+        DiffForm(BIG, 2, {(0, 4): BIG.one()})
+
+
+def test_build_rejects_an_index_outside_the_patch():
+    with pytest.raises(PatchError, match="outside the patch"):
+        Multivector.build(BIG, 1, {(7,): 1})
+
+
+def test_coefficient_needs_one_coordinate_per_degree():
+    V = Multivector.build(BIG, 2, {("q", "p"): 1})
+    with pytest.raises(DegreeError, match="1 coordinates for a degree-2"):
+        V.coefficient("q")
+    with pytest.raises(DegreeError):
+        V.coefficient("x1", "q", "p")
+    assert V.coefficient("p", "q") == -1
 
 
 # --- exterior derivative -------------------------------------------------------
