@@ -15,7 +15,7 @@ Exit codes: 0 every check passed, 1 a mathematical check failed,
 2 manifest parse/validation error (including a file that is not UTF-8
 or JSON nested past the decoder's recursion limit, and a bad
 ``--fiber-point``), 3 degenerate input (singular base block,
-non-Casimir coefficient).
+non-Casimir coefficient, recovered data that is not polynomial).
 """
 
 from __future__ import annotations

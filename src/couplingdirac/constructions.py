@@ -54,12 +54,11 @@ def _curl(setup: "AbelianYMHSetup", pa: int, pb: int) -> ScalarExpr:
     """Sum over factors of J (d_a A_b - d_b A_a), a and b by base position."""
     patch = setup.patch
     base = patch.base_indices
-    na = patch.coords[base[pa]].name
-    nb = patch.coords[base[pb]].name
+    a, b = base[pa], base[pb]
     total = patch.zero()
     for row, J in zip(setup.potentials, setup.momenta):
-        total = total + J * (row[pb].differentiate(na)
-                             - row[pa].differentiate(nb))
+        total = total + J * (row[pb].differentiate(a)
+                             - row[pa].differentiate(b))
     return total
 
 
@@ -221,10 +220,9 @@ def _potential_data(setup: CartanSetup, conn_potential: BaseForm,
     conn = Connection(patch, table)
     ftable: dict = {}
     for a, b in combinations(base, 2):
-        na, nb = patch.coords[a].name, patch.coords[b].name
         pa = form_potential.coefficient(a)
         pb = form_potential.coefficient(b)
-        entry = pb.differentiate(na) - pa.differentiate(nb) \
+        entry = pb.differentiate(a) - pa.differentiate(b) \
             - poisson_bracket(V, pa, pb)
         if average:
             entry = average(entry)

@@ -539,9 +539,9 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     Writing M for the base-base component matrix: the recovered 2-form is
     -[M]^{-1}, the connection solves hor(d_a) = the bivector image of the
     2-form-dual coframe (componentwise G^u_a = -sum_b (M^{-1})_{ab}
-    Pi^{bu}), and the vertical bivector is what remains after removing
-    the horizontal part.  Inverse of :func:`extract_poisson` on
-    nondegenerate data.
+    Pi^{bu}), and the vertical bivector is read off the fiber block,
+    V^{uv} = Pi^{uv} + sum_a G^u_a Pi^{av}.  Inverse of
+    :func:`extract_poisson` on nondegenerate data.
 
     The base-base and base-fiber coefficients share one denominator D,
     the product of their distinct denominators (one, Pf(F), on the output
@@ -559,11 +559,11 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     if Pi.degree != 2:
         raise DegreeError("decomposition needs a bivector")
     base = patch.base_indices
-    fiber = set(patch.fiber_indices)
+    fiber = patch.fiber_indices
     n = len(base)
 
     solve = {}
-    for key in product(base, (*base, *sorted(fiber))):
+    for key in product(base, (*base, *fiber)):
         c = Pi.coefficient(*key)
         solve[key] = RatExpr(c) if isinstance(c, ScalarExpr) else c
     dens = list(dict.fromkeys(c.den for c in solve.values() if c.den != 1))
@@ -579,7 +579,7 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
             "block is degenerate") from exc
 
     table = {}
-    for u in sorted(fiber):
+    for u in fiber:
         for pa, a in enumerate(base):
             g = -sum((adj[pa][pb] * N[(b, u)] for pb, b in enumerate(base)),
                      patch.zero())
@@ -588,28 +588,19 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
                                            "connection coefficient")
     conn = Connection(patch, table)
 
-    ftable = {}
-    for pa in range(n):
-        for pb in range(pa + 1, n):
-            if not adj[pa][pb].is_zero():
-                ftable[(base[pa], base[pb])] = _scalarize(
-                    RatExpr(-D * adj[pa][pb], pf), "2-form entry")
-    F = BaseForm(patch, 2, ftable)
+    F = BaseForm(patch, 2, {
+        (base[pa], base[pb]): _scalarize(RatExpr(-D * adj[pa][pb], pf),
+                                         "2-form entry")
+        for pa, pb in combinations(range(n), 2) if not adj[pa][pb].is_zero()})
 
-    hor = [conn.hor(a) for a in base]
-    rest = Pi
-    for pa in range(n):
-        for pb in range(pa + 1, n):
-            w = Pi.coefficient(base[pa], base[pb])
-            if w:
-                rest = rest - hor[pa].wedge(hor[pb]) * w
+    # V^{uv} = Pi^{uv} + sum_a G^u_a Pi^{av}, with Pi^{av} = N^{av}/D
     vtable = {}
-    for key, c in rest.items():
-        if not set(key) <= fiber:
-            bad = ",".join(patch.coords[i].name for i in key)
-            raise ArithmeticError(
-                f"internal error: non-vertical remainder on ({bad}): {c}")
-        vtable[key] = _scalarize(c, "vertical bivector entry")
+    for u, v in combinations(fiber, 2):
+        hor = sum((g * N[(a, v)] for a in base
+                   if (g := table.get((u, a))) is not None), patch.zero())
+        c = Pi.coefficient(u, v)
+        vtable[(u, v)] = _scalarize(c + RatExpr(hor, D) if hor else c,
+                                    "vertical bivector entry")
     V = Multivector(patch, 2, vtable)
 
     if dens:

@@ -69,10 +69,7 @@ class Connection:
         fiber = set(patch.fiber_indices)
         base = set(patch.base_indices)
         for (u, a), coeff in dict(table).items():
-            u = patch.index(u) if isinstance(u, str) else u
-            a = patch.index(a) if isinstance(a, str) else a
-            if not (0 <= u < len(patch) and 0 <= a < len(patch)):
-                raise PatchError(f"connection index ({u}, {a}) is outside the patch")
+            u, a = patch.index(u), patch.index(a)
             if u not in fiber or a not in base:
                 raise PatchError(
                     f"connection coefficient indexed by (fiber, base), got "
@@ -91,9 +88,8 @@ class Connection:
         return cls(patch, {})
 
     def coefficient(self, u, a) -> ScalarExpr:
-        u = self.patch.index(u) if isinstance(u, str) else u
-        a = self.patch.index(a) if isinstance(a, str) else a
-        return self.table.get((u, a), self.patch.zero())
+        return self.table.get((self.patch.index(u), self.patch.index(a)),
+                              self.patch.zero())
 
     def __eq__(self, other):
         return (isinstance(other, Connection) and self.patch == other.patch

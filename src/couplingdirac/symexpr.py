@@ -99,7 +99,14 @@ class Patch:
         return cls(Coordinate(n, role=role, angle=(n in angles)) for n in names)
 
     # -- lookup ------------------------------------------------------------
-    def index(self, name: str) -> int:
+    def index(self, ref: str | Coordinate | int) -> int:
+        """The position of a coordinate given by name, by ``Coordinate``
+        (looked up by its name) or by position."""
+        if type(ref) is int:
+            if 0 <= ref < len(self.coords):
+                return ref
+            raise PatchError(f"coordinate index {ref} is outside the patch")
+        name = ref.name if isinstance(ref, Coordinate) else ref
         try:
             return self._index[name]
         except KeyError:
@@ -410,9 +417,8 @@ class ScalarExpr:
             return used
 
     # -- calculus ------------------------------------------------------------
-    def differentiate(self, coord: str | Coordinate) -> "ScalarExpr":
-        name = coord.name if isinstance(coord, Coordinate) else coord
-        i = self.patch.index(name)
+    def differentiate(self, coord: str | Coordinate | int) -> "ScalarExpr":
+        i = self.patch.index(coord)
         angle = self.patch.coords[i].angle
         out = []
         for (mono, trig), c in self.terms.items():
@@ -432,12 +438,12 @@ class ScalarExpr:
                         break
         return _expr(self.patch, _add_terms({}, out))
 
-    def angle_average(self, coord: str | Coordinate) -> "ScalarExpr":
+    def angle_average(self, coord: str | Coordinate | int) -> "ScalarExpr":
         """Fourier constant term in the given angle coordinate."""
-        name = coord.name if isinstance(coord, Coordinate) else coord
-        i = self.patch.index(name)
+        i = self.patch.index(coord)
         if not self.patch.coords[i].angle:
-            raise AngleDisciplineError(f"{name!r} is not an angle coordinate")
+            raise AngleDisciplineError(
+                f"{self.patch.coords[i].name!r} is not an angle coordinate")
         keep = {key: c for key, c in self.terms.items()
                 if all(j != i for j, _, _ in key[1])}
         return _expr(self.patch, keep)

@@ -130,7 +130,7 @@ class _Alternating:
         """Build from possibly unsorted name/index tuples, folding signs."""
         pairs = []
         for raw, c in entries.items():
-            idx = tuple(patch.index(k) if isinstance(k, str) else k for k in raw)
+            idx = tuple(map(patch.index, raw))
             c = _scalar(patch, c)
             hit = _sort_indices(idx)
             if hit is not None:
@@ -195,7 +195,7 @@ class _Alternating:
         if len(names) != self.degree:
             raise DegreeError(
                 f"{len(names)} coordinates for a degree-{self.degree} tensor")
-        idx = tuple(self.patch.index(k) if isinstance(k, str) else k for k in names)
+        idx = tuple(map(self.patch.index, names))
         hit = _sort_indices(idx)
         if hit is None:
             return self.patch.zero()
@@ -262,7 +262,7 @@ def d_scalar(patch: Patch, f) -> DiffForm:
     """Exterior derivative of a scalar function, as a 1-form."""
     return DiffForm._trusted(patch, 1, {
         (i,): df for i in sorted(f.coordinates_used())
-        if (df := f.differentiate(patch.coords[i].name))})
+        if (df := f.differentiate(i))})
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -273,7 +273,7 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     for key, c in omega.comps.items():
         for i in sorted(c.coordinates_used()):
             hit = _merge_indices((i,), key)
-            if hit is not None and (dc := c.differentiate(patch.coords[i].name)):
+            if hit is not None and (dc := c.differentiate(i)):
                 pairs.append((hit[1], dc if hit[0] > 0 else -dc))
     return DiffForm._trusted(patch, omega.degree + 1, _add_terms({}, pairs))
 
@@ -340,14 +340,13 @@ def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
         raise DegreeError("lie_bracket needs two vector fields")
     if X.patch != Y.patch:
         raise PatchMismatchError("tensors live on different patches")
-    coords = X.patch.coords
     pairs = []
     for P, Q, negate in ((X, Y, False), (Y, X, True)):
         along = P.comps
         for key, qc in Q.comps.items():
             for j in qc.coordinates_used():
                 pc = along.get((j,))
-                if pc is not None and (dc := qc.differentiate(coords[j].name)):
+                if pc is not None and (dc := qc.differentiate(j)):
                     c = pc * dc
                     pairs.append((key, -c if negate else c))
     return Multivector._trusted(X.patch, 1, _add_terms({}, pairs))
@@ -391,14 +390,13 @@ def schouten(A: Multivector, B: Multivector) -> Multivector:
     pairs = []
     for i in sorted(oddA.keys() & _coefficient_support(B)
                     | oddB.keys() & _coefficient_support(A)):
-        name = patch.coords[i].name
         for odd, T, sign in terms:
             lowered = odd.get(i)
             if lowered is None:
                 continue
             gradient = [(key, dc) for key, c in T.comps.items()
                         if i in c.coordinates_used()
-                        and (dc := c.differentiate(name))]
+                        and (dc := c.differentiate(i))]
             for rest, s, oc in lowered:
                 for key, dc in gradient:
                     hit = _merge_indices(rest, key)

@@ -258,6 +258,24 @@ def test_decompose_without_base_block_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == 3
 
 
+def test_decompose_with_recovered_data_that_is_not_polynomial_exits_3(
+        tmp_path, capsys):
+    doc = json.loads(Path(fixture("decompose")).read_text())
+    doc["bivector"] = [{"indices": ["x1", "x2"], "coeff": "x1"},
+                       {"indices": ["x1", "q"], "coeff": "1"},
+                       {"indices": ["q", "p"], "coeff": "1"}]
+    path = tmp_path / "fraction.json"
+    path.write_text(dumps(doc))
+    message = ("recovered connection coefficient is not polynomial: value "
+               "(-1)/(x1) is not expressible without denominators")
+    code, lines, err = run_lines(capsys, ["decompose", "--manifest", str(path)])
+    assert (code, lines, err) == (3, [], f"error: {message}\n")
+    code, _, err = run_lines(
+        capsys, ["decompose", "--manifest", str(path), "--report", "json"])
+    assert code == 3
+    assert json.loads(err) == {"error": {"code": 3, "message": message}}
+
+
 def test_decompose_needs_a_bivector_block(capsys):
     code, _, err = run_lines(
         capsys, ["decompose", "--manifest", fixture("flat")])

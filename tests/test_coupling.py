@@ -1,5 +1,6 @@
 """Integrability checker, generator presentation, and the bivector bridge."""
 
+from itertools import combinations, product
 import math
 import random
 
@@ -33,6 +34,7 @@ from couplingdirac.errors import (
 )
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
 from couplingdirac.fractionfield import RatExpr, divide_exact, pfaffian
+from couplingdirac.symexpr import Coordinate
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
@@ -511,6 +513,27 @@ def test_decompose_purely_vertical_is_not_transverse():
         decompose_coupling(Pi, patch)
 
 
+def test_decompose_names_the_recovered_entry_that_is_not_polynomial():
+    patch = FiberedPatch.build("x1 x2", "q p")
+    x1 = patch.coord("x1")
+    r = RatExpr(patch.one(), patch.parse("1 + q"))
+    cases = [
+        ({("x1", "x2"): x1, ("x1", "q"): 1, ("q", "p"): 1},
+         "recovered connection coefficient is not polynomial: "
+         "value (-1)/(x1) is not expressible without denominators"),
+        ({("x1", "x2"): x1, ("q", "p"): 1},
+         "recovered 2-form entry is not polynomial: value (1)/(x1) "),
+        ({("x1", "x2"): r, ("x1", "q"): r, ("x2", "p"): r},
+         "recovered vertical bivector entry is not polynomial: "
+         "value (-1)/(1 + q) "),
+    ]
+    for entries, message in cases:
+        Pi = Multivector.build(patch, 2, entries)
+        with pytest.raises(DegenerateInputError) as err:
+            decompose_coupling(Pi, patch)
+        assert str(err.value).startswith(message)
+
+
 def test_round_trip_from_data():
     data = ymh_fixture()
     result = decompose_coupling(extract_poisson(data), data.patch)
@@ -645,6 +668,51 @@ def test_decompose_over_a_product_of_denominators():
     # does D, since none of the n/2 = 1 divisions succeeded
     assert list(result.pivot_denominators) == [P("-1*p - p*q"),
                                                P("p^2 + p^2*q")]
+
+
+def product_of_denominators_bivector():
+    """The ymh fixture's bivector with its (x2, q) entry over -p*(1 + q)."""
+    data = ymh_fixture()
+    patch = data.patch
+    Pi = extract_poisson(data)
+    key = (patch.index("x2"), patch.index("q"))
+    comps = dict(Pi.comps)
+    c = comps[key]
+    comps[key] = RatExpr(c.num * patch.parse("1 + q"),
+                         c.den * patch.parse("1 + q"))
+    return Multivector(patch, 2, comps)
+
+
+def test_round_trips_from_the_bivector_side():
+    bivectors = [extract_poisson(data) for data in (
+        four_base_data(), six_base_data(), angle_base_data())]
+    bivectors.append(product_of_denominators_bivector())
+    for Pi in bivectors:
+        assert extract_poisson(decompose_coupling(Pi, Pi.patch).data) == Pi
+
+
+def test_round_trips_on_interleaved_patches():
+    # base and fiber coordinates in shuffled order; a constant invertible
+    # base block keeps every recovered entry polynomial
+    rng = random.Random(4401)
+    for _ in range(40):
+        roles = ["base"] * 4 + ["fiber"] * 4
+        rng.shuffle(roles)
+        patch = FiberedPatch([Coordinate(f"y{i}", role=r)
+                              for i, r in enumerate(roles)])
+        base, fiber = patch.base_indices, patch.fiber_indices
+        pool = list(patch.names)
+        while True:
+            M = {k: rng.randint(-3, 3) for k in combinations(base, 2)}
+            a, b, c, d = base
+            if M[a, b] * M[c, d] - M[a, c] * M[b, d] + M[a, d] * M[b, c]:
+                break
+        entries = dict(M)
+        for key in [*product(base, fiber), *combinations(fiber, 2)]:
+            if rng.random() < 0.6:
+                entries[key] = rnd_expr(rng, patch, pool)
+        Pi = Multivector.build(patch, 2, entries)
+        assert extract_poisson(decompose_coupling(Pi, patch).data) == Pi
 
 
 def test_decompose_divides_the_pfaffian_at_most_half_the_base_dimension(

@@ -98,6 +98,15 @@ def test_connection_rejects_an_index_outside_the_patch():
         Connection(FP, {(2, -1): FP.one()})
 
 
+def test_connection_coefficient_rejects_an_index_outside_the_patch():
+    conn = Connection(FP, {("q", "x1"): FP.coord("p")})
+    assert conn.coefficient(2, 0) == conn.coefficient("q", "x1") == FP.coord("p")
+    with pytest.raises(PatchError, match="outside the patch"):
+        conn.coefficient(99, 0)
+    with pytest.raises(PatchError, match="outside the patch"):
+        conn.coefficient("q", -1)
+
+
 def test_hor_rejects_an_index_outside_the_patch():
     conn = Connection(FP, {("q", "x1"): FP.coord("p")})
     with pytest.raises(PatchError, match="no base coordinate"):

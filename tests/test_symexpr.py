@@ -14,6 +14,7 @@ from couplingdirac import (
     ExpressionError,
     ExpressionSyntaxError,
     Patch,
+    PatchError,
     PatchMismatchError,
     RatExpr,
     ScalarExpr,
@@ -370,6 +371,18 @@ def test_coordinates_used_is_the_cached_union_of_term_coordinates():
         PATCH.index("x2"), PATCH.index("th"), PATCH.index("p")}
 
 
+def test_index_resolves_a_name_a_coordinate_or_a_position():
+    q = PATCH.index("q")
+    assert PATCH.index(PATCH.coords[q]) == PATCH.index(q) == q == 2
+    for ref in (len(PATCH), -1):
+        with pytest.raises(PatchError, match="outside the patch"):
+            PATCH.index(ref)
+    with pytest.raises(UnknownCoordinateError):
+        PATCH.index("y")
+    with pytest.raises(UnknownCoordinateError):
+        PATCH.index(True)  # a bool is not a position
+
+
 def test_patch_mismatch_rejected():
     other = Patch.build("x1 x2")
     with pytest.raises(PatchMismatchError):
@@ -386,6 +399,18 @@ def test_differentiate_basics():
     assert e.differentiate("x2").is_zero()
     assert PATCH.parse("sin(2*th)").differentiate("th") == PATCH.parse("2*cos(2*th)")
     assert PATCH.parse("cos(3*th)").differentiate("th") == PATCH.parse("-3*sin(3*th)")
+
+
+def test_calculus_takes_a_coordinate_by_position():
+    e = PATCH.parse("x1^3*q + 2*p + x1*sin(th)")
+    assert e.differentiate(0) == e.differentiate("x1")
+    assert e.differentiate(PATCH.coords[4]) == e.differentiate("th")
+    assert e.angle_average(4) == e.angle_average("th") == PATCH.parse(
+        "x1^3*q + 2*p")
+    with pytest.raises(AngleDisciplineError, match="'x1' is not an angle"):
+        e.angle_average(0)
+    with pytest.raises(PatchError, match="outside the patch"):
+        e.differentiate(99)
 
 
 def test_differentiate_product_rule_and_mixed_partials():

@@ -114,6 +114,14 @@ def test_build_rejects_an_index_outside_the_patch():
         Multivector.build(BIG, 1, {(7,): 1})
 
 
+def test_coefficient_rejects_an_index_outside_the_patch():
+    v = Multivector.basis(BIG, "q")
+    assert v.coefficient(2) == v.coefficient("q") == 1
+    for ref in (99, -1):
+        with pytest.raises(PatchError, match="outside the patch"):
+            v.coefficient(ref)
+
+
 def test_coefficient_needs_one_coordinate_per_degree():
     V = Multivector.build(BIG, 2, {("q", "p"): 1})
     with pytest.raises(DegreeError, match="1 coordinates for a degree-2"):
