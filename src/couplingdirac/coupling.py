@@ -49,11 +49,13 @@ from .symexpr import ScalarExpr
 from .tensorcalc import (
     CourantSection,
     Multivector,
+    _HALF,
+    _pairing_row,
+    _slot_index,
     contract,
     courant_bracket,
     d_scalar,
     lie_derivative,
-    pairing_plus,
     schouten,
     sharp,
 )
@@ -248,13 +250,22 @@ class DiracPresentation:
     @property
     def pairings(self) -> tuple:
         """``(i, j, pairing_plus(e_i, e_j))`` for every i <= j, in
-        ``labeled()`` order."""
+        ``labeled()`` order.
+
+        Built from one pairing row per generator over the generators' slot
+        index: row i pairs e_i with the e_j, j >= i, that share a slot with
+        it, and every other entry is the patch's zero."""
         if self._pairings is None:
             gens = self.sections
             n = len(gens)
-            object.__setattr__(self, "_pairings", tuple(
-                (i, j, pairing_plus(gens[i], gens[j]))
-                for i in range(n) for j in range(i, n)))
+            index = _slot_index(gens)
+            zero = self.patch.zero()
+            table = []
+            for i in range(n):
+                row = _pairing_row(gens[i], index, i, n)
+                table += [(i, j, row[j] * _HALF if j in row else zero)
+                          for j in range(i, n)]
+            object.__setattr__(self, "_pairings", tuple(table))
         return self._pairings
 
     def __len__(self):
@@ -435,6 +446,13 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     floor((N-1)^2/4) brackets, the fewest pairs meeting every triple
     (Mantel), for C(N,3) pairings.
 
+    Each bracket is paired with the generators in one pass: over an index
+    of the generators' vector-field and form slots, one pairing row per
+    bracket holds 2<[e_a,e_b], e_c> for the thirds c it is read at and
+    that share a slot with the bracket, so a generator sharing none costs
+    nothing.  Still one value is read per triple, and it is halved only
+    when nonzero.
+
     A guard decides this isotropy itself (independently of
     ``check_integrability``) from the presentation's ``pairings`` table,
     which ``verify_isotropy`` shares, and falls back to all N^2 brackets
@@ -448,6 +466,7 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     isotropic = not any(val for _, _, val in L.pairings)
     pairs = (chain(combinations(range(m), 2), combinations(range(m, n), 2))
              if isotropic else product(range(n), repeat=2))
+    index = _slot_index(sections)
     buckets = {name: [] for name in CONDITION_ORDER}
     for a, b in pairs:
         br = courant_bracket(sections[a], sections[b])
@@ -457,10 +476,12 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
             thirds = range(b + 1, n)
         else:
             thirds = range(a)
+        row = _pairing_row(br, index, thirds.start, thirds.stop)
         for c in thirds:
-            val = pairing_plus(br, sections[c])
-            if not val:
+            val = row.get(c)
+            if val is None:
                 continue
+            val = val * _HALF
             if not isotropic:
                 orbit = (((a, b, c), val),)
             elif b < m:

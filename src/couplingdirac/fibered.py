@@ -105,6 +105,8 @@ class Connection:
     def hor(self, a) -> Multivector:
         """Horizontal lift of the base coordinate field d_a; a fiber
         coordinate raises ``ValueError``."""
+        if type(a) is bool:
+            raise PatchError(f"a coordinate position must be an int, not {a}")
         a = self.patch.index(a) if isinstance(a, str) else a
         if a in self.patch.fiber_indices:
             raise ValueError(

@@ -26,6 +26,7 @@ Sign conventions, fixed once and asserted by the tests:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -506,18 +507,60 @@ def pairing_plus(s1: CourantSection, s2: CourantSection):
     return total * _HALF if total else total
 
 
+def _slot_index(sections: Sequence[CourantSection]) -> tuple:
+    """``(vector-field map, form map)``: each maps a slot key to the
+    ``(position, coefficient)`` pairs, in position order, of the sections
+    whose vector field (form) has a component there."""
+    vfs: dict = {}
+    forms: dict = {}
+    for c, s in enumerate(sections):
+        for key, xc in s.vf.comps.items():
+            vfs.setdefault(key, []).append((c, xc))
+        for key, wc in s.form.comps.items():
+            forms.setdefault(key, []).append((c, wc))
+    return vfs, forms
+
+
+def _pairing_row(s: CourantSection, index: tuple, lo: int, hi: int) -> dict:
+    """``{c: 2 <s, e_c>}`` over the positions ``lo <= c < hi`` of the
+    indexed sections e_c, as one table: ``s.vf`` is walked against the
+    form map and ``s.form`` against the vector-field map, so a section
+    sharing no slot with ``s`` costs nothing.  A missing position pairs to
+    zero; each value is ``2 * pairing_plus(s, e_c)``, left to the reader
+    to halve."""
+    vfs, forms = index
+    return _add_terms({}, chain(
+        ((c, xc * wc) for key, xc in s.vf.comps.items()
+         for c, wc in forms.get(key, ()) if lo <= c < hi),
+        ((c, xc * wc) for key, wc in s.form.comps.items()
+         for c, xc in vfs.get(key, ()) if lo <= c < hi)))
+
+
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
     """Non-skew (Dorfman) bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1).
 
     The form half is expanded by Cartan's formula
     ``L_X a = i_X da + d(i_X a)`` into
-    ``i_{X1} dform2 + d<form2, X1> - i_{X2} dform1``, where each section's
-    ``dform`` is taken once and reused across every bracket it enters.
+    ``i_{X1} dform2 + d<form2, X1> - i_{X2} dform1``, whose three parts are
+    merged into one table; each section's ``dform`` is taken once and
+    reused across every bracket it enters.
     """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
     X1 = s1.vf
     vf = lie_bracket(X1, s2.vf)
-    form = (contract(X1, s2.dform) + d_scalar(s1.patch, pair(s2.form, X1))
-            - contract(s2.vf, s1.dform))
+    f = _shared_sum(s2.form.comps, X1.comps)
+    pairs = [] if f is None else list(d_scalar(s1.patch, f).comps.items())
+    # i_{X1} dform2 and -i_{X2} dform1, contracted inline: a 2-form entry
+    # (i, j) gives +X^i on (j,) and -X^j on (i,)
+    for X, dform, negate in ((X1.comps, s2.dform.comps, False),
+                             (s2.vf.comps, s1.dform.comps, True)):
+        for (i, j), wc in dform.items():
+            if (xc := X.get((i,))) is not None:
+                c = xc * wc
+                pairs.append(((j,), -c if negate else c))
+            if (xc := X.get((j,))) is not None:
+                c = xc * wc
+                pairs.append(((i,), c if negate else -c))
+    form = DiffForm._trusted(s1.patch, 1, _add_terms({}, pairs))
     return CourantSection(vf, form)

@@ -39,6 +39,9 @@ from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _HALF,
+    _pairing_row,
+    _slot_index,
     contract,
     courant_bracket,
     pairing_plus,
@@ -381,32 +384,40 @@ def test_dirac_presentation_is_immutable():
     assert L.pairings is L.pairings
 
 
-def count_pairings(monkeypatch, L):
-    """Record each pairing_plus call as True when both arguments are
-    generators of L (an isotropy pairing), else False."""
+def count_rows(monkeypatch, L):
+    """Record each pairing row as (section, lo, hi, whether the section is
+    a generator of L)."""
     generators = {id(s) for s in L.sections}
-    calls = []
-    real = coupling.pairing_plus
+    rows = []
+    real = coupling._pairing_row
 
-    def counting(s1, s2):
-        calls.append(id(s1) in generators and id(s2) in generators)
-        return real(s1, s2)
+    def counting(s, index, lo, hi):
+        rows.append((s, lo, hi, id(s) in generators))
+        return real(s, index, lo, hi)
 
-    monkeypatch.setattr(coupling, "pairing_plus", counting)
-    return calls
+    monkeypatch.setattr(coupling, "_pairing_row", counting)
+    return rows
 
 
 def count_brackets(monkeypatch):
-    """Record each courant_bracket call made by the coupling module."""
+    """Record each Courant bracket the coupling module makes, as it is
+    returned."""
     calls = []
     real = coupling.courant_bracket
 
     def counting(s1, s2):
-        calls.append((s1, s2))
-        return real(s1, s2)
+        calls.append(real(s1, s2))
+        return calls[-1]
 
     monkeypatch.setattr(coupling, "courant_bracket", counting)
     return calls
+
+
+def generator_rows(rows, n):
+    """The generator rows, checked to be row i over [i, n) for each i."""
+    gen = [(lo, hi) for _, lo, hi, is_gen in rows if is_gen]
+    assert gen == [(i, n) for i in range(n)]
+    return gen
 
 
 def test_isotropic_closure_brackets_one_pair_per_triple(monkeypatch):
@@ -420,31 +431,71 @@ def test_isotropic_closure_brackets_one_pair_per_triple(monkeypatch):
         assert verify_isotropy(L).condition("isotropy").passed
         with monkeypatch.context() as patched:
             brackets = count_brackets(patched)
-            pairings = count_pairings(patched, L)
+            rows = count_rows(patched, L)
             verify_closure(L)
         assert len(brackets) == (n - 1) ** 2 // 4, n
-        assert pairings.count(False) == math.comb(n, 3), n
+        # one row per bracket, made on that bracket, and nothing else
+        assert [id(s) for s, _, _, _ in rows] == list(map(id, brackets)), n
+        assert sum(hi - lo for _, lo, hi, _ in rows) == math.comb(n, 3), n
 
 
 def test_generator_pairings_are_evaluated_once(monkeypatch):
     L = build_dirac(ymh_fixture())
     n = len(L)
-    calls = count_pairings(monkeypatch, L)
+    brackets = count_brackets(monkeypatch)
+    rows = count_rows(monkeypatch, L)
     assert verify_isotropy(L).passed
     assert verify_closure(L).passed
-    assert calls.count(True) == n * (n + 1) // 2
-    assert calls.count(False) == math.comb(n, 3)
+    gen = generator_rows(rows, n)
+    assert sum(hi - lo for lo, hi in gen) == n * (n + 1) // 2
+    closure = [(s, lo, hi) for s, lo, hi, is_gen in rows if not is_gen]
+    assert [id(s) for s, _, _ in closure] == list(map(id, brackets))
+    assert sum(hi - lo for _, lo, hi in closure) == math.comb(n, 3)
 
 
 def test_closure_of_non_isotropic_presentation_pairs_all_triples(monkeypatch):
     L = non_isotropic_presentation()
     n = len(L)
     brackets = count_brackets(monkeypatch)
-    calls = count_pairings(monkeypatch, L)
+    rows = count_rows(monkeypatch, L)
     assert not verify_closure(L).passed
     assert len(brackets) == n ** 2
-    assert calls.count(True) == n * (n + 1) // 2
-    assert calls.count(False) == n ** 3
+    assert sum(hi - lo for lo, hi in generator_rows(rows, n)) \
+        == n * (n + 1) // 2
+    closure = [(s, lo, hi) for s, lo, hi, is_gen in rows if not is_gen]
+    assert [id(s) for s, _, _ in closure] == list(map(id, brackets))
+    assert [(lo, hi) for _, lo, hi in closure] == [(0, n)] * n ** 2
+    assert sum(hi - lo for _, lo, hi in closure) == n ** 3
+
+
+def test_pairing_rows_match_pairing_plus():
+    presentations = [build_dirac(data) for _, data in corpus()]
+    presentations += [build_dirac(data)
+                      for data in mutation_fixtures().values()]
+    presentations += [build_dirac(data) for shape in SHAPES
+                      for data in random_shaped_data(*shape)]
+    presentations.append(non_isotropic_presentation())
+    nonzero = 0
+    for L in presentations:
+        gens = L.sections
+        n = len(gens)
+        index = _slot_index(gens)
+        for a, b in product(range(n), repeat=2):
+            br = courant_bracket(gens[a], gens[b])
+            row = _pairing_row(br, index, 0, n)
+            assert set(row) <= set(range(n))
+            for c in range(n):
+                want = pairing_plus(br, gens[c])
+                if c in row:
+                    assert row[c] and row[c] * _HALF == want, (L, a, b, c)
+                    nonzero += 1
+                else:
+                    assert want.is_zero(), (L, a, b, c)
+            # a restricted row is the full row's entries in [lo, hi)
+            lo, hi = min(a, b), max(a, b) + 1
+            assert _pairing_row(br, index, lo, hi) == {
+                c: v for c, v in row.items() if lo <= c < hi}
+    assert nonzero
 
 
 # ----------------------------------------------------------- extract/graph

@@ -116,6 +116,15 @@ def test_hor_rejects_an_index_outside_the_patch():
     assert not isinstance(err.value, PatchError)
 
 
+def test_hor_rejects_a_bool():
+    # True == 1 and False == 0 as ints; neither names a base coordinate
+    conn = Connection(FP, {("q", "x2"): FP.coord("p")})
+    for flag in (True, False):
+        with pytest.raises(PatchError, match="not True|not False"):
+            conn.hor(flag)
+    assert conn.hor(1) is conn.hor("x2")
+
+
 def test_lifts_are_built_once():
     conn = Connection(FP, {("q", "x1"): FP.coord("p")})
     assert conn.hor("x1") is conn.hor("x1")
