@@ -522,7 +522,7 @@ def extract_poisson(data: GeometricData) -> Multivector:
     rows = [[data.horizontal_form.coefficient(i, j) for j in base]
             for i in base]
     try:
-        pf, adj = rat_inverse(rows, patch)
+        (_, pf), adj = rat_inverse(rows, patch)
     except DegenerateInputError as exc:
         n = len(base)
         raise DegenerateInputError(
@@ -532,7 +532,7 @@ def extract_poisson(data: GeometricData) -> Multivector:
     Pi = data.vertical_bivector
     for pa in range(len(base)):
         for pb in range(pa + 1, len(base)):
-            w = -adj[pa][pb]
+            w = -adj[pa][pb][1]
             if w:
                 q = divide_exact(w, pf)
                 Pi = Pi + hor[pa].wedge(hor[pb]) * (
@@ -567,11 +567,18 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     The base-base and base-fiber coefficients share one denominator D,
     the product of their distinct denominators (one, Pf(F), on the output
     of ``extract_poisson``): with N = D*M and C its Pfaffian adjugate,
-    M^{-1} = D*C/Pf(N), D cancels from the connection, and det(M) =
-    (Pf(N)/D^(n/2))^2.  The pivots name det(M)'s zero locus: Pf(N)^2 when
-    D = 1; otherwise what remains of Pf(N) after dividing D out of it
-    exactly at most n/2 times, plus D itself when fewer than n/2 of those
-    divisions succeed.  Constant pivots are dropped.
+    M^{-1} = D*C/Pf(N), and det(M) = (Pf(N)/D^(n/2))^2.  ``rat_inverse``
+    hands each Pfaffian of N back as D^e*R, having divided D out of it
+    once per subset size where that was exact.  On an extracted bivector
+    Pf(N) = D^(n/2-1)*R with R constant and every entry of C is D^(n/2-2)
+    times a polynomial, so a 2-form entry is -R_ab/R and a connection sum
+    is divided by D*R: no product with D is formed.  In general a power
+    of D goes to whichever side of a fraction keeps it whole.  The pivots
+    name det(M)'s zero locus: Pf(N)^2 when D = 1; otherwise what remains
+    of Pf(N) after dividing D out of it exactly at most n/2 times (the
+    first e of them already done by the expansion), plus D itself when
+    fewer than n/2 of those divisions succeed.  Constant pivots are
+    dropped.
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -582,55 +589,77 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     base = patch.base_indices
     fiber = patch.fiber_indices
     n = len(base)
+    zero = patch.zero()
 
+    # the rows of the base-base and base-fiber blocks; absent entries are 0
+    comps = Pi.comps
     solve = {}
-    for key in product(base, (*base, *fiber)):
-        c = Pi.coefficient(*key)
-        solve[key] = RatExpr(c) if isinstance(c, ScalarExpr) else c
+    for a in base:
+        for b in (*base, *fiber):
+            c = comps.get((a, b) if a < b else (b, a))
+            if c is not None:
+                c = c if a < b else -c
+                solve[(a, b)] = c if isinstance(c, RatExpr) else RatExpr(c)
     dens = list(dict.fromkeys(c.den for c in solve.values() if c.den != 1))
     D = prod(dens, start=patch.one())
     N = {key: prod((d for d in dens if d != c.den), start=c.num)
          for key, c in solve.items()}
     try:
-        pf, adj = rat_inverse([[N[(a, b)] for b in base] for a in base],
-                              patch)
+        (e, R), adj = rat_inverse(
+            [[N.get((a, b), zero) for b in base] for a in base], patch,
+            D if dens else None)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "bivector is not transverse to the fibers: the base-base "
             "block is degenerate") from exc
 
+    def over(num, k, den):
+        """D^k*num/den, with the power of D on the side that keeps it whole."""
+        if k:
+            num, den = (num * D ** k, den) if k > 0 else (num, den * D ** -k)
+        return RatExpr(num, den)
+
     table = {}
     for u in fiber:
         for pa, a in enumerate(base):
-            g = -sum((adj[pa][pb] * N[(b, u)] for pb, b in enumerate(base)),
-                     patch.zero())
+            row = [(adj[pa][pb], N[(b, u)]) for pb, b in enumerate(base)
+                   if adj[pa][pb][1] and (b, u) in N]
+            if not row:
+                continue
+            low = min(k for (k, _), _ in row)
+            g = -sum(((c * D ** (k - low) if k > low else c) * nu
+                      for (k, c), nu in row), zero)
             if not g.is_zero():
-                table[(u, a)] = _scalarize(RatExpr(g, pf),
+                table[(u, a)] = _scalarize(over(g, low - e, R),
                                            "connection coefficient")
     conn = Connection(patch, table)
 
-    F = BaseForm(patch, 2, {
-        (base[pa], base[pb]): _scalarize(RatExpr(-D * adj[pa][pb], pf),
-                                         "2-form entry")
-        for pa, pb in combinations(range(n), 2) if not adj[pa][pb].is_zero()})
+    ftable = {}
+    for pa, pb in combinations(range(n), 2):
+        k, c = adj[pa][pb]
+        if c:
+            ftable[(base[pa], base[pb])] = _scalarize(over(-c, 1 + k - e, R),
+                                                      "2-form entry")
+    F = BaseForm(patch, 2, ftable)
 
     # V^{uv} = Pi^{uv} + sum_a G^u_a Pi^{av}, with Pi^{av} = N^{av}/D
     vtable = {}
     for u, v in combinations(fiber, 2):
         hor = sum((g * N[(a, v)] for a in base
-                   if (g := table.get((u, a))) is not None), patch.zero())
-        c = Pi.coefficient(u, v)
+                   if (g := table.get((u, a))) is not None and (a, v) in N),
+                  zero)
+        c = comps.get((u, v), zero)
         vtable[(u, v)] = _scalarize(c + RatExpr(hor, D) if hor else c,
                                     "vertical bivector entry")
     V = Multivector(patch, 2, vtable)
 
     if dens:
-        left = n // 2
-        while left and (q := divide_exact(pf, D)) is not None:
-            pf, left = q, left - 1
-        pivots = [pf, D] if left else [pf]
+        left = n // 2 - e
+        while left and (q := divide_exact(R, D)) is not None:
+            R, left = q, left - 1
+        pivots = [R, D] if left else [R]
     else:
-        pivots = [pf * pf]
+        pivots = [R * R]
     pivots = [p for p in pivots if p.as_rational() is None]
     return DecompositionResult(GeometricData(patch, V, conn, F), pivots)
 

@@ -14,15 +14,22 @@ rationals; after shifting away the minimal ``z`` exponents they are
 ordinary polynomials, and the quotient, when it exists, is
 conjugate-symmetric and maps back to a real trig-polynomial.
 
-Matrix routines never divide.  An antisymmetric matrix A is inverted
-through its Pfaffian: first-row expansion memoized on index subsets
-gives Pf(A) and every Pf of A with two rows and columns removed, so
-A^-1 = (signed Pfaffian minors)/Pf(A) and det(A) = Pf(A)^2.  The
-general determinant is a Laplace expansion memoized on column subsets.
-``RatExpr`` never normalizes itself: a quotient keeps the numerator and
-denominator it was built from, and only ``RatExpr.as_scalar`` (and the
-callers in ``coupling`` that divide by one known Pfaffian) call
-``divide_exact``.
+An antisymmetric matrix A is inverted through its Pfaffian: first-row
+expansion memoized on index subsets gives Pf(A) and every Pf of A with
+two rows and columns removed, so A^-1 = (signed Pfaffian minors)/Pf(A)
+and det(A) = Pf(A)^2.  The general determinant is a Laplace expansion
+memoized on column subsets.  Neither divides, unless the Pfaffian
+expansion is given a denominator D that A's entries share, A = D*M.
+When M is +-the inverse of a polynomial matrix B with Pf(B) = D, Jacobi's
+complementary-minor identity Pf((B^-1)_S) = +-Pf(B without S)/Pf(B)
+makes every Pfaffian of A on 2k indices D^(k-1) times a polynomial.  So
+the expansion keeps each Pfaffian as D^e*R and, after summing a subset
+of four or more indices, tries one exact division by D (the
+exact-division step of Bareiss's fraction-free elimination); a division
+that fails leaves R as it is.  ``RatExpr`` never normalizes itself: a
+quotient keeps the numerator and denominator it was built from, and
+only ``RatExpr.as_scalar``, that expansion and the callers in
+``coupling`` that divide by one known Pfaffian call ``divide_exact``.
 """
 
 from __future__ import annotations
@@ -310,27 +317,43 @@ class RatExpr:
 Matrix = List[List[ScalarExpr]]
 
 
-def _expansion(rows: Matrix, patch: Patch, split):
-    """value(mask) over index sets held as bitmasks, memoized: value(0) =
-    1, and with (r, S) = split(mask), value(mask) sums (-1)^k rows[r][j]
-    value(S without j) over the j in S, the k-th in increasing order."""
+def _expansion(rows: Matrix, patch: Patch, split, D=None):
+    """value(mask) = (e, R) over index sets held as bitmasks, memoized,
+    standing for D^e*R: value(0) = (0, 1), and with (r, S) = split(mask),
+    the value of mask sums (-1)^k rows[r][j] value(S without j) over the
+    j in S, the k-th in increasing order.  The terms are brought to their
+    least power of D before they are summed.  With ``D`` given, the sum
+    over a mask of four or more indices is then divided by D once, when
+    that is exact; without it e stays 0."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("expansion needs a square matrix")
-    memo = {0: patch.one()}
+    memo = {0: (0, patch.one())}
 
-    def value(mask: int) -> ScalarExpr:
+    def value(mask: int):
         hit = memo.get(mask)
         if hit is None:
             r, cols = split(mask)
-            hit = patch.zero()
+            terms = []
             sign = 1
             for j in range(n):
                 if cols >> j & 1:
                     if not rows[r][j].is_zero():
-                        term = rows[r][j] * value(cols & ~(1 << j))
-                        hit = hit + term if sign > 0 else hit - term
+                        e, R = value(cols & ~(1 << j))
+                        if R:
+                            terms.append((e, sign, rows[r][j] * R))
                     sign = -sign
+            low = min((e for e, _, _ in terms), default=0)
+            total = patch.zero()
+            for e, sign, term in terms:
+                if e > low:
+                    term = term * D ** (e - low)
+                total = total + term if sign > 0 else total - term
+            hit = (low, total)
+            if D is not None and total and bin(mask).count("1") >= 4:
+                q = divide_exact(total, D)
+                if q is not None:
+                    hit = (low + 1, q)
             memo[mask] = hit
         return hit
 
@@ -341,7 +364,7 @@ def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
     """Laplace expansion along the rows, memoized on the unused columns."""
     n = len(rows)
     return _expansion(rows, patch, lambda cols: (
-        n - bin(cols).count("1"), cols))((1 << n) - 1)
+        n - bin(cols).count("1"), cols))((1 << n) - 1)[1]
 
 
 def _first_row(mask: int):
@@ -349,10 +372,11 @@ def _first_row(mask: int):
     return first, mask & ~(1 << first)
 
 
-def _pfaffians(rows: Matrix, patch: Patch):
+def _pfaffians(rows: Matrix, patch: Patch, D=None):
     """Pf of the principal submatrix on each index set, by first-row
-    expansion: Pf(S) = sum_k (-1)^k a(s_0, s_k) Pf(S without s_0, s_k)."""
-    pf, n = _expansion(rows, patch, _first_row), len(rows)
+    expansion: Pf(S) = sum_k (-1)^k a(s_0, s_k) Pf(S without s_0, s_k),
+    as the pair (e, R) with Pf(S) = D^e*R (see ``_expansion``)."""
+    pf, n = _expansion(rows, patch, _first_row, D), len(rows)
     if any(not (rows[i][j] + rows[j][i]).is_zero()
            for i in range(n) for j in range(i, n)):
         raise ValueError("Pfaffian needs an antisymmetric matrix")
@@ -362,21 +386,27 @@ def _pfaffians(rows: Matrix, patch: Patch):
 def pfaffian(rows: Matrix, patch: Patch) -> ScalarExpr:
     """Pfaffian of an antisymmetric matrix; 0 for every odd size."""
     pf, full = _pfaffians(rows, patch)
-    return pf(full)
+    return pf(full)[1]
 
 
-def rat_inverse(rows: Matrix, patch: Patch):
+def rat_inverse(rows: Matrix, patch: Patch, D: ScalarExpr | None = None):
     """(Pf(A), C) with A^-1 = C/Pf(A) for antisymmetric A, where C_ij =
-    -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j.  Raises
-    DegenerateInputError when Pf(A) = 0, which includes every odd size."""
-    pf, full = _pfaffians(rows, patch)
+    -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j.  Each
+    Pfaffian comes as a pair (e, R) standing for D^e*R, where e counts the
+    exact divisions by ``D`` that the expansion made (one at most per
+    subset size from four up); without ``D``, e is 0 and R the Pfaffian.
+    Raises DegenerateInputError when Pf(A) = 0, which includes every odd
+    size."""
+    pf, full = _pfaffians(rows, patch, D)
     total = pf(full)
-    if total.is_zero():
+    if not total[1]:
         raise DegenerateInputError("matrix is singular: determinant is 0")
     n = len(rows)
-    adj = [[patch.zero()] * n for _ in range(n)]
+    zero = (0, patch.zero())
+    adj = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            c = pf(full & ~(1 << i) & ~(1 << j))
-            adj[i][j], adj[j][i] = (-c, c) if (i + j) % 2 else (c, -c)
+            e, c = pf(full & ~(1 << i) & ~(1 << j))
+            pos, neg = (e, c), (e, -c)
+            adj[i][j], adj[j][i] = (neg, pos) if (i + j) % 2 else (pos, neg)
     return total, adj

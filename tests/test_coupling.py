@@ -33,7 +33,12 @@ from couplingdirac.errors import (
     NonCasimirError,
 )
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
-from couplingdirac.fractionfield import RatExpr, divide_exact, pfaffian
+from couplingdirac.fractionfield import (
+    RatExpr,
+    divide_exact,
+    pfaffian,
+    rat_inverse,
+)
 from couplingdirac.symexpr import Coordinate
 from couplingdirac.tensorcalc import (
     CourantSection,
@@ -685,6 +690,56 @@ def test_round_trip_with_six_base_coordinates():
     assert pivot == pf or pivot == -pf
 
 
+def dense_base_data(nb):
+    """Data on nb base coordinates and the fiber pair q, p whose every
+    2-form entry is a constant c in {1, 2, 3, -1, -2}, plus c'*y for
+    c' in {1, -1, 2} and a coordinate y with probability 0.7, drawn from
+    random.Random(8)."""
+    rng = random.Random(8)
+    patch = FiberedPatch.build(
+        " ".join(f"x{i}" for i in range(1, nb + 1)), "q p")
+    P = patch.parse
+    table = {}
+    for a, b in combinations(patch.base_names, 2):
+        c = patch.rational(rng.choice([1, 2, 3, -1, -2]))
+        if rng.random() < 0.7:
+            c = c + rng.choice([1, -1, 2]) * patch.coord(
+                rng.choice(patch.names))
+        table[(a, b)] = c
+    return GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}),
+        BaseForm.build(patch, 2, table))
+
+
+def recorded_inverses(monkeypatch):
+    """The (D, result) of every ``rat_inverse`` call made by ``coupling``."""
+    calls = []
+
+    def recorded(rows, patch, D=None):
+        calls.append((D, rat_inverse(rows, patch, D)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(coupling, "rat_inverse", recorded)
+    return calls
+
+
+def test_dense_round_trip_with_eight_base_coordinates(monkeypatch):
+    data = dense_base_data(8)
+    pf = form_pfaffian(data)
+    assert len(pf.terms) == 138
+    inverses = recorded_inverses(monkeypatch)
+    result = decompose_coupling(extract_poisson(data), data.patch)
+    assert result.data == data
+    assert list(result.pivot_denominators) == [pf]
+    # the swell, pinned: over D = Pf(F), N = D*M has Pf(N) = D^3 times a
+    # constant and every adjugate minor is D^2 times a polynomial
+    (D, ((e, R), adj)), = inverses[1:]
+    assert D == pf
+    assert e == 3 and R.as_rational() is not None
+    assert {adj[i][j][0] for i, j in combinations(range(8), 2)} == {2}
+
+
 def test_extract_puts_every_fraction_over_the_one_pfaffian():
     for data in (four_base_data(), six_base_data(), angle_base_data()):
         pf = form_pfaffian(data)
@@ -719,6 +774,41 @@ def test_decompose_over_a_product_of_denominators():
     # does D, since none of the n/2 = 1 divisions succeeded
     assert list(result.pivot_denominators) == [P("-1*p - p*q"),
                                                P("p^2 + p^2*q")]
+
+
+def test_decompose_over_a_proper_factor_of_the_pfaffian(monkeypatch):
+    # Pf(F) = 3*q^2, but every fraction of the extracted bivector reduces
+    # to one over 3*q: D = 3*q divides some Pfaffians of N = D*M once more
+    # than others, so a connection sum adds terms over different powers
+    patch = FiberedPatch.build("x1 x2 x3 x4 x5 x6", "q p")
+    P, q = patch.parse, patch.coord("q")
+    data = GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): 1}),
+        Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("x4 + 1"),
+                           ("q", "x5"): P("1")}),
+        BaseForm.build(patch, 2, {
+            ("x1", "x2"): P("-1"), ("x1", "x6"): P("-1*q"),
+            ("x2", "x3"): P("-1"), ("x2", "x4"): P("1"), ("x2", "x5"): P("2"),
+            ("x2", "x6"): P("2*q"), ("x3", "x4"): P("-1*q"),
+            ("x3", "x5"): P("q")}))
+    assert form_pfaffian(data) == P("3*q^2")
+    comps = {}
+    for key, c in extract_poisson(data).comps.items():
+        if isinstance(c, RatExpr):
+            num, den = c.num, c.den
+            while (a := divide_exact(num, q)) is not None and (
+                    b := divide_exact(den, q)) is not None:
+                num, den = a, b
+            c = RatExpr(num, den)
+            assert den == P("3*q")
+        comps[key] = c
+    inverses = recorded_inverses(monkeypatch)
+    result = decompose_coupling(Multivector(patch, 2, comps), patch)
+    assert result.data == data
+    assert list(result.pivot_denominators) == [P("3*q")]
+    (D, (_, adj)), = inverses
+    assert D == P("3*q")
+    assert any(len({k for k, c in row if c}) > 1 for row in adj)
 
 
 def product_of_denominators_bivector():

@@ -1,11 +1,15 @@
 """Exact division, quotient expressions, Pfaffians and determinants."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 import random
 
 import pytest
 
-from couplingdirac import DegenerateInputError, Patch
+from couplingdirac import DegenerateInputError, Patch, fractionfield
+from couplingdirac.coupling import GeometricData, extract_poisson
+from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
 from couplingdirac.fractionfield import (
     RatExpr,
     determinant,
@@ -13,6 +17,7 @@ from couplingdirac.fractionfield import (
     pfaffian,
     rat_inverse,
 )
+from couplingdirac.tensorcalc import Multivector
 from float_oracle import evaluate
 
 PATCH = Patch.build("x y p th", angles=("th",))
@@ -262,7 +267,10 @@ def test_rat_inverse_is_exact():
     assert any("sin" in str(e) or "cos" in str(e) for e in cases[-1][0])
     for A in cases:
         n = len(A)
-        pf, adj = rat_inverse(A, PATCH)
+        # without a denominator every Pfaffian comes back as (0, Pf)
+        (e, pf), pairs = rat_inverse(A, PATCH)
+        assert e == 0 and {k for row in pairs for k, _ in row} == {0}
+        adj = [[c for _, c in row] for row in pairs]
         assert pf * pf == determinant(A, PATCH)
         for i in range(n):
             assert adj[i][i].is_zero()
@@ -284,3 +292,126 @@ def test_rat_inverse_rejects_singular_and_odd_sizes():
                 rnd_skew(rng, 1), rnd_skew(rng, 3)):
         with pytest.raises(DegenerateInputError):
             rat_inverse(bad, PATCH)
+
+
+# --- Pfaffians over a shared denominator -----------------------------------
+
+def scaled_pfaffians(A, patch, D):
+    """rat_inverse(A, patch, D), each of its pairs (e, R) checked against
+    the plain Pfaffian: D^e*R is Pf(A) and each signed adjugate minor."""
+    n = len(A)
+    total, adj = rat_inverse(A, patch, D)
+    e, R = total
+    assert D ** e * R == pfaffian(A, patch)
+    for i, j in combinations(range(n), 2):
+        k, c = adj[i][j]
+        keep = [r for r in range(n) if r not in (i, j)]
+        minor = pfaffian([[A[r][s] for s in keep] for r in keep], patch)
+        assert D ** k * c == (-minor if (i + j) % 2 else minor)
+        assert adj[j][i][0] == k and adj[j][i][1] == -c
+    return total, adj
+
+
+def counted_divisions(monkeypatch):
+    """The (quotient, divisor) of every exact division the expansion tries."""
+    calls, divide = [], fractionfield.divide_exact
+
+    def counted(num, den):
+        calls.append((divide(num, den), den))
+        return calls[-1][0]
+
+    monkeypatch.setattr(fractionfield, "divide_exact", counted)
+    return calls
+
+
+def rnd_skew_among(rng, n, names):
+    """A random antisymmetric matrix in the coordinates ``names``."""
+    rows = [[PATCH.zero()] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        e = rnd_expr(rng, max_terms=2, max_deg=1, among=names)
+        rows[i][j], rows[j][i] = e, -e
+    return rows
+
+
+def test_scaled_pfaffians_when_no_division_succeeds(monkeypatch):
+    # p occurs in no entry, so 1 + p divides no nonzero sum of them
+    rng = random.Random(1729)
+    D = PATCH.parse("1 + p")
+    calls = counted_divisions(monkeypatch)
+    for n in (4, 6, 4, 6):
+        A = rnd_skew_among(rng, n, ("x", "y", "th"))
+        total, adj = scaled_pfaffians(A, PATCH, D)
+        assert total[0] == 0
+        assert {k for row in adj for k, _ in row} == {0}
+    assert calls and all(q is None and d == D for q, d in calls)
+
+
+def test_scaled_pfaffians_over_a_constant_divide_once_per_size(monkeypatch):
+    # 2 divides every sum, yet each subset of 2k >= 4 indices is divided
+    # once: e = k - 1, and the tries are at most the number of such subsets
+    rng = random.Random(6174)
+    calls = counted_divisions(monkeypatch)
+    for n in (4, 6, 8):
+        del calls[:]
+        A = rnd_skew(rng, n, trig=n < 8)
+        total, adj = scaled_pfaffians(A, PATCH, PATCH.rational(2))
+        assert total[0] == n // 2 - 1
+        assert {adj[i][j][0] for i, j in combinations(range(n), 2)
+                if adj[i][j][1]} == {n // 2 - 2}
+        assert 0 < len(calls) <= sum(comb(n, k) for k in range(4, n + 1, 2))
+
+
+def test_scaled_pfaffians_with_mixed_powers_among_the_terms():
+    # with a13 = a14 = 0, Pf on {1, 2, 3, 4} is a12*a34, which D = x
+    # divides, and Pf on {1, 2, 3, 5} = a12*a35 + a15*a23 is not: the sum
+    # over all six indices adds terms over different powers of x
+    rng = random.Random(2024)
+    x, zero = PATCH.coord("x"), PATCH.zero()
+    A = rnd_skew_among(rng, 6, ("y", "th"))
+    for i, j, e in ((1, 3, zero), (1, 4, zero), (1, 2, x * (1 + A[1][2])),
+                    (3, 4, x * (2 + A[3][4]))):
+        A[i][j], A[j][i] = e, -e
+    total, adj = scaled_pfaffians(A, PATCH, x)
+    assert total[0] == 0
+    assert {adj[0][j][0] for j in range(1, 6)} == {0, 1}
+
+
+def extracted_block(rng, nb, angle):
+    """(N, D, patch): N = D*M for the base-base block M of the bivector
+    extracted from random data, D = Pf(F) non-constant and M's one
+    denominator.  With ``angle``, q is an angle and F carries cos and sin
+    of it."""
+    patch = FiberedPatch.build(" ".join(f"x{i}" for i in range(1, nb + 1)),
+                               "q p", angles=("q",) if angle else ())
+    base = patch.base_indices
+    atoms = [patch.coord(n) for n in patch.names if n != "q"]
+    atoms += [patch.parse(f"{f}(q)") for f in ("cos", "sin")] if angle \
+        else [patch.coord("q")]
+    while True:
+        table = {}
+        for a, b in combinations(base, 2):
+            table[(a, b)] = patch.rational(rng.choice([1, 2, 3, -1, -2]))
+            if rng.random() < 0.7:
+                table[(a, b)] += rng.choice([1, -1, 2]) * rng.choice(atoms)
+        F = BaseForm(patch, 2, table)
+        D = pfaffian([[F.coefficient(a, b) for b in base] for a in base],
+                     patch)
+        if D.as_rational() is None:
+            break
+    Pi = extract_poisson(GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): 1}),
+        Connection.flat(patch), F))
+    N = [[c.num if isinstance(c := Pi.coefficient(a, b), RatExpr) else c * D
+          for b in base] for a in base]
+    return N, D, patch
+
+
+def test_scaled_pfaffians_of_an_extracted_block_carry_jacobi_powers():
+    # Pf(N) on 2k indices is D^(k-1) times Pf(F) on the complement
+    rng = random.Random(3)
+    for nb, angle in ((4, False), (6, False), (4, True), (6, True)):
+        N, D, patch = extracted_block(rng, nb, angle)
+        total, adj = scaled_pfaffians(N, patch, D)
+        assert total[0] == nb // 2 - 1
+        assert {adj[i][j][0] for i, j in combinations(range(nb), 2)
+                if adj[i][j][1]} == {nb // 2 - 2}
