@@ -13,9 +13,13 @@ coordinates).
 
 Exit codes: 0 every check passed, 1 a mathematical check failed,
 2 manifest parse/validation error (including a file that is not UTF-8
-or JSON nested past the decoder's recursion limit, and a bad
-``--fiber-point``), 3 degenerate input (singular base block,
-non-Casimir coefficient, recovered data that is not polynomial).
+or JSON nested past the decoder's recursion limit, a bad
+``--fiber-point``, and an output number with more decimal digits than
+the interpreter's integer-string limit, such as the coefficient of
+``2^20000*q``; then stdout stays empty), 3 degenerate input (singular
+base block, non-Casimir coefficient, recovered data that is not
+polynomial).  Errors go to stderr, as ``{"error": {"code", "message"}}``
+with ``--report json``.  JSON output is ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .constructions import (
@@ -58,6 +63,7 @@ from .errors import (
     quote,
 )
 from .fibered import BaseForm, Connection, FiberedPatch
+from .symexpr import Coordinate
 from .tensorcalc import Multivector, schouten
 
 _DATA_KEYS = ("vertical_bivector", "connection", "horizontal_2form")
@@ -70,9 +76,42 @@ _KNOWN_KEYS = ("coordinates",) + _DATA_KEYS + (
     "bivector", "casimirs", "potential_1form", "ymh", "angles_averaged")
 
 
-def dumps(doc: dict) -> str:
-    """The one JSON serialization used everywhere (diff-stable output)."""
-    return json.dumps(doc, indent=2) + "\n"
+def dumps(doc) -> str:
+    """The one JSON serialization used everywhere (diff-stable output):
+    exactly ``json.dumps(doc, indent=2) + "\\n"``, written by ``_json``."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, with
+    ``newline`` (a newline and the indentation) before each line break.
+
+    One pass, since with an indent CPython's ``json`` falls back to its
+    pure-Python encoder.  It takes dicts with ``str`` keys, lists, tuples,
+    strings, ints, booleans and ``None``; anything else is a ``TypeError``.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        body = [_escape(key) + ": " + (_escape(item) if type(item) is str
+                                       else _json(item, inner))
+                for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(body)}{newline}}}" if body \
+            else "{}"
+    if isinstance(value, (list, tuple)):
+        body = [_escape(item) if type(item) is str else _json(item, inner)
+                for item in value]
+        return f"[{inner}{(',' + inner).join(body)}{newline}]" if body \
+            else "[]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _entry(row, field: str, key: str):
@@ -134,17 +173,17 @@ class Manifest:
         if unknown:
             raise ManifestError(f"unknown manifest keys: {quote(unknown)}")
         patch = cls._read_patch(doc.get("coordinates"))
-        V = Multivector.build(patch, 2, cls._read_pairs(
+        V = Multivector(patch, 2, cls._read_pairs(
             patch, doc.get("vertical_bivector"), "vertical_bivector",
             "indices", "fiber"))
         conn = Connection(patch, cls._read_connection(
             patch, doc.get("connection")))
-        F = BaseForm.build(patch, 2, cls._read_pairs(
+        F = BaseForm(patch, 2, cls._read_pairs(
             patch, doc.get("horizontal_2form"), "horizontal_2form",
             "bases", "base"))
         bivector = None
         if "bivector" in doc:
-            bivector = Multivector.build(patch, 2, cls._read_pairs(
+            bivector = Multivector(patch, 2, cls._read_pairs(
                 patch, doc["bivector"], "bivector", "indices", None))
         return cls(patch, GeometricData(patch, V, conn, F),
                    bivector=bivector,
@@ -159,7 +198,7 @@ class Manifest:
     def _read_patch(rows) -> FiberedPatch:
         if not isinstance(rows, list) or not rows:
             raise ManifestError("manifest needs a non-empty 'coordinates' array")
-        base, fiber, angles = [], [], []
+        base, fiber = [], []
         for row in rows:
             name = _entry(row, "coordinates", "name")
             role = _entry(row, "coordinates", "role")
@@ -170,10 +209,8 @@ class Manifest:
                 raise ManifestError(
                     f"coordinate role must be 'base' or 'fiber', "
                     f"got {quote(role)}")
-            (base if role == "base" else fiber).append(name)
-            if angle:
-                angles.append(name)
-        return FiberedPatch.build(base, fiber, angles)
+            (base if role == "base" else fiber).append((name, role, angle))
+        return FiberedPatch(Coordinate(*c) for c in base + fiber)
 
     @staticmethod
     def _parse(patch, text, field: str):
@@ -188,35 +225,39 @@ class Manifest:
                 f"bad {field} expression {quote(text)}: {exc}") from exc
 
     @staticmethod
-    def _check_role(patch, name: str, role, field: str):
-        if role is not None and patch.coordinate(name).role != role:
+    def _resolve(patch, name: str, role, field: str) -> int:
+        """The index of a named coordinate, whose role must be ``role``
+        unless that is ``None``."""
+        i = patch.index(name)
+        if role is not None and patch.coords[i].role != role:
             raise ManifestError(
                 f"{field} expects {role} coordinates, got {quote(name)}")
+        return i
 
     @classmethod
     def _read_pairs(cls, patch, rows, field, key, role) -> dict:
-        """Coefficient table keyed by distinct unordered coordinate pairs."""
+        """Coefficient table keyed by increasing index pairs, the sign
+        folded in, one entry per distinct unordered coordinate pair."""
         if rows is None:
             return {}
         if not isinstance(rows, list):
             raise ManifestError(f"{field!r} must be an array")
-        table, seen = {}, set()
+        table = {}
         for row in rows:
             pair = _entry(row, field, key)
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(isinstance(n, str) for n in pair)):
                 raise ManifestError(
                     f"{field} {key!r} must list two coordinate names")
-            for n in pair:
-                cls._check_role(patch, n, role, field)
-            i, j = (patch.index(n) for n in pair)
+            i, j = (cls._resolve(patch, n, role, field) for n in pair)
             if i == j:
                 raise ManifestError(
                     f"{field} pair {quote(pair)} is not distinct")
-            if frozenset((i, j)) in seen:
+            index = (i, j) if i < j else (j, i)
+            if index in table:
                 raise ManifestError(f"duplicate {field} pair {quote(pair)}")
-            seen.add(frozenset((i, j)))
-            table[tuple(pair)] = cls._parse(patch, row.get("coeff"), field)
+            c = cls._parse(patch, row.get("coeff"), field)
+            table[index] = c if i < j else -c
         return table
 
     @classmethod
@@ -233,12 +274,12 @@ class Manifest:
                 raise ManifestError(
                     f"connection entries name a fiber and a base coordinate, "
                     f"got {quote(row)}")
-            cls._check_role(patch, u, "fiber", "connection")
-            cls._check_role(patch, a, "base", "connection")
-            if (u, a) in table:
+            index = (cls._resolve(patch, u, "fiber", "connection"),
+                     cls._resolve(patch, a, "base", "connection"))
+            if index in table:
                 raise ManifestError(
                     f"duplicate connection pair {quote((u, a))}")
-            table[(u, a)] = cls._parse(patch, row.get("coeff"), "connection")
+            table[index] = cls._parse(patch, row.get("coeff"), "connection")
         return table
 
     @classmethod
@@ -260,13 +301,13 @@ class Manifest:
             a = _entry(row, "potential_1form", "base")
             if not isinstance(a, str):
                 raise ManifestError(f"bad potential entry {quote(row)}")
-            cls._check_role(patch, a, "base", "potential_1form")
-            if (a,) in table:
+            index = (cls._resolve(patch, a, "base", "potential_1form"),)
+            if index in table:
                 raise ManifestError(
                     f"duplicate potential entry for {quote(a)}")
-            table[(a,)] = cls._parse(patch, row.get("coeff"),
-                                     "potential_1form")
-        return BaseForm.build(patch, 1, table)
+            table[index] = cls._parse(patch, row.get("coeff"),
+                                      "potential_1form")
+        return BaseForm(patch, 1, table)
 
     @classmethod
     def _read_ymh(cls, patch, block):
@@ -335,10 +376,12 @@ def _emit_report(report: CheckReport, args) -> None:
     if args.report == "json":
         sys.stdout.write(dumps(report.as_document()))
         return
+    lines = []  # the whole report, so a failure to print writes nothing
     for cond in report.conditions:
-        print(f"{cond.name}: {cond.status.upper()}")
-        for w in cond.witnesses:
-            print(f"  ({','.join(w.indices)}): {w.expression}")
+        lines.append(f"{cond.name}: {cond.status.upper()}\n")
+        lines += [f"  ({','.join(w.indices)}): {w.expression}\n"
+                  for w in cond.witnesses]
+    sys.stdout.write("".join(lines))
 
 
 def _cmd_check(man: Manifest, args) -> int:
@@ -435,8 +478,8 @@ def _cmd_decompose(man: Manifest, args) -> int:
     if man.bivector is None:
         raise ManifestError("decompose needs a 'bivector' block")
     result = decompose_coupling(man.bivector, man.patch)
-    sys.stdout.write(dumps(data_document(result.data)))
     pivots = [str(p) for p in result.pivot_denominators]
+    sys.stdout.write(dumps(data_document(result.data)))
     if pivots:
         # keep stdout pipeable into `check`; diagnostics go to stderr
         if args.report == "json":

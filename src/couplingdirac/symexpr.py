@@ -9,7 +9,7 @@ Includes the text grammar parser (bottom of file):
             | ('sin'|'cos') '(' NAT? '*'? IDENT ')'
 
 Whitespace is insignificant.  RATIONAL is INT('/'NAT)?; the integer sign
-is recognized only where an atom is expected, so ``x - 2`` subtracts
+is recognized only where a factor is expected, so ``x - 2`` subtracts
 while ``-2*x`` starts with a negative rational.
 
 An expression is a finite sum of terms
@@ -507,10 +507,15 @@ class ScalarExpr:
         if not self.terms:
             return "0"
         items = sorted(self.terms.items())
-        parts = [self._term_str(items[0][0], items[0][1], lead=True)]
-        for key, c in items[1:]:
-            parts.append(" - " if c < 0 else " + ")
-            parts.append(self._term_str(key, c, lead=False))
+        try:
+            parts = [self._term_str(items[0][0], items[0][1], lead=True)]
+            for key, c in items[1:]:
+                parts.append(" - " if c < 0 else " + ")
+                parts.append(self._term_str(key, c, lead=False))
+        except ValueError:  # past the interpreter's integer-string limit
+            raise ExpressionError(
+                "number too long to print: more decimal digits than the "
+                "interpreter's integer-string limit") from None
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -543,7 +548,7 @@ def _expr(patch: Patch, terms: dict) -> ScalarExpr:
 
 _SYMBOLS = "+-*^/()"
 
-# Parentheses are the parser's only recursion (four frames a level), so
+# Parentheses are the parser's only recursion (three frames a level), so
 # this cap keeps any input far from the interpreter's recursion limit.
 _MAX_NESTING = 100
 
@@ -555,37 +560,36 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
+            continue
+        j = i + 1
+        if ch in _SYMBOLS:
+            kind = ch
         elif ch.isdigit():
-            j = i
+            kind = "NUM"
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("NUM", text[i:j], i))
-            i = j
         elif ch.isalpha() or ch == "_":
-            j = i
+            kind = "IDENT"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
         else:
             raise ExpressionSyntaxError(f"unexpected character {quote(ch)}", i)
+        tokens.append((kind, text[i:j], i))
+        i = j
     tokens.append(("END", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, patch: Patch):
-        self.text = text
         self.patch = patch
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -603,32 +607,56 @@ class _Parser:
     # grammar rules ---------------------------------------------------------
     def parse(self) -> ScalarExpr:
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ExpressionSyntaxError(f"unexpected {quote(tok[1])}", tok[2])
+        kind, text, pos = self.tokens[self.pos]
+        if kind != "END":
+            raise ExpressionSyntaxError(f"unexpected {quote(text)}", pos)
         return value
 
     def expr(self) -> ScalarExpr:
+        """A sum of terms, merged into one table by one ``_add_terms``."""
         value = self.term()
-        while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if self.peek() not in "+-":
+            return value
+        pairs = list(value.terms.items())
+        while self.peek() in "+-":
+            sign = 1 if self.advance()[0] == "+" else -1
+            pairs += [(key, sign * c) for key, c in self.term().terms.items()]
+        return _expr(self.patch, _add_terms({}, pairs))
 
     def term(self) -> ScalarExpr:
-        value = self.factor()
-        while self.peek()[0] == "*":
+        """A product of factors.  Rational and bare-coordinate factors, with
+        their powers, fold into one coefficient and one exponent map; only
+        parenthesised and sin/cos factors multiply as expressions."""
+        coeff, exps, rest = 1, {}, None
+        while True:
+            kind, name, pos = self.tokens[self.pos]
+            # a signed INT is only recognized where a factor is expected
+            if kind == "NUM" or (kind == "-"
+                                 and self.tokens[self.pos + 1][0] == "NUM"):
+                coeff *= self.rational() ** self.power()
+            elif kind == "IDENT" and name not in _RESERVED:
+                self.advance()
+                i = self.coordinate(name, pos, False)
+                exps[i] = exps.get(i, 0) + self.power()
+            else:
+                factor = self.atom()
+                if self.peek() == "^":
+                    factor **= self.power()
+                rest = factor if rest is None else rest * factor
+            if self.peek() != "*":
+                break
             self.advance()
-            value = value * self.factor()
-        return value
+        coeff = _coefficient(coeff)
+        mono = tuple(sorted((i, e) for i, e in exps.items() if e))
+        value = _expr(self.patch, {(mono, ()): coeff} if coeff else {})
+        return value if rest is None else value * rest
 
-    def factor(self) -> ScalarExpr:
-        value = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            value = value ** self.natural()
-        return value
+    def power(self) -> int:
+        """The exponent of a factor: the NAT after a ``^``, else 1."""
+        if self.peek() != "^":
+            return 1
+        self.advance()
+        return self.natural()
 
     def natural(self) -> int:
         tok = self.expect("NUM")
@@ -638,19 +666,40 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"number {quote(tok[1])} is too long", tok[2]) from None
 
-    def rational(self, sign: int) -> ScalarExpr:
-        num = sign * self.natural()
-        if self.peek()[0] == "/":
+    def rational(self) -> RationalLike:
+        """A signed INT, over the NAT after a ``/`` when one follows."""
+        sign = 1
+        if self.peek() == "-":
             self.advance()
-            pos = self.peek()[2]
-            den = self.natural()
-            if den == 0:
-                raise ExpressionSyntaxError("zero denominator", pos)
-            return self.patch.rational(Fraction(num, den))
-        return self.patch.rational(num)
+            sign = -1
+        num = sign * self.natural()
+        if self.peek() != "/":
+            return num
+        self.advance()
+        pos = self.tokens[self.pos][2]
+        den = self.natural()
+        if den == 0:
+            raise ExpressionSyntaxError("zero denominator", pos)
+        return Fraction(num, den)
+
+    def coordinate(self, name: str, pos: int, angle: bool) -> int:
+        """The index of the coordinate ``name``, which must be an angle
+        inside sin/cos (``angle``) and not one elsewhere."""
+        i = self.patch._index.get(name)
+        if i is None:
+            raise UnknownCoordinateError(
+                f"unknown coordinate {quote(name)}", pos)
+        if self.patch.coords[i].angle != angle:
+            raise AngleDisciplineError(
+                f"non-angle coordinate {quote(name)} inside sin/cos" if angle
+                else f"angle coordinate {quote(name)} may appear only inside "
+                f"sin/cos", pos)
+        return i
 
     def atom(self) -> ScalarExpr:
-        kind, value, pos = self.peek()
+        """A parenthesised expression or a sin/cos factor; ``term`` reads
+        the rational and bare-coordinate factors itself."""
+        kind, value, pos = self.tokens[self.pos]
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ExpressionSyntaxError(
@@ -661,50 +710,25 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return inner
+        if kind == "IDENT":  # sin or cos
+            return self.trig_atom(SIN if value == "sin" else COS)
         if kind == "-":
-            # a signed INT is only recognized where an atom is expected
-            if self.tokens[self.pos + 1][0] == "NUM":
-                self.advance()
-                return self.rational(-1)
             raise ExpressionSyntaxError("unexpected '-'", pos)
-        if kind == "NUM":
-            return self.rational(1)
-        if kind == "IDENT":
-            if value in ("sin", "cos"):
-                return self.trig_atom(SIN if value == "sin" else COS)
-            self.advance()
-            return self.coord_atom(value, pos)
         raise ExpressionSyntaxError(
             f"expected an atom, found {quote(value or 'end of input')}", pos)
-
-    def coord_atom(self, name: str, pos: int) -> ScalarExpr:
-        if name not in self.patch:
-            raise UnknownCoordinateError(
-                f"unknown coordinate {quote(name)}", pos)
-        if self.patch.coordinate(name).angle:
-            raise AngleDisciplineError(
-                f"angle coordinate {quote(name)} may appear only inside "
-                f"sin/cos", pos)
-        return self.patch.coord(name)
 
     def trig_atom(self, kind: int) -> ScalarExpr:
         self.advance()  # sin / cos
         self.expect("(")
         k = 1
-        if self.peek()[0] == "NUM":
+        if self.peek() == "NUM":
             k = self.natural()
-            if self.peek()[0] == "*":
+            if self.peek() == "*":
                 self.advance()
-        tok = self.expect("IDENT")
-        name, pos = tok[1], tok[2]
-        if name not in self.patch:
-            raise UnknownCoordinateError(
-                f"unknown coordinate {quote(name)}", pos)
-        if not self.patch.coordinate(name).angle:
-            raise AngleDisciplineError(
-                f"non-angle coordinate {quote(name)} inside sin/cos", pos)
+        _, name, pos = self.expect("IDENT")
+        i = self.coordinate(name, pos, True)
         self.expect(")")
-        return self.patch.trig(kind, k, name)
+        return self.patch.trig(kind, k, i)
 
 
 def parse(text: str, patch: Patch) -> ScalarExpr:

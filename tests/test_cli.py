@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import couplingdirac
@@ -430,6 +431,30 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def test_numbers_too_long_to_print_exit_2_with_empty_stdout(tmp_path, capsys):
+    flat = json.loads(Path(fixture("flat")).read_text())
+    row = {"fiber": "q", "base": "x1", "coeff": "2^20000*q*p*x2"}
+    connection = dict(flat, connection=[row])
+    form = dict(flat, horizontal_2form=[
+        {"bases": ["x1", "x2"], "coeff": "2^20000 + q"}])
+    message = ("number too long to print: more decimal digits than the "
+               "interpreter's integer-string limit")
+    cases = [(connection, cmd) for cmd in ("check", "verify", "build")]
+    cases.append((form, "build"))
+    for doc, cmd in cases:
+        path = tmp_path / "huge.json"
+        path.write_text(dumps(doc))
+        for report in ("json", "text"):
+            argv = [cmd, "--manifest", str(path), "--report", report]
+            code, out, err = run_lines(capsys, argv)
+            assert (code, out) == (2, []), argv
+            if report == "json":
+                assert json.loads(err) == {
+                    "error": {"code": 2, "message": message}}, argv
+            else:
+                assert err == f"error: {message}\n", argv
+
+
 # ------------------------------------------------------------- round trip
 
 def test_every_shipped_manifest_round_trips_byte_identically():
@@ -437,6 +462,33 @@ def test_every_shipped_manifest_round_trips_byte_identically():
         raw = path.read_text(encoding="utf-8")
         again = dumps(Manifest.from_document(json.loads(raw)).to_document())
         assert again == raw, path.name
+
+
+# text with the characters JSON must escape: quotes, backslashes, control
+# characters, non-ASCII and lone surrogates
+JSON_TEXT = st.text(st.one_of(
+    st.characters(), st.characters(categories=["Cs"]),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\U0001f600')))
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10 ** 40, 10 ** 40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(database=None, deadline=None)
+@given(JSON_DOCS)
+@example("\xe9\ud800\x00")
+@example({"\u2028": ["\"\\", -10 ** 40, True, None, {}, []]})
+def test_dumps_is_json_dumps_with_an_indent_of_two(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_rejects_keys_and_values_outside_its_subset():
+    for doc in ({1: "a"}, {"a": 1.5}, [b"x"]):
+        with pytest.raises(TypeError):
+            dumps(doc)
 
 
 def test_module_entry_point_runs():

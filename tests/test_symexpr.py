@@ -559,6 +559,55 @@ def test_parse_errors():
     assert err.value.position == depth
 
 
+def test_parse_errors_of_the_term_loop():
+    """Type, message and position of each error a term raises itself."""
+    digits = "1" * 5000
+    cases = (
+        ("2*y", UnknownCoordinateError, "unknown coordinate 'y'", 2),
+        ("q*th", AngleDisciplineError,
+         "angle coordinate 'th' may appear only inside sin/cos", 2),
+        ("x1*3/0", ExpressionSyntaxError, "zero denominator", 5),
+        ("x1^", ExpressionSyntaxError,
+         "expected 'NUM', found 'end of input'", 3),
+        ("-x1", ExpressionSyntaxError, "unexpected '-'", 0),
+        ("x1*" + digits, ExpressionSyntaxError,
+         f"number '{digits[:56]}... is too long", 3),
+    )
+    for text, kind, message, position in cases:
+        with pytest.raises(ExpressionError) as err:
+            PATCH.parse(text)
+        assert type(err.value) is kind, text[:8]
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+
+def test_parse_folds_rational_and_coordinate_factors():
+    for text in ("x1*(1/2)^2*4*x1", "2/4*2*q", "-2/1^2*x1", "1/3*3"):
+        assert_normal_coefficients(PATCH.parse(text))
+    assert PATCH.parse("0*x1").terms == {}
+    assert PATCH.parse("x1*0 + q").terms == PATCH.coord("q").terms
+    assert PATCH.parse("x1^0").terms == {((), ()): 1}
+    assert PATCH.parse("q*x1^0*x1").terms == {(((0, 1), (2, 1)), ()): 1}
+    assert PATCH.parse("2^3*x1").terms == {(((0, 1),), ()): 8}
+    assert PATCH.parse("x1*(1/2)^2*4*x1").terms == {(((0, 2),), ()): 1}
+    assert PATCH.parse("-2/1^2*x1").terms == {(((0, 1),), ()): 4}
+    assert PATCH.parse("x1 - x1 + q - q").terms == {}
+    assert PATCH.parse("2*x1*sin(th)*3") == 6 * PATCH.coord("x1") * PATCH.parse(
+        "sin(th)")
+
+
+TWO_ANGLES = Patch.build("x th ph", angles=("th", "ph"))
+
+
+@settings(database=None, deadline=None)
+@given(st.sampled_from((SMALL_POLY, SMALL_ANGLE, TWO_ANGLES)).flatmap(
+    small_exprs))
+def test_every_printed_expression_reparses_to_itself(e):
+    printed = str(e)
+    assert e.patch.parse(printed) == e
+    assert str(e.patch.parse(printed)) == printed
+
+
 def test_parse_errors_quote_a_bounded_part_of_the_input():
     long = "z" * 5000
     wide = Patch.build(["x", long + "a", long + "b"], angles=(long + "a",))
