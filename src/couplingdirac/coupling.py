@@ -45,7 +45,7 @@ from .fibered import (
     d_gamma,
 )
 from .fractionfield import RatExpr, divide_exact, rat_inverse
-from .symexpr import ScalarExpr
+from .symexpr import ScalarExpr, _add_terms
 from .tensorcalc import (
     CourantSection,
     Multivector,
@@ -516,28 +516,39 @@ def extract_poisson(data: GeometricData) -> Multivector:
     share the one denominator Pf(F) (they are exact wherever it does not
     vanish).  Graph compatibility: sharp(Pi, form) + vf = 0 for every
     generator.
+
+    [F_ab] is read off F's table.  Every entry of each W^{ab} hor(d_a) ^
+    hor(d_b), in increasing (a, b) order, is merged into one copy of V's
+    table in one pass, so each entry is summed in the order of V plus
+    the pairwise terms, without a bivector sum per pair.
     """
     patch = data.patch
     base = patch.base_indices
-    rows = [[data.horizontal_form.coefficient(i, j) for j in base]
-            for i in base]
+    n = len(base)
+    F = data.horizontal_form.comps
+    zero = patch.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for pa, pb in combinations(range(n), 2):
+        c = F.get((base[pa], base[pb]))
+        if c is not None:
+            rows[pa][pb], rows[pb][pa] = c, -c
     try:
         (_, pf), adj = rat_inverse(rows, patch)
     except DegenerateInputError as exc:
-        n = len(base)
         raise DegenerateInputError(
             f"degenerate horizontal 2-form: the {n}x{n} determinant "
             f"det[F_ab] vanishes identically") from exc
     hor = [data.connection.hor(a) for a in base]
-    Pi = data.vertical_bivector
-    for pa in range(len(base)):
-        for pb in range(pa + 1, len(base)):
-            w = -adj[pa][pb][1]
-            if w:
-                q = divide_exact(w, pf)
-                Pi = Pi + hor[pa].wedge(hor[pb]) * (
-                    RatExpr(w, pf) if q is None else q)
-    return Pi
+    pairs = []
+    for pa, pb in combinations(range(n), 2):
+        w = -adj[pa][pb][1]
+        if w:
+            q = divide_exact(w, pf)
+            w = RatExpr(w, pf) if q is None else q
+            pairs += [(key, c * w)
+                      for key, c in hor[pa].wedge(hor[pb]).comps.items()]
+    return Multivector._trusted(patch, 2, _add_terms(
+        dict(data.vertical_bivector.comps), pairs))
 
 
 class DecompositionResult:
@@ -600,9 +611,15 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
             if c is not None:
                 c = c if a < b else -c
                 solve[(a, b)] = c if isinstance(c, RatExpr) else RatExpr(c)
-    dens = list(dict.fromkeys(c.den for c in solve.values() if c.den != 1))
-    D = prod(dens, start=patch.one())
-    N = {key: prod((d for d in dens if d != c.den), start=c.num)
+    # the distinct denominators other than 1, told apart by term table
+    one = patch.one()
+    dens = []
+    for c in solve.values():
+        if c.den.terms != one.terms and all(
+                c.den.terms != d.terms for d in dens):
+            dens.append(c.den)
+    D = prod(dens, start=one)
+    N = {key: prod((d for d in dens if d.terms != c.den.terms), start=c.num)
          for key, c in solve.items()}
     try:
         (e, R), adj = rat_inverse(

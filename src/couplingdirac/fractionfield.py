@@ -6,13 +6,19 @@ division in lex order then decides divisibility exactly.  Without an
 angle coordinate among them the operands are polynomials and the
 division runs on the ring's own ``int``/``Fraction`` coefficients.  An
 angle coordinate maps to a unit-circle variable ``z`` via
+cos(k*t) = (z^k + z^-k)/2 and sin(k*t) = -i(z^k - z^-k)/2, turning both
+operands into Laurent polynomials over the Gaussian rationals.  The
+halves are left out: with A angle coordinates in the support, a term
+with m trig factors maps through
 
-    cos(k*t) -> (z^k + z^-k)/2,    sin(k*t) -> (z^k - z^-k)/(2i),
+    cos(k*t) -> z^k + z^-k,    sin(k*t) -> -i(z^k - z^-k)
 
-turning both operands into Laurent polynomials over the Gaussian
-rationals; after shifting away the minimal ``z`` exponents they are
-ordinary polynomials, and the quotient, when it exists, is
-conjugate-symmetric and maps back to a real trig-polynomial.
+and is scaled by 2^(A-m), so every term of both operands, and both
+operands as a whole, carry the same factor 2^A, which cancels in the
+quotient; integral coefficients stay Gaussian integers.  After shifting
+away the minimal ``z`` exponents the operands are ordinary polynomials,
+and the quotient, when it exists, is conjugate-symmetric and maps back
+to a real trig-polynomial.
 
 An antisymmetric matrix A is inverted through its Pfaffian: first-row
 expansion memoized on index subsets gives Pf(A) and every Pf of A with
@@ -83,12 +89,6 @@ class _QI:
         return bool(self.re) or bool(self.im)
 
 
-_HALF = Fraction(1, 2)
-# cos(k*t) and sin(k*t) as (sign of the z exponent, Gaussian weight) pairs
-_LAURENT = {COS: ((1, _QI(_HALF)), (-1, _QI(_HALF))),
-            SIN: ((1, _QI(0, -_HALF)), (-1, _QI(0, _HALF)))}
-
-
 def _divide(ntab: dict, dtab: dict, quotient) -> Optional[dict]:
     """Single-divisor division of {exponent tuple: coefficient} tables in
     lex order: the quotient table when ``dtab`` divides ``ntab`` exactly,
@@ -120,24 +120,37 @@ def _polynomial_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
     return table
 
 
-def _laurent_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
-    """An expression as {dense exponent tuple: _QI}, angle slots Laurent."""
+def _laurent_table(e: ScalarExpr, slot: dict, nvars: int, nangles: int) -> dict:
+    """2^nangles times an expression, as {dense exponent tuple: _QI} with
+    the angle slots Laurent: a term with m trig factors is scaled by
+    2^(nangles - m), and each factor maps to z^k + z^-k (cos) or
+    -i*z^k + i*z^-k (sin), twice its value.  Every term thus carries the
+    factor 2^nangles, so an integral expression has Gaussian-integer
+    values, and ``divide_exact``, which maps both operands with the
+    nangles of their joint support, gets the quotient unscaled.  A branch
+    carries its weight as the power of i it picked up."""
     pairs = []
     for (mono, trig), c in e.terms.items():
         exps = [0] * nvars
         for i, k in mono:
             exps[slot[i]] = k
-        branches = [(exps, _QI(c))]
+        c = _coefficient(c * (1 << (nangles - len(trig))))
+        if not trig:
+            pairs.append((tuple(exps), _QI(c)))
+            continue
+        branches = [(exps, 0)]
         for i, kind, k in trig:
             pos = slot[i]
             nxt = []
-            for ex, w in branches:
-                for sign, piece in _LAURENT[kind]:
-                    ex2 = list(ex)
-                    ex2[pos] += sign * k
-                    nxt.append((ex2, w * piece))
+            for ex, p in branches:
+                up, down = list(ex), list(ex)
+                up[pos] += k
+                down[pos] -= k
+                nxt += ((up, p), (down, p)) if kind == COS else (
+                    (up, p + 3), (down, p + 1))
             branches = nxt
-        pairs += [(tuple(ex), w) for ex, w in branches]
+        phases = (_QI(c), _QI(0, c), _QI(-c), _QI(0, -c))
+        pairs += [(tuple(ex), phases[p % 4]) for ex, p in branches]
     return _add_terms({}, pairs)
 
 
@@ -199,8 +212,9 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
         return _expr(patch, {
             (tuple((support[p], k) for p, k in enumerate(exps) if k), ()): c
             for exps, c in quo.items()})
-    ntab, nlow = _lowered(_laurent_table(num, slot, nvars), angles, nvars)
-    dtab, dlow = _lowered(_laurent_table(den, slot, nvars), angles, nvars)
+    (ntab, nlow), (dtab, dlow) = (
+        _lowered(_laurent_table(e, slot, nvars, len(angles)), angles, nvars)
+        for e in (num, den))
     quo = _divide(ntab, dtab, _QI.__truediv__)
     if quo is None:
         return None
@@ -372,13 +386,18 @@ def _first_row(mask: int):
     return first, mask & ~(1 << first)
 
 
+def _opposite(a: dict, b: dict) -> bool:
+    """Whether two term tables are each other's negatives."""
+    return len(a) == len(b) and all(b.get(k) == -c for k, c in a.items())
+
+
 def _pfaffians(rows: Matrix, patch: Patch, D=None):
     """Pf of the principal submatrix on each index set, by first-row
     expansion: Pf(S) = sum_k (-1)^k a(s_0, s_k) Pf(S without s_0, s_k),
     as the pair (e, R) with Pf(S) = D^e*R (see ``_expansion``)."""
     pf, n = _expansion(rows, patch, _first_row, D), len(rows)
-    if any(not (rows[i][j] + rows[j][i]).is_zero()
-           for i in range(n) for j in range(i, n)):
+    if not all(_opposite(rows[i][j].terms, rows[j][i].terms)
+               for i in range(n) for j in range(i, n)):
         raise ValueError("Pfaffian needs an antisymmetric matrix")
     return pf, (1 << n) - 1
 

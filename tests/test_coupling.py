@@ -1,5 +1,6 @@
 """Integrability checker, generator presentation, and the bivector bridge."""
 
+from fractions import Fraction
 from itertools import combinations, product
 import math
 import random
@@ -39,7 +40,7 @@ from couplingdirac.fractionfield import (
     pfaffian,
     rat_inverse,
 )
-from couplingdirac.symexpr import Coordinate
+from couplingdirac.symexpr import Coordinate, ScalarExpr
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
@@ -755,6 +756,72 @@ def test_extract_puts_every_fraction_over_the_one_pfaffian():
             for part in (c.num, c.den) if isinstance(c, RatExpr) else (c,):
                 assert all(type(v) is int for v in part.terms.values())
         assert decompose_coupling(Pi, data.patch).data == data
+
+
+def interleaved_base_data():
+    # base and fiber coordinates alternate; F is given with its key reversed
+    patch = FiberedPatch([Coordinate(name, role=role) for name, role in (
+        ("q", "fiber"), ("x1", "base"), ("p", "fiber"), ("x2", "base"))])
+    P = patch.parse
+    return GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("q", "x2"): P("x1*p")}),
+        BaseForm.build(patch, 2, {("x2", "x1"): P("1 + q")}))
+
+
+def constant_pfaffian_data():
+    # Pf(F) = 2 divides every adjugate entry: Pi has Fraction coefficients
+    # and no quotient
+    patch = FiberedPatch.build("x1 x2 x3 x4", "q p")
+    P = patch.parse
+    return GeometricData(
+        patch, Multivector.build(patch, 2, {("q", "p"): P("1 + p")}),
+        Connection(patch, {("q", "x1"): P("x2"), ("p", "x3"): P("q + x4")}),
+        BaseForm.build(patch, 2, {("x1", "x2"): P("2"), ("x3", "x4"): P("1"),
+                                  ("x1", "x3"): P("q + x2")}))
+
+
+def reference_extract(data):
+    """Pi = V + sum_{a<b} hor(d_a)^hor(d_b) * W^{ab}, summed one pair at a
+    time through public Multivector operations, with W^{ab} = -C_ab/Pf(F)
+    divided out where that is exact."""
+    patch, base = data.patch, data.patch.base_indices
+    F, hor = data.horizontal_form, data.connection.hor
+    (_, pf), adj = rat_inverse(
+        [[F.coefficient(a, b) for b in base] for a in base], patch)
+    Pi = data.vertical_bivector
+    for pa, pb in combinations(range(len(base)), 2):
+        w = -adj[pa][pb][1]
+        if w:
+            q = divide_exact(w, pf)
+            Pi = Pi + hor(base[pa]).wedge(hor(base[pb])) * (
+                RatExpr(w, pf) if q is None else q)
+    return Pi
+
+
+def entry_tables(Pi):
+    """Each entry as its numerator's and denominator's term tables (None
+    for an expression), every coefficient paired with its type."""
+    def table(e):
+        return {k: (type(c), c) for k, c in e.terms.items()}
+    return {key: (table(c.num), table(c.den)) if isinstance(c, RatExpr)
+            else (table(c), None) for key, c in Pi.items()}
+
+
+def test_extract_matches_the_pairwise_reference_entry_by_entry():
+    # decompose's shared denominator and its pivots read these tables, so
+    # equality as quotients would not be enough
+    kinds = set()
+    for data in (ymh_fixture(), four_base_data(), six_base_data(),
+                 angle_base_data(), interleaved_base_data(),
+                 constant_pfaffian_data(), dense_base_data(6),
+                 dense_base_data(8)):
+        Pi = extract_poisson(data)
+        assert entry_tables(Pi) == entry_tables(reference_extract(data))
+        kinds |= {type(c) for _, c in Pi.items()}
+        kinds |= {type(v) for _, c in Pi.items() if not isinstance(c, RatExpr)
+                  for v in c.terms.values()}
+    assert kinds == {ScalarExpr, RatExpr, int, Fraction}
 
 
 def test_decompose_over_a_product_of_denominators():

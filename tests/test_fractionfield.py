@@ -17,6 +17,7 @@ from couplingdirac.fractionfield import (
     pfaffian,
     rat_inverse,
 )
+from couplingdirac.symexpr import COS, SIN
 from couplingdirac.tensorcalc import Multivector
 from float_oracle import evaluate
 
@@ -126,6 +127,60 @@ def test_divide_exact_trig():
     assert divide_exact(s * s, c) is None
     x = PATCH.coord("x")
     assert divide_exact(x * s + x * c, x) == s + c
+
+
+def halved_laurent(e, slot, nvars):
+    """The Laurent image with the halves kept, cos(k*t) -> (z^k + z^-k)/2
+    and sin(k*t) -> -i(z^k - z^-k)/2, as {exponent tuple: (re, im)}."""
+    half = Fraction(1, 2)
+    pieces = {COS: ((1, (half, 0)), (-1, (half, 0))),
+              SIN: ((1, (0, -half)), (-1, (0, half)))}
+    table = {}
+    for (mono, trig), c in e.terms.items():
+        exps = [0] * nvars
+        for i, k in mono:
+            exps[slot[i]] = k
+        branches = [(exps, (Fraction(c), Fraction(0)))]
+        for i, kind, k in trig:
+            nxt = []
+            for ex, (re, im) in branches:
+                for sign, (pr, pi) in pieces[kind]:
+                    ex2 = list(ex)
+                    ex2[slot[i]] += sign * k
+                    nxt.append((ex2, (re * pr - im * pi, re * pi + im * pr)))
+            branches = nxt
+        for ex, (re, im) in branches:
+            old = table.get(tuple(ex), (0, 0))
+            table[tuple(ex)] = (old[0] + re, old[1] + im)
+    return {k: v for k, v in table.items() if any(v)}
+
+
+def test_laurent_images_of_integral_expressions_are_gaussian_integers():
+    one = Patch.build("x y th", angles=("th",))
+    two = Patch.build("x th y ph", angles=("th", "ph"))
+    texts = [
+        (one, "3*x^2*y - 2 + 5*x*sin(2*th) - cos(th) + y*cos(3*th)"),
+        (one, "sin(th) - 4*x*sin(2*th)"),
+        (two, "x*y - 4 + 3*sin(th) - x*cos(2*ph) + 2*sin(th)*cos(ph)"
+              " - 7*y*cos(2*th)*sin(3*ph)"),
+        (two, "sin(th)*sin(ph) + cos(th)*cos(ph) - 2*y*sin(2*th)*cos(ph)"),
+        (two, "x + 1/2*sin(ph) - 3/4*x*cos(th)*sin(2*ph)"),
+    ]
+    for patch, text in texts:
+        e = patch.parse(text)
+        support = sorted(e.coordinates_used())
+        slot = {i: pos for pos, i in enumerate(support)}
+        angles = sum(patch.coords[i].angle for i in support)
+        table = fractionfield._laurent_table(e, slot, len(support), angles)
+        scale = 2 ** angles
+        assert {k: (v.re, v.im) for k, v in table.items()} == {
+            k: (scale * re, scale * im)
+            for k, (re, im) in halved_laurent(e, slot, len(support)).items()}
+        integral = all(type(c) is int for c in e.terms.values())
+        assert integral == ("/" not in text)
+        if integral:
+            assert all(type(v.re) is int and type(v.im) is int
+                       for v in table.values()), text
 
 
 def test_divide_exact_constant_and_zero():
@@ -256,8 +311,13 @@ def test_pfaffian_squares_to_the_determinant():
     assert pfaffian([], PATCH) == 1
     for n in (1, 3, 5):
         assert pfaffian(rnd_skew(rng, n), PATCH).is_zero()
-    with pytest.raises(ValueError):
-        pfaffian([[PATCH.zero(), p], [p, PATCH.zero()]], PATCH)
+    broken = rnd_skew(rng, 4)
+    broken[3][1] = broken[3][1] + p  # no longer the negative of [1][3]
+    for bad in ([[PATCH.zero(), p], [p, PATCH.zero()]],
+                [[p, p], [-p, PATCH.zero()]],  # a nonzero diagonal entry
+                broken):
+        with pytest.raises(ValueError):
+            pfaffian(bad, PATCH)
 
 
 def test_rat_inverse_is_exact():
