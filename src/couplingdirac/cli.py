@@ -152,12 +152,11 @@ class Manifest:
     __slots__ = ("patch", "data", "bivector", "casimirs", "potential",
                  "ymh", "angles")
 
-    def __init__(self, patch: FiberedPatch, data: GeometricData | None = None,
+    def __init__(self, patch: FiberedPatch, data: GeometricData,
                  *, bivector: Multivector | None = None, casimirs=None,
                  potential: BaseForm | None = None, ymh=None, angles=None):
         self.patch = patch
-        self.data = data if data is not None else GeometricData(
-            patch, Multivector.zero(patch, 2))
+        self.data = data
         self.bivector = bivector
         self.casimirs = casimirs
         self.potential = potential
@@ -176,8 +175,8 @@ class Manifest:
         V = Multivector(patch, 2, cls._read_pairs(
             patch, doc.get("vertical_bivector"), "vertical_bivector",
             "indices", "fiber"))
-        conn = Connection(patch, cls._read_connection(
-            patch, doc.get("connection")))
+        conn = Connection(patch, cls._read_rows(
+            patch, doc.get("connection"), "connection", ("fiber", "base")))
         F = BaseForm(patch, 2, cls._read_pairs(
             patch, doc.get("horizontal_2form"), "horizontal_2form",
             "bases", "base"))
@@ -185,12 +184,15 @@ class Manifest:
         if "bivector" in doc:
             bivector = Multivector(patch, 2, cls._read_pairs(
                 patch, doc["bivector"], "bivector", "indices", None))
+        potential = doc.get("potential_1form")
+        if potential is not None:
+            potential = BaseForm(patch, 1, cls._read_rows(
+                patch, potential, "potential_1form", ("base",)))
         return cls(patch, GeometricData(patch, V, conn, F),
                    bivector=bivector,
                    casimirs=cls._read_exprs(patch, doc.get("casimirs"),
                                             "casimirs"),
-                   potential=cls._read_potential(
-                       patch, doc.get("potential_1form")),
+                   potential=potential,
                    ymh=cls._read_ymh(patch, doc.get("ymh")),
                    angles=cls._read_angles(doc.get("angles_averaged")))
 
@@ -261,25 +263,26 @@ class Manifest:
         return table
 
     @classmethod
-    def _read_connection(cls, patch, rows) -> dict:
+    def _read_rows(cls, patch, rows, field, roles) -> dict:
+        """Coefficient table keyed by the coordinate a row names under each
+        key of ``roles``, which is also its role; one entry per key tuple."""
         if rows is None:
             return {}
         if not isinstance(rows, list):
-            raise ManifestError("'connection' must be an array")
+            raise ManifestError(f"{field!r} must be an array")
         table = {}
         for row in rows:
-            u = _entry(row, "connection", "fiber")
-            a = _entry(row, "connection", "base")
-            if not isinstance(u, str) or not isinstance(a, str):
+            names = tuple(_entry(row, field, role) for role in roles)
+            if not all(isinstance(n, str) for n in names):
                 raise ManifestError(
-                    f"connection entries name a fiber and a base coordinate, "
-                    f"got {quote(row)}")
-            index = (cls._resolve(patch, u, "fiber", "connection"),
-                     cls._resolve(patch, a, "base", "connection"))
+                    f"{field} entries name a {' and a '.join(roles)} "
+                    f"coordinate, got {quote(row)}")
+            index = tuple(cls._resolve(patch, n, role, field)
+                          for n, role in zip(names, roles))
             if index in table:
                 raise ManifestError(
-                    f"duplicate connection pair {quote((u, a))}")
-            table[index] = cls._parse(patch, row.get("coeff"), "connection")
+                    f"duplicate {field} row {quote(list(names))}")
+            table[index] = cls._parse(patch, row.get("coeff"), field)
         return table
 
     @classmethod
@@ -289,25 +292,6 @@ class Manifest:
         if not isinstance(items, list):
             raise ManifestError(f"{field!r} must be an array")
         return tuple(cls._parse(patch, s, field) for s in items)
-
-    @classmethod
-    def _read_potential(cls, patch, rows) -> BaseForm | None:
-        if rows is None:
-            return None
-        if not isinstance(rows, list):
-            raise ManifestError("'potential_1form' must be an array")
-        table = {}
-        for row in rows:
-            a = _entry(row, "potential_1form", "base")
-            if not isinstance(a, str):
-                raise ManifestError(f"bad potential entry {quote(row)}")
-            index = (cls._resolve(patch, a, "base", "potential_1form"),)
-            if index in table:
-                raise ManifestError(
-                    f"duplicate potential entry for {quote(a)}")
-            table[index] = cls._parse(patch, row.get("coeff"),
-                                      "potential_1form")
-        return BaseForm(patch, 1, table)
 
     @classmethod
     def _read_ymh(cls, patch, block):

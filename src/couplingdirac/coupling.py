@@ -49,7 +49,6 @@ from .symexpr import ScalarExpr, _add_terms
 from .tensorcalc import (
     CourantSection,
     Multivector,
-    _HALF,
     _pairing_row,
     _slot_index,
     contract,
@@ -166,14 +165,18 @@ class GeometricData:
         if horizontal_form is None:
             horizontal_form = BaseForm.zero(patch, 2)
         V = vertical_bivector
+        if not isinstance(V, Multivector):
+            raise MalformedDataError("the vertical part must be a bivector")
+        if not isinstance(connection, Connection):
+            raise MalformedDataError("the connection must be a Connection")
+        if not isinstance(horizontal_form, BaseForm) \
+                or horizontal_form.degree != 2:
+            raise MalformedDataError("the horizontal part must be a base 2-form")
         if V.patch != patch or connection.patch != patch \
                 or horizontal_form.patch != patch:
             raise PatchMismatchError("data pieces live on different patches")
         if V.degree != 2:
             raise DegreeError("the vertical part must be a bivector")
-        if not isinstance(horizontal_form, BaseForm) \
-                or horizontal_form.degree != 2:
-            raise MalformedDataError("the horizontal part must be a base 2-form")
         fiber = set(patch.fiber_indices)
         for key, c in V.items():
             if not set(key) <= fiber:
@@ -253,8 +256,8 @@ class DiracPresentation:
         ``labeled()`` order.
 
         Built from one pairing row per generator over the generators' slot
-        index: row i pairs e_i with the e_j, j >= i, that share a slot with
-        it, and every other entry is the patch's zero."""
+        index: row i holds pairing_plus(e_i, e_j) for the e_j, j >= i, that
+        pair with it to nonzero, and every other entry is the patch's zero."""
         if self._pairings is None:
             gens = self.sections
             n = len(gens)
@@ -263,8 +266,7 @@ class DiracPresentation:
             table = []
             for i in range(n):
                 row = _pairing_row(gens[i], index, i, n)
-                table += [(i, j, row[j] * _HALF if j in row else zero)
-                          for j in range(i, n)]
+                table += [(i, j, row.get(j, zero)) for j in range(i, n)]
             object.__setattr__(self, "_pairings", tuple(table))
         return self._pairings
 
@@ -359,10 +361,10 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
     Maximality is certified structurally rather than by a rank
     computation: the labels must claim every patch coordinate exactly
     once (horizontal generators claim the vector slot of their label,
-    vertical ones the form slot), each generator must be the unit on its
-    own slot, and the claimed square block must be triangular (horizontal
-    generators carry no other claimed vector slots; vertical generators
-    carry no claimed vector slots and no other claimed form slots).
+    vertical ones the form slot), and the claimed square block must be
+    unit triangular: each generator's vector field on the claimed vector
+    slots, and a vertical generator's form on the claimed form slots, is
+    the Kronecker delta of slot and label, each difference a witness.
     """
     gens = list(L.labeled())
     iso = [Witness((gens[i][1], gens[j][1]), val)
@@ -386,24 +388,15 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
         h_slots = [((patch.index(n),), n) for n in h_claim]
         v_slots = [((patch.index(n),), n) for n in v_claim]
         for kind, name, section in gens:
-            vf = section.vf.comps
-            if kind == "H":
-                for key, slot in h_slots:
+            checks = [(section.vf.comps, h_slots)]
+            if kind == "V":
+                checks.append((section.form.comps, v_slots))
+            for table, slots in checks:
+                for key, slot in slots:
+                    got = table.get(key, zero)
                     want = one if slot == name else zero
-                    got = vf.get(key, zero)
                     if got != want:
                         maxi.append(Witness((name, slot), got - want))
-            else:
-                form = section.form.comps
-                for key, slot in v_slots:
-                    want = one if slot == name else zero
-                    got = form.get(key, zero)
-                    if got != want:
-                        maxi.append(Witness((name, slot), got - want))
-                for key, slot in h_slots:
-                    got = vf.get(key, zero)
-                    if got:
-                        maxi.append(Witness((name, slot), got))
 
     return CheckReport([ConditionReport("isotropy", iso),
                         ConditionReport("maximality", maxi)])
@@ -448,10 +441,10 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
 
     Each bracket is paired with the generators in one pass: over an index
     of the generators' vector-field and form slots, one pairing row per
-    bracket holds 2<[e_a,e_b], e_c> for the thirds c it is read at and
-    that share a slot with the bracket, so a generator sharing none costs
-    nothing.  Still one value is read per triple, and it is halved only
-    when nonzero.
+    bracket holds the nonzero <[e_a,e_b], e_c> for the thirds c it is read
+    at, so a generator sharing no slot with the bracket costs nothing.
+    Still one value is read per triple; ``ConditionReport`` sorts the
+    witnesses, so either half lists the orbit from (a, b, c).
 
     A guard decides this isotropy itself (independently of
     ``check_integrability``) from the presentation's ``pairings`` table,
@@ -464,30 +457,19 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     m = (n + 1) // 2
     sections = [s for _, _, s in gens]
     isotropic = not any(val for _, _, val in L.pairings)
-    pairs = (chain(combinations(range(m), 2), combinations(range(m, n), 2))
-             if isotropic else product(range(n), repeat=2))
+    # each bracketed pair (a, b) with the thirds lo <= c < hi it is read at
+    if isotropic:
+        pairs = chain(((a, b, b + 1, n) for a, b in combinations(range(m), 2)),
+                      ((a, b, 0, a) for a, b in combinations(range(m, n), 2)))
+    else:
+        pairs = ((a, b, 0, n) for a, b in product(range(n), repeat=2))
     index = _slot_index(sections)
     buckets = {name: [] for name in CONDITION_ORDER}
-    for a, b in pairs:
+    for a, b, lo, hi in pairs:
         br = courant_bracket(sections[a], sections[b])
-        if not isotropic:
-            thirds = range(n)
-        elif b < m:
-            thirds = range(b + 1, n)
-        else:
-            thirds = range(a)
-        row = _pairing_row(br, index, thirds.start, thirds.stop)
-        for c in thirds:
-            val = row.get(c)
-            if val is None:
-                continue
-            val = val * _HALF
-            if not isotropic:
-                orbit = (((a, b, c), val),)
-            elif b < m:
-                orbit = _signed_orbit(a, b, c, val)
-            else:
-                orbit = _signed_orbit(c, a, b, val)
+        for c, val in _pairing_row(br, index, lo, hi).items():
+            orbit = (_signed_orbit(a, b, c, val) if isotropic
+                     else (((a, b, c), val),))
             for triple, v in orbit:
                 cls = CONDITION_ORDER[sum(gens[t][0] == "H" for t in triple)]
                 buckets[cls].append(

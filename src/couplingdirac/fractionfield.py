@@ -45,7 +45,8 @@ from operator import add, sub
 from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
-from .symexpr import COS, SIN, Patch, ScalarExpr, _add_terms, _coefficient, _expr
+from .symexpr import (
+    COS, SIN, Patch, ScalarExpr, _ONE_KEY, _add_terms, _coefficient, _expr)
 
 
 def _quotient(a, b):
@@ -197,8 +198,8 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
     patch = num.patch
     if num.is_zero():
         return patch.zero()
-    if den.as_rational() is not None:
-        c = den.terms[((), ())]
+    if len(den.terms) == 1 and _ONE_KEY in den.terms:
+        c = den.terms[_ONE_KEY]
         return _expr(patch, {k: _quotient(v, c) for k, v in num.terms.items()})
     support = sorted(num.coordinates_used() | den.coordinates_used())
     slot = {i: pos for pos, i in enumerate(support)}

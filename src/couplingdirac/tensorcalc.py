@@ -461,6 +461,8 @@ class CourantSection:
     __slots__ = ("vf", "form", "_dform")
 
     def __init__(self, vf: Multivector, form: DiffForm):
+        if not isinstance(vf, Multivector) or not isinstance(form, DiffForm):
+            raise TypeError("a Courant section pairs a Multivector with a DiffForm")
         if vf.degree != 1 or form.degree != 1:
             raise DegreeError("a Courant section pairs a vector field with a 1-form")
         if vf.patch != form.patch:
@@ -522,18 +524,18 @@ def _slot_index(sections: Sequence[CourantSection]) -> tuple:
 
 
 def _pairing_row(s: CourantSection, index: tuple, lo: int, hi: int) -> dict:
-    """``{c: 2 <s, e_c>}`` over the positions ``lo <= c < hi`` of the
-    indexed sections e_c, as one table: ``s.vf`` is walked against the
-    form map and ``s.form`` against the vector-field map, so a section
-    sharing no slot with ``s`` costs nothing.  A missing position pairs to
-    zero; each value is ``2 * pairing_plus(s, e_c)``, left to the reader
-    to halve."""
+    """``{c: pairing_plus(s, e_c)}`` over the positions ``lo <= c < hi``
+    of the indexed sections e_c that pair with ``s`` to nonzero, as one
+    table: ``s.vf`` is walked against the form map and ``s.form`` against
+    the vector-field map, so a section sharing no slot with ``s`` costs
+    nothing.  Each nonzero sum of the two halves is halved once, here."""
     vfs, forms = index
-    return _add_terms({}, chain(
+    row = _add_terms({}, chain(
         ((c, xc * wc) for key, xc in s.vf.comps.items()
          for c, wc in forms.get(key, ()) if lo <= c < hi),
         ((c, xc * wc) for key, wc in s.form.comps.items()
          for c, xc in vfs.get(key, ()) if lo <= c < hi)))
+    return {c: v * _HALF for c, v in row.items()}
 
 
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:

@@ -15,6 +15,7 @@ import pytest
 
 import couplingdirac
 from couplingdirac.cli import Manifest, dumps, run
+from couplingdirac.fibered import Connection
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -311,6 +312,81 @@ def bad_documents():
                   + [{"name": "x1", "role": "fiber", "angle": False}])
     yield {"coordinates": "nope"}
     yield []
+
+
+ROW_BLOCKS = {
+    "connection": ({"fiber": "q", "base": "x1", "coeff": "1"}, "fiber", "x1",
+                   "connection entries name a fiber and a base coordinate",
+                   "connection expects fiber coordinates, got 'x1'",
+                   "duplicate connection row ['q', 'x1']"),
+    "potential_1form": ({"base": "x1", "coeff": "q"}, "base", "q",
+                        "potential_1form entries name a base coordinate",
+                        "potential_1form expects base coordinates, got 'q'",
+                        "duplicate potential_1form row ['x1']"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ROW_BLOCKS))
+def test_named_row_blocks_exit_2_naming_their_field(tmp_path, capsys, field):
+    row, key, wrong, bad, role, twice = ROW_BLOCKS[field]
+    good = json.loads(Path(fixture("construct_cartan")).read_text())
+    cases = [([dict(row, **{key: 1})], f"{bad}, got "),
+             ([{k: v for k, v in row.items() if k != key}],
+              f"every {field} entry needs a {key!r} key"),
+             ([dict(row, **{key: wrong})], role),
+             ([row, dict(row, coeff="2")], twice),
+             (row, f"{field!r} must be an array")]
+    for block, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(dumps(dict(good, **{field: block})))
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", "json"])
+        assert (code, out) == (2, []), block
+        assert json.loads(err)["error"]["message"].startswith(message), block
+
+
+def test_null_named_row_blocks_read_as_absent():
+    good = json.loads(Path(fixture("construct_cartan")).read_text())
+    absent = Manifest.from_document(
+        {k: v for k, v in good.items()
+         if k not in ("connection", "potential_1form")})
+    null = Manifest.from_document(
+        dict(good, connection=None, potential_1form=None))
+    empty = Manifest.from_document(dict(good, connection=[]))
+    assert null.data == absent.data == empty.data
+    assert null.data.connection == Connection.flat(null.patch)
+    assert null.potential is None and absent.potential is None
+
+
+def test_multi_factor_ymh_block_round_trips_and_constructs(tmp_path, capsys):
+    coords = [{"name": n, "role": r, "angle": False}
+              for n, r in (("x1", "base"), ("x2", "base"), ("q1", "fiber"),
+                           ("p1", "fiber"), ("q2", "fiber"), ("p2", "fiber"))]
+    doc = {"coordinates": coords,
+           "vertical_bivector": [{"indices": ["q1", "p1"], "coeff": "1"},
+                                 {"indices": ["q2", "p2"], "coeff": "1"}],
+           "connection": [], "horizontal_2form": [],
+           "ymh": {"A": [["x2", "0"], ["0", "x1^2"]], "J": ["p1", "p2"]}}
+    man = Manifest.from_document(doc)
+    assert [[str(e) for e in row] for row in man.ymh[0]] == [
+        ["x2", "0"], ["0", "x1^2"]]
+    assert dumps(man.to_document()) == dumps(doc)
+    path = tmp_path / "ymh2.json"
+    path.write_text(dumps(doc))
+    code, lines, _ = run_lines(
+        capsys, ["construct", "--manifest", str(path),
+                 "--construct-kind", "yang-mills"])
+    assert code == 0
+    built = json.loads("\n".join(lines))
+    assert built["connection"] == [
+        {"fiber": "q1", "base": "x1", "coeff": "-1*x2"},
+        {"fiber": "q2", "base": "x2", "coeff": "-1*x1^2"}]
+    assert built["horizontal_2form"] == [
+        {"bases": ["x1", "x2"], "coeff": "2*x1*p2 - p1"}]
+    path.write_text("\n".join(lines) + "\n")
+    code, lines, _ = run_lines(capsys, ["check", "--manifest", str(path)])
+    assert code == 0
+    assert all(line.endswith(": PASS") for line in lines)
 
 
 def test_malformed_manifests_exit_2(tmp_path, capsys):

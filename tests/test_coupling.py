@@ -45,7 +45,6 @@ from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
-    _HALF,
     _pairing_row,
     _slot_index,
     contract,
@@ -100,6 +99,22 @@ def test_data_rejects_fraction_coefficients():
     V = Multivector(patch, 2, {(patch.index("q"), patch.index("p")): frac})
     with pytest.raises(MalformedDataError):
         GeometricData(patch, V)
+
+
+def test_data_rejects_pieces_of_the_wrong_type():
+    patch = FiberedPatch.build("x1 x2", "q p")
+    V = Multivector.build(patch, 2, {("q", "p"): 1})
+    form_as_bivector = DiffForm.basis(patch, "q", "p")
+    with pytest.raises(MalformedDataError, match="vertical part"):
+        GeometricData(patch, form_as_bivector)
+    for bad in ({}, "q"):
+        with pytest.raises(MalformedDataError, match="connection"):
+            GeometricData(patch, V, connection=bad)
+        with pytest.raises(MalformedDataError, match="horizontal part"):
+            GeometricData(patch, V, horizontal_form=bad)
+    vector_as_form = Multivector.build(patch, 2, {("x1", "x2"): 1})
+    with pytest.raises(MalformedDataError, match="horizontal part"):
+        GeometricData(patch, V, horizontal_form=vector_as_form)
 
 
 def test_data_defaults_are_flat_and_zero():
@@ -217,6 +232,56 @@ def test_empty_presentation_is_isotropic_but_not_maximal():
     assert not maxi.passed
     assert {w.indices for w in maxi.witnesses} == {
         ("unclaimed", "x1"), ("unclaimed", "q")}
+
+
+def unit_presentation(patch, vf=None, form=None):
+    """The unit generator on each coordinate's claimed slot (a horizontal
+    one's vector slot, a vertical one's form slot), with the vector-field
+    and form entries in ``vf`` and ``form`` (generator: {slot: text})
+    added on top."""
+    vf, form = vf or {}, form or {}
+
+    def section(name, unit):
+        X = {name: "1"} if unit == "vf" else {}
+        w = {name: "1"} if unit == "form" else {}
+        X.update(vf.get(name, {}))
+        w.update(form.get(name, {}))
+        return CourantSection(
+            Multivector.build(patch, 1, {(k,): patch.parse(v)
+                                         for k, v in X.items()}),
+            DiffForm.build(patch, 1, {(k,): patch.parse(v)
+                                      for k, v in w.items()}))
+
+    return DiracPresentation(
+        patch,
+        horizontal=[(n, section(n, "vf")) for n in patch.base_names],
+        vertical=[(n, section(n, "form")) for n in patch.fiber_names])
+
+
+@pytest.mark.parametrize("vf,form,expected", [
+    # a horizontal field off the unit on its own slot and on another
+    ({"x1": {"x1": "2", "x2": "p"}}, {}, [(("x1", "x1"), "1"),
+                                          (("x1", "x2"), "p")]),
+    # a vertical field with a part along a claimed vector slot
+    ({"q": {"x1": "q"}}, {}, [(("q", "x1"), "q")]),
+    # a vertical form off the unit on its own slot and on another
+    ({}, {"q": {"q": "3", "p": "1"}}, [(("q", "p"), "1"),
+                                       (("q", "q"), "2")]),
+    # entries outside the claimed block are not maximality's concern
+    ({"q": {"q": "x1"}}, {"x1": {"x2": "q"}}, []),
+    # all three at once, witnesses sorted by their indices
+    ({"x1": {"x1": "2", "x2": "p"}, "q": {"x1": "q"}},
+     {"q": {"q": "3", "p": "1"}},
+     [(("q", "p"), "1"), (("q", "q"), "2"), (("q", "x1"), "q"),
+      (("x1", "x1"), "1"), (("x1", "x2"), "p")]),
+], ids=["horizontal_field", "vertical_field", "vertical_form", "off_block",
+        "all_at_once"])
+def test_maximality_witnesses_are_entries_minus_the_unit(vf, form, expected):
+    patch = FiberedPatch.build("x1 x2", "q p")
+    report = verify_isotropy(unit_presentation(patch, vf, form))
+    maxi = report.condition("maximality")
+    assert [(w.indices, str(w.expression)) for w in maxi.witnesses] \
+        == expected
 
 
 # ----------------------------------------------------------------- closure
@@ -493,7 +558,7 @@ def test_pairing_rows_match_pairing_plus():
             for c in range(n):
                 want = pairing_plus(br, gens[c])
                 if c in row:
-                    assert row[c] and row[c] * _HALF == want, (L, a, b, c)
+                    assert row[c] and row[c] == want, (L, a, b, c)
                     nonzero += 1
                 else:
                     assert want.is_zero(), (L, a, b, c)

@@ -511,6 +511,13 @@ def test_courant_section_is_immutable():
     assert s.form == DiffForm.basis(QP, "p")
 
 
+def test_courant_section_rejects_swapped_halves():
+    X, w = Multivector.basis(QP, "q"), DiffForm.basis(QP, "p")
+    for vf, form in ((w, X), (w, w), (X, X), ({}, w), (X, None)):
+        with pytest.raises(TypeError, match="Courant section"):
+            CourantSection(vf, form)
+
+
 def test_graph_sections_of_closed_form_stay_isotropic():
     # graph sections s_X = (X, i_X w) of a closed 2-form w
     rng = random.Random(37)
