@@ -16,7 +16,9 @@ Exit codes: 0 every check passed, 1 a mathematical check failed,
 or JSON nested past the decoder's recursion limit, a bad
 ``--fiber-point``, and an output number with more decimal digits than
 the interpreter's integer-string limit, such as the coefficient of
-``2^20000*q``; then stdout stays empty), 3 degenerate input (singular
+``2^20000*q``, and an exponent of a coordinate that reaches 2^31, parsed
+as in ``x1^2147483648`` or formed by a product; then stdout stays
+empty), 3 degenerate input (singular
 base block, non-Casimir coefficient, recovered data that is not
 polynomial).  Errors go to stderr, as ``{"error": {"code", "message"}}``
 with ``--report json``.  JSON output is ``json.dumps(doc, indent=2)``.
@@ -147,20 +149,27 @@ def data_document(data: GeometricData) -> dict:
 
 
 class Manifest:
-    """A parsed, validated manifest: patch, data, and optional blocks."""
+    """A parsed, validated manifest: patch, data, and optional blocks.
+
+    ``ymh`` is ``(rows of A, momenta J)``; ``ymh_form`` says whether ``A``
+    was read as one flat row and ``J`` as one string, so that the block is
+    written back in the form it was read in.  Without it, a block with one
+    momentum is written in the single form."""
 
     __slots__ = ("patch", "data", "bivector", "casimirs", "potential",
-                 "ymh", "angles")
+                 "ymh", "ymh_form", "angles")
 
     def __init__(self, patch: FiberedPatch, data: GeometricData,
                  *, bivector: Multivector | None = None, casimirs=None,
-                 potential: BaseForm | None = None, ymh=None, angles=None):
+                 potential: BaseForm | None = None, ymh=None, ymh_form=None,
+                 angles=None):
         self.patch = patch
         self.data = data
         self.bivector = bivector
         self.casimirs = casimirs
         self.potential = potential
         self.ymh = ymh
+        self.ymh_form = ymh_form
         self.angles = angles
 
     # -- reading -------------------------------------------------------------
@@ -188,12 +197,12 @@ class Manifest:
         if potential is not None:
             potential = BaseForm(patch, 1, cls._read_rows(
                 patch, potential, "potential_1form", ("base",)))
+        ymh, ymh_form = cls._read_ymh(patch, doc.get("ymh"))
         return cls(patch, GeometricData(patch, V, conn, F),
                    bivector=bivector,
                    casimirs=cls._read_exprs(patch, doc.get("casimirs"),
                                             "casimirs"),
-                   potential=potential,
-                   ymh=cls._read_ymh(patch, doc.get("ymh")),
+                   potential=potential, ymh=ymh, ymh_form=ymh_form,
                    angles=cls._read_angles(doc.get("angles_averaged")))
 
     @staticmethod
@@ -295,8 +304,9 @@ class Manifest:
 
     @classmethod
     def _read_ymh(cls, patch, block):
+        """(rows of A, momenta J) and (A flat, J a string), or two Nones."""
         if block is None:
-            return None
+            return None, None
         if not isinstance(block, dict) or set(block) != {"A", "J"}:
             raise ManifestError("'ymh' must be an object with keys A and J")
         J = block["J"]
@@ -315,9 +325,10 @@ class Manifest:
                 raise ManifestError(
                     "'ymh' A must be an array (or array of arrays) of "
                     "expression strings")
-        return (tuple(tuple(cls._parse(patch, e, "ymh") for e in row)
-                      for row in rows),
-                tuple(cls._parse(patch, j, "ymh") for j in momenta))
+        return ((tuple(tuple(cls._parse(patch, e, "ymh") for e in row)
+                       for row in rows),
+                 tuple(cls._parse(patch, j, "ymh") for j in momenta)),
+                (rows is not A, momenta is not J))
 
     @staticmethod
     def _read_angles(items):
@@ -343,12 +354,10 @@ class Manifest:
                 for (a,), c in sorted(self.potential.items())]
         if self.ymh is not None:
             rows, momenta = self.ymh
-            if len(momenta) == 1:
-                doc["ymh"] = {"A": [str(e) for e in rows[0]],
-                              "J": str(momenta[0])}
-            else:
-                doc["ymh"] = {"A": [[str(e) for e in row] for row in rows],
-                              "J": [str(j) for j in momenta]}
+            flat, single = self.ymh_form or (len(momenta) == 1,) * 2
+            A = [[str(e) for e in row] for row in rows]
+            J = [str(j) for j in momenta]
+            doc["ymh"] = {"A": A[0] if flat else A, "J": J[0] if single else J}
         if self.angles is not None:
             doc["angles_averaged"] = list(self.angles)
         return doc

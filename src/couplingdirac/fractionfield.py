@@ -1,11 +1,12 @@
 """Fraction field over the scalar ring, exact division, Pfaffians.
 
-Exact division works on the variables that occur in either operand, in
-patch order, as dense exponent tuples; single-divisor multivariate
-division in lex order then decides divisibility exactly.  Without an
-angle coordinate among them the operands are polynomials and the
-division runs on the ring's own ``int``/``Fraction`` coefficients.  An
-angle coordinate maps to a unit-circle variable ``z`` via
+Exact division is single-divisor multivariate division in the lex order
+of packed monomials (a monomial order: ``int`` comparison reads the
+highest field first), which decides divisibility exactly.  Without an
+angle coordinate in either operand's support the operands are
+polynomials, and the division runs on the ring's own packed keys and
+``int``/``Fraction`` coefficients.  An angle coordinate maps to a
+unit-circle variable ``z`` via
 cos(k*t) = (z^k + z^-k)/2 and sin(k*t) = -i(z^k - z^-k)/2, turning both
 operands into Laurent polynomials over the Gaussian rationals.  The
 halves are left out: with A angle coordinates in the support, a term
@@ -15,10 +16,13 @@ with m trig factors maps through
 
 and is scaled by 2^(A-m), so every term of both operands, and both
 operands as a whole, carry the same factor 2^A, which cancels in the
-quotient; integral coefficients stay Gaussian integers.  After shifting
-away the minimal ``z`` exponents the operands are ordinary polynomials,
-and the quotient, when it exists, is conjugate-symmetric and maps back
-to a real trig-polynomial.
+quotient; integral coefficients stay Gaussian integers.  The Laurent
+tables keep the ring's packed keys, with each angle's field holding its
+``z`` exponent shifted by the operand's largest frequency in that angle,
+so the operands become ordinary polynomials; the fields widen past the
+ring's 32 bits only for a frequency of 2^30 or more.  The quotient, when
+it exists, is conjugate-symmetric and maps back to a real
+trig-polynomial.
 
 An antisymmetric matrix A is inverted through its Pfaffian: first-row
 expansion memoized on index subsets gives Pf(A) and every Pf of A with
@@ -41,12 +45,13 @@ only ``RatExpr.as_scalar``, that expansion and the callers in
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
 from .symexpr import (
-    COS, SIN, Patch, ScalarExpr, _ONE_KEY, _add_terms, _coefficient, _expr)
+    COS, SIN, Patch, ScalarExpr, _ONE_KEY, _WIDTH, _add_terms, _coefficient,
+    _expr, _unpack)
 
 
 def _quotient(a, b):
@@ -90,10 +95,16 @@ class _QI:
         return bool(self.re) or bool(self.im)
 
 
-def _divide(ntab: dict, dtab: dict, quotient) -> Optional[dict]:
-    """Single-divisor division of {exponent tuple: coefficient} tables in
-    lex order: the quotient table when ``dtab`` divides ``ntab`` exactly,
-    else None.  ``quotient`` divides two coefficients."""
+def _divide(ntab: dict, dtab: dict, quotient, guard: int) -> Optional[dict]:
+    """Single-divisor division of {packed monomial: coefficient} tables,
+    largest monomial first: the quotient table when ``dtab`` divides
+    ``ntab`` exactly, else None.  ``quotient`` divides two coefficients.
+
+    ``guard`` has the top bit of every field set, and no key sets one.  A
+    monomial divides another when subtracting it from the other with every
+    guard bit set clears none of them.  An exact division never forms a
+    product past the numerator's exponents, so a product reaching a guard
+    bit ends the division with None."""
     lead = max(dtab)
     lead_c = dtab[lead]
     rest = [(m, c) for m, c in dtab.items() if m != lead]
@@ -101,84 +112,80 @@ def _divide(ntab: dict, dtab: dict, quotient) -> Optional[dict]:
     rem = dict(ntab)
     while rem:
         t = max(rem)
-        qm = tuple(map(sub, t, lead))
-        if min(qm) < 0:
+        qm = (t | guard) - lead
+        if qm & guard != guard:
             return None
+        qm ^= guard
         qc = quo[qm] = quotient(rem.pop(t), lead_c)
-        _add_terms(rem, [(tuple(map(add, qm, dm)), qc * dc)
-                         for dm, dc in rest], sub)
+        products = [(qm + dm, qc * dc) for dm, dc in rest]
+        if any(m & guard for m, _ in products):
+            return None
+        _add_terms(rem, products, sub)
     return quo
 
 
-def _polynomial_table(e: ScalarExpr, slot: dict, nvars: int) -> dict:
-    """A trig-free expression as {dense exponent tuple: coefficient}."""
-    table = {}
-    for (mono, _trig), c in e.terms.items():
-        exps = [0] * nvars
-        for i, k in mono:
-            exps[slot[i]] = k
-        table[tuple(exps)] = c
-    return table
-
-
-def _laurent_table(e: ScalarExpr, slot: dict, nvars: int, nangles: int) -> dict:
-    """2^nangles times an expression, as {dense exponent tuple: _QI} with
-    the angle slots Laurent: a term with m trig factors is scaled by
+def _laurent_table(e: ScalarExpr, nangles: int, width: int, low: dict) -> dict:
+    """2^nangles times an expression, as {packed monomial: _QI} with the
+    angle fields Laurent: a term with m trig factors is scaled by
     2^(nangles - m), and each factor maps to z^k + z^-k (cos) or
     -i*z^k + i*z^-k (sin), twice its value.  Every term thus carries the
     factor 2^nangles, so an integral expression has Gaussian-integer
     values, and ``divide_exact``, which maps both operands with the
     nangles of their joint support, gets the quotient unscaled.  A branch
-    carries its weight as the power of i it picked up."""
+    carries its weight as the power of i it picked up.
+
+    Keys have ``width`` bits a coordinate, and angle i's field holds its
+    exponent plus ``low[i]``, its largest frequency in ``e``: the image's
+    least exponent in z_i is exactly -low[i], so every field is
+    non-negative and some key has a zero field in each angle."""
+    offset = sum(k << (width * i) for i, k in low.items())
     pairs = []
     for (mono, trig), c in e.terms.items():
-        exps = [0] * nvars
-        for i, k in mono:
-            exps[slot[i]] = k
+        if width != _WIDTH:
+            mono = _repack(mono, _WIDTH, width)
         c = _coefficient(c * (1 << (nangles - len(trig))))
         if not trig:
-            pairs.append((tuple(exps), _QI(c)))
+            pairs.append((mono + offset, _QI(c)))
             continue
-        branches = [(exps, 0)]
+        branches = [(mono + offset, 0)]
         for i, kind, k in trig:
-            pos = slot[i]
-            nxt = []
-            for ex, p in branches:
-                up, down = list(ex), list(ex)
-                up[pos] += k
-                down[pos] -= k
-                nxt += ((up, p), (down, p)) if kind == COS else (
-                    (up, p + 3), (down, p + 1))
-            branches = nxt
+            step = k << (width * i)
+            turn = (0, 0) if kind == COS else (3, 1)
+            branches = [pair for m, p in branches for pair in (
+                (m + step, p + turn[0]), (m - step, p + turn[1]))]
         phases = (_QI(c), _QI(0, c), _QI(-c), _QI(0, -c))
-        pairs += [(tuple(ex), phases[p % 4]) for ex, p in branches]
+        pairs += [(m, phases[p % 4]) for m, p in branches]
     return _add_terms({}, pairs)
 
 
-def _lowered(table: dict, angles: list, nvars: int):
-    """(``table`` with each angle slot's minimal exponent subtracted from
-    every key, those minima as an exponent tuple)."""
-    low = tuple(min(k[p] for k in table) if p in angles else 0
-                for p in range(nvars))
-    return {tuple(map(sub, k, low)): c for k, c in table.items()}, low
+def _repack(mono: int, old: int, new: int) -> int:
+    """A packed monomial with ``old`` bits a field moved to ``new``."""
+    return sum(e << (new * i) for i, e in _unpack(mono, old))
 
 
-def _real_terms(quo: dict, support: list, angles: list) -> Optional[dict]:
-    """The real trig-polynomial with Laurent table ``quo`` as ScalarExpr
-    terms, or None when its imaginary part does not cancel.
+def _real_terms(quo: dict, patch: Patch, angles: list, shift: dict,
+                width: int) -> Optional[dict]:
+    """The real trig-polynomial whose Laurent table is ``quo`` (keys of
+    ``width`` bits a coordinate, angle i's field holding its exponent plus
+    ``shift[i]``) as ScalarExpr terms, or None when its imaginary part
+    does not cancel.
 
-    z^k = cos(k*t) + i*sin(k*t) on every angle slot, so each Laurent term
+    z^k = cos(k*t) + i*sin(k*t) on every angle, so each Laurent term
     spreads over the cos/sin choices of its nonzero angle exponents."""
     real, imag = [], []
-    polys = [pos for pos in range(len(support)) if pos not in angles]
-    for exps, c in quo.items():
-        mono = tuple((support[p], exps[p]) for p in polys if exps[p])
+    field = (1 << width) - 1
+    poly_fields = ((1 << (width * len(patch))) - 1) ^ sum(
+        field << (width * i) for i in angles)
+    for m, c in quo.items():
+        mono = m & poly_fields
+        if width != _WIDTH:
+            mono = _repack(mono, width, _WIDTH)
         branches = [((), c.re, c.im)]
-        for p in angles:
-            k = exps[p]
+        for i in angles:
+            k = (m >> (width * i) & field) - shift[i]
             if not k:
                 continue
-            i, s = support[p], (1 if k > 0 else -1)
+            s = 1 if k > 0 else -1
             nxt = []
             for word, re, im in branches:
                 nxt.append((word + ((i, COS, s * k),), re, im))
@@ -201,27 +208,36 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
     if len(den.terms) == 1 and _ONE_KEY in den.terms:
         c = den.terms[_ONE_KEY]
         return _expr(patch, {k: _quotient(v, c) for k, v in num.terms.items()})
-    support = sorted(num.coordinates_used() | den.coordinates_used())
-    slot = {i: pos for pos, i in enumerate(support)}
-    nvars = len(support)
-    angles = [pos for pos, i in enumerate(support) if patch.coords[i].angle]
+    angles = sorted(i for i in num.coordinates_used() | den.coordinates_used()
+                    if patch.coords[i].angle)
     if not angles:
-        quo = _divide(_polynomial_table(num, slot, nvars),
-                      _polynomial_table(den, slot, nvars), _quotient)
+        quo = _divide({m: c for (m, _), c in num.terms.items()},
+                      {m: c for (m, _), c in den.terms.items()},
+                      _quotient, patch._guard)
         if quo is None:
             return None
-        return _expr(patch, {
-            (tuple((support[p], k) for p, k in enumerate(exps) if k), ()): c
-            for exps, c in quo.items()})
-    (ntab, nlow), (dtab, dlow) = (
-        _lowered(_laurent_table(e, slot, nvars, len(angles)), angles, nvars)
-        for e in (num, den))
-    quo = _divide(ntab, dtab, _QI.__truediv__)
+        return _expr(patch, {(m, ()): c for m, c in quo.items()})
+    # each angle's largest frequency in each operand; a field holds twice
+    # that, and a polynomial exponent stays below 2^(_WIDTH - 1)
+    lows = []
+    for e in (num, den):
+        low = dict.fromkeys(angles, 0)
+        for _, trig in e.terms:
+            for i, _, k in trig:
+                if k > low[i]:
+                    low[i] = k
+        lows.append(low)
+    top = max(max(low.values()) for low in lows)
+    width = max(_WIDTH, (2 * top).bit_length() + 1)
+    guard = patch._guard if width == _WIDTH else sum(
+        1 << (width * i + width - 1) for i in range(len(patch)))
+    quo = _divide(
+        *(_laurent_table(e, len(angles), width, low)
+          for e, low in zip((num, den), lows)), _QI.__truediv__, guard)
     if quo is None:
         return None
-    shift = tuple(map(sub, nlow, dlow))
-    terms = _real_terms({tuple(map(add, k, shift)): c for k, c in quo.items()},
-                        support, angles)
+    terms = _real_terms(quo, patch, angles,
+                        {i: lows[0][i] - lows[1][i] for i in angles}, width)
     return None if terms is None else _expr(patch, terms)
 
 

@@ -29,6 +29,20 @@ of the product-to-sum rules, exact division).  Equality, hashing and
 printing do not depend on the type, but integer arithmetic is far
 cheaper than ``Fraction`` arithmetic, and most coefficients stay small
 integers.
+
+A term is keyed by ``(monomial, trig word)``.  The monomial is one packed
+``int`` (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007): coordinate ``i`` owns
+the W = 32 bits from bit ``W*i`` up, and its field holds its exponent,
+so ``x_i^e`` is ``e << (W*i)`` and a product of monomials is one integer
+addition.  The top bit of each field is a guard: every exponent stays
+below 2^(W-1) = 2^31, fields never carry into each other, and a product
+or a parsed exponent that reaches 2^31 raises :class:`ExpressionError`
+instead; each patch keeps the mask of its own fields' guard bits, so the
+check covers a patch of any size.  Angle coordinates' fields stay zero.
+The trig word is a sorted tuple of ``(coordinate, SIN or COS,
+frequency)``.  The printer orders terms as the unpacked tuples
+``((coordinate, exponent), ...)``.
 """
 
 from __future__ import annotations
@@ -51,11 +65,15 @@ from .errors import (
 COS = 0
 SIN = 1
 
-# term key pieces: monomial ((coord, exp), ...) and trig word ((coord, kind, k), ...)
-Mono = tuple  # tuple[tuple[int, int], ...]
+# term key pieces: packed monomial and trig word ((coord, kind, k), ...)
+Mono = int
 Trig = tuple  # tuple[tuple[int, int, int], ...]
 Key = tuple   # tuple[Mono, Trig]
-_ONE_KEY = ((), ())  # the key of the constant term
+_ONE_KEY = (0, ())  # the key of the constant term
+
+_WIDTH = 32  # bits per coordinate field of a packed monomial
+_LIMIT = 1 << (_WIDTH - 1)  # the guard bit: every exponent stays below it
+_FIELD = (1 << _WIDTH) - 1
 
 RationalLike = Union[int, Fraction]
 
@@ -78,9 +96,12 @@ class Coordinate:
 
 
 class Patch:
-    """An ordered tuple of named coordinates; the home of expressions."""
+    """An ordered tuple of named coordinates; the home of expressions.
 
-    __slots__ = ("coords", "_index")
+    ``_guard`` has the guard bit of every coordinate's monomial field set,
+    and ``_names`` holds the names the printer writes."""
+
+    __slots__ = ("coords", "_index", "_guard", "_names")
 
     def __init__(self, coords: Iterable[Coordinate]):
         coords = tuple(coords)
@@ -91,6 +112,8 @@ class Patch:
             raise PatchError(f"duplicate coordinate names in {quote(names)}")
         self.coords = coords
         self._index = {c.name: i for i, c in enumerate(coords)}
+        self._guard = sum(_LIMIT << (_WIDTH * i) for i in range(len(coords)))
+        self._names = tuple(names)
 
     @classmethod
     def build(cls, names: str | Sequence[str], angles: Sequence[str] = (), role: str = "fiber") -> "Patch":
@@ -118,7 +141,7 @@ class Patch:
 
     @property
     def names(self) -> tuple:
-        return tuple(c.name for c in self.coords)
+        return self._names
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -159,7 +182,7 @@ class Patch:
         if self.coords[i].angle:
             raise AngleDisciplineError(
                 f"angle coordinate {name!r} may appear only inside sin/cos")
-        return _expr(self, {(((i, 1),), ()): 1})
+        return _expr(self, {(1 << (_WIDTH * i), ()): 1})
 
     def trig(self, kind: int, k: int, name: str) -> "ScalarExpr":
         """sin(k*name) for kind=SIN, cos(k*name) for kind=COS."""
@@ -171,7 +194,7 @@ class Patch:
             raise ValueError("trig frequency must be a natural number")
         if k == 0:
             return self.one() if kind == COS else self.zero()
-        return _expr(self, {((), ((i, kind, k),)): 1})
+        return _expr(self, {(0, ((i, kind, k),)): 1})
 
     def parse(self, text: str) -> "ScalarExpr":
         return parse(text, self)
@@ -277,17 +300,24 @@ def _mul_trig(t1: Trig, t2: Trig):
     return [(tuple(word), w) for word, w in branches]
 
 
-def _mul_mono(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = {}
-    for i, e in m1:
-        exps[i] = exps.get(i, 0) + e
-    for i, e in m2:
-        exps[i] = exps.get(i, 0) + e
-    return tuple(sorted(exps.items()))
+def _unpack(mono: Mono, width: int = _WIDTH) -> tuple:
+    """A packed monomial as ``((coordinate, exponent), ...)`` in increasing
+    coordinate order: one step per nonzero field, from the top one down.
+    Exact division packs with other field widths."""
+    out = []
+    while mono:
+        i = (mono.bit_length() - 1) // width
+        e = mono >> (width * i)
+        out.append((i, e))
+        mono -= e << (width * i)
+    out.reverse()
+    return tuple(out)
+
+
+def _too_large(what: str, position: int | None = None) -> ExpressionError:
+    return ExpressionError(
+        f"{what} reaches 2^{_WIDTH - 1}: exponents must stay below it",
+        position)
 
 
 class ScalarExpr:
@@ -351,11 +381,14 @@ class ScalarExpr:
             return _scaled(self, right[_ONE_KEY])
         if len(left) == 1 and _ONE_KEY in left:
             return _scaled(other, left[_ONE_KEY])
+        guard = self.patch._guard
         products = []
         right = right.items()
         for (m1, t1), c1 in left.items():
             for (m2, t2), c2 in right:
-                mono = _mul_mono(m1, m2)
+                mono = m1 + m2
+                if mono & guard:
+                    raise _too_large("an exponent of a product")
                 if t1 and t2:
                     base = c1 * c2
                     products += [((mono, trig), base * w)
@@ -411,31 +444,34 @@ class ScalarExpr:
         try:
             return self._support
         except AttributeError:
+            monos = 0
+            for mono, _ in self.terms:
+                monos |= mono
             used = self._support = frozenset(
-                [i for mono, _ in self.terms for i, _ in mono]
+                [i for i, _ in _unpack(monos)]
                 + [i for _, trig in self.terms for i, _, _ in trig])
             return used
 
     # -- calculus ------------------------------------------------------------
     def differentiate(self, coord: str | Coordinate | int) -> "ScalarExpr":
         i = self.patch.index(coord)
-        angle = self.patch.coords[i].angle
         out = []
+        if not self.patch.coords[i].angle:
+            shift = _WIDTH * i
+            unit = 1 << shift
+            for (mono, trig), c in self.terms.items():
+                e = mono >> shift & _FIELD
+                if e:
+                    out.append(((mono - unit, trig), c * e))
+            return _expr(self.patch, _add_terms({}, out))
         for (mono, trig), c in self.terms.items():
-            if not angle:
-                for pos, (j, e) in enumerate(mono):
-                    if j == i:
-                        rest = mono[:pos] + ((j, e - 1),) * (e > 1) + mono[pos + 1:]
-                        out.append(((rest, trig), c * e))
-                        break
-            else:
-                for pos, (j, kind, k) in enumerate(trig):
-                    if j == i:
-                        newkind = COS if kind == SIN else SIN
-                        factor = k if kind == SIN else -k
-                        rest = trig[:pos] + ((j, newkind, k),) + trig[pos + 1:]
-                        out.append(((mono, rest), c * factor))
-                        break
+            for pos, (j, kind, k) in enumerate(trig):
+                if j == i:
+                    newkind = COS if kind == SIN else SIN
+                    factor = k if kind == SIN else -k
+                    rest = trig[:pos] + ((j, newkind, k),) + trig[pos + 1:]
+                    out.append(((mono, rest), c * factor))
+                    break
         return _expr(self.patch, _add_terms({}, out))
 
     def angle_average(self, coord: str | Coordinate | int) -> "ScalarExpr":
@@ -478,40 +514,43 @@ class ScalarExpr:
                     f"angle coordinate {coords[i].name!r} cannot take a value")
         out = []
         for (mono, trig), c in self.terms.items():
-            for i, e in mono:
+            moved = 0
+            for i, e in _unpack(mono):
                 if i in point:
                     c = c * point[i] ** e
-            key = (tuple(sorted((where[i], e) for i, e in mono if i in where)),
-                   tuple(sorted((where[i], kind, k) for i, kind, k in trig)))
-            out.append((key, c))
+                else:
+                    moved += e << (_WIDTH * where[i])
+            out.append(((moved, tuple(sorted(
+                (where[i], kind, k) for i, kind, k in trig))), c))
         return _expr(target, _add_terms({}, out))
 
     # -- printing --------------------------------------------------------------
-    def _term_str(self, key: Key, coeff: Fraction, lead: bool) -> str:
-        mono, trig = key
-        factors = []
-        for i, e in mono:
-            name = self.patch.coords[i].name
-            factors.append(name if e == 1 else f"{name}^{e}")
-        for i, kind, k in trig:
-            name = self.patch.coords[i].name
-            fn = "sin" if kind == SIN else "cos"
-            arg = name if k == 1 else f"{k}*{name}"
-            factors.append(f"{fn}({arg})")
-        c = coeff if lead else abs(coeff)
-        if not factors or abs(c) != 1 or (lead and c < 0):
-            factors.insert(0, str(c))
-        return "*".join(factors)
-
     def __str__(self) -> str:
+        """Terms in increasing order of ``((coordinate, exponent), ...)``,
+        then trig word; the first carries its sign, the others are joined
+        by `` + `` or `` - ``.  Each key is unpacked once, and only ``int``
+        coefficients are compared: a ``Fraction``'s sign is read off its
+        text."""
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items())
+        names = self.patch._names
+        parts = []
         try:
-            parts = [self._term_str(items[0][0], items[0][1], lead=True)]
-            for key, c in items[1:]:
-                parts.append(" - " if c < 0 else " + ")
-                parts.append(self._term_str(key, c, lead=False))
+            for (mono, trig), c in sorted([
+                    ((_unpack(mono), trig), c)
+                    for (mono, trig), c in self.terms.items()]):
+                if type(c) is int:
+                    if parts:
+                        parts.append(" - " if c < 0 else " + ")
+                        c = abs(c)
+                    text = "" if c == 1 else str(c)
+                else:
+                    text = str(c)
+                    if parts:
+                        negative = text[0] == "-"
+                        parts.append(" - " if negative else " + ")
+                        text = text[negative:]
+                parts.append(_term_str(names, mono, trig, text))
         except ValueError:  # past the interpreter's integer-string limit
             raise ExpressionError(
                 "number too long to print: more decimal digits than the "
@@ -520,6 +559,19 @@ class ScalarExpr:
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
+
+
+def _term_str(names: tuple, mono: tuple, trig: Trig, coeff: str) -> str:
+    """One term: ``coeff``, the empty string for a unit coefficient, then
+    the factors of its unpacked monomial and of its trig word."""
+    factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
+    for i, kind, k in trig:
+        fn = "sin" if kind == SIN else "cos"
+        factors.append(f"{fn}({names[i]})" if k == 1
+                       else f"{fn}({k}*{names[i]})")
+    if coeff or not factors:
+        factors.insert(0, coeff or "1")
+    return "*".join(factors)
 
 
 def _scaled(e: ScalarExpr, c: RationalLike) -> ScalarExpr:
@@ -637,7 +689,9 @@ class _Parser:
             elif kind == "IDENT" and name not in _RESERVED:
                 self.advance()
                 i = self.coordinate(name, pos, False)
-                exps[i] = exps.get(i, 0) + self.power()
+                e = exps[i] = exps.get(i, 0) + self.power()
+                if e >= _LIMIT:
+                    raise _too_large(f"the exponent of {quote(name)}", pos)
             else:
                 factor = self.atom()
                 if self.peek() == "^":
@@ -647,7 +701,7 @@ class _Parser:
                 break
             self.advance()
         coeff = _coefficient(coeff)
-        mono = tuple(sorted((i, e) for i, e in exps.items() if e))
+        mono = sum(e << (_WIDTH * i) for i, e in exps.items())
         value = _expr(self.patch, {(mono, ()): coeff} if coeff else {})
         return value if rest is None else value * rest
 

@@ -3,6 +3,7 @@
 import math
 
 from couplingdirac.symexpr import SIN
+from tuple_ring import unpack
 
 
 def evaluate(expr, values):
@@ -11,7 +12,7 @@ def evaluate(expr, values):
     total = 0.0
     for (mono, trig), c in expr.terms.items():
         v = float(c)
-        for i, e in mono:
+        for i, e in unpack(mono):
             v *= float(values[expr.patch.coords[i].name]) ** e
         for i, kind, k in trig:
             th = float(values[expr.patch.coords[i].name])

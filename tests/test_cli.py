@@ -389,6 +389,22 @@ def test_multi_factor_ymh_block_round_trips_and_constructs(tmp_path, capsys):
     assert all(line.endswith(": PASS") for line in lines)
 
 
+def test_one_factor_ymh_block_round_trips_in_the_form_it_was_read_in():
+    raw = json.loads(Path(fixture("construct_ymh")).read_text())
+    row, momentum = raw["ymh"]["A"], raw["ymh"]["J"]
+    for A in (row, [row]):
+        for J in (momentum, [momentum]):
+            doc = dict(raw, ymh={"A": A, "J": J})
+            man = Manifest.from_document(doc)
+            assert [str(e) for e in man.ymh[0][0]] == row
+            assert [str(j) for j in man.ymh[1]] == [momentum]
+            assert dumps(man.to_document()) == dumps(doc), (A, J)
+    # built without a read form, one momentum is written in the single form
+    man = Manifest.from_document(raw)
+    man.ymh_form = None
+    assert dumps(man.to_document()) == dumps(raw)
+
+
 def test_malformed_manifests_exit_2(tmp_path, capsys):
     for i, doc in enumerate(bad_documents()):
         path = tmp_path / f"bad{i}.json"
@@ -529,6 +545,45 @@ def test_numbers_too_long_to_print_exit_2_with_empty_stdout(tmp_path, capsys):
                     "error": {"code": 2, "message": message}}, argv
             else:
                 assert err == f"error: {message}\n", argv
+
+
+def test_exponents_at_the_limit_exit_2_with_empty_stdout(tmp_path, capsys):
+    flat = json.loads(Path(fixture("flat")).read_text())
+    top = "x1^2147483647*q"
+    parsed = dict(flat, connection=[
+        {"fiber": "q", "base": "x1", "coeff": "x1^2147483648"}])
+    product = dict(flat, connection=[
+        {"fiber": "q", "base": "x1", "coeff": top},
+        {"fiber": "q", "base": "x2", "coeff": top}])
+    parse_error = ("bad connection expression 'x1^2147483648': the exponent "
+                   "of 'x1' reaches 2^31: exponents must stay below it (at "
+                   "position 0)")
+    product_error = ("an exponent of a product reaches 2^31: exponents must "
+                     "stay below it")
+    cases = [(parsed, cmd, parse_error) for cmd in ("check", "verify", "build")]
+    cases += [(product, cmd, product_error) for cmd in ("check", "verify")]
+    for doc, cmd, message in cases:
+        path = tmp_path / "limit.json"
+        path.write_text(dumps(doc))
+        for report in ("json", "text"):
+            argv = [cmd, "--manifest", str(path), "--report", report]
+            code, out, err = run_lines(capsys, argv)
+            assert (code, out) == (2, []), argv
+            if report == "json":
+                assert json.loads(err) == {
+                    "error": {"code": 2, "message": message}}, argv
+            else:
+                assert err == f"error: {message}\n", argv
+    # and through the interpreter: no traceback
+    src = str(Path(couplingdirac.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path.write_text(dumps(parsed))
+    proc = subprocess.run(
+        [sys.executable, "-m", "couplingdirac", "check", "--manifest",
+         str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {parse_error}\n"
 
 
 # ------------------------------------------------------------- round trip

@@ -20,6 +20,7 @@ from couplingdirac.fractionfield import (
 from couplingdirac.symexpr import COS, SIN
 from couplingdirac.tensorcalc import Multivector
 from float_oracle import evaluate
+from tuple_ring import unpack
 
 PATCH = Patch.build("x y p th", angles=("th",))
 # polynomial only, one angle, two angles
@@ -138,7 +139,7 @@ def halved_laurent(e, slot, nvars):
     table = {}
     for (mono, trig), c in e.terms.items():
         exps = [0] * nvars
-        for i, k in mono:
+        for i, k in unpack(mono):
             exps[slot[i]] = k
         branches = [(exps, (Fraction(c), Fraction(0)))]
         for i, kind, k in trig:
@@ -165,15 +166,23 @@ def test_laurent_images_of_integral_expressions_are_gaussian_integers():
               " - 7*y*cos(2*th)*sin(3*ph)"),
         (two, "sin(th)*sin(ph) + cos(th)*cos(ph) - 2*y*sin(2*th)*cos(ph)"),
         (two, "x + 1/2*sin(ph) - 3/4*x*cos(th)*sin(2*ph)"),
+        (two, f"x^3*cos({2 ** 40}*th)*sin(ph) - y*sin({2 ** 40 + 1}*th)"),
     ]
     for patch, text in texts:
         e = patch.parse(text)
         support = sorted(e.coordinates_used())
         slot = {i: pos for pos, i in enumerate(support)}
-        angles = sum(patch.coords[i].angle for i in support)
-        table = fractionfield._laurent_table(e, slot, len(support), angles)
-        scale = 2 ** angles
-        assert {k: (v.re, v.im) for k, v in table.items()} == {
+        # each angle's field is offset by its largest frequency, and is
+        # wide enough for twice that
+        low = {i: max((k for _, trig in e.terms for j, _, k in trig
+                       if j == i), default=0)
+               for i in support if patch.coords[i].angle}
+        width = max(32, (2 * max(low.values())).bit_length() + 1)
+        table = fractionfield._laurent_table(e, len(low), width, low)
+        scale = 2 ** len(low)
+        assert {tuple((k >> (width * i) & ((1 << width) - 1)) - low.get(i, 0)
+                      for i in support): (v.re, v.im)
+                for k, v in table.items()} == {
             k: (scale * re, scale * im)
             for k, (re, im) in halved_laurent(e, slot, len(support)).items()}
         integral = all(type(c) is int for c in e.terms.values())
@@ -245,7 +254,7 @@ def test_ratexpr_coordinates_used_is_the_union_of_its_parts():
                 assert type(support) is frozenset
                 assert support == {i for part in (e.num, e.den)
                                    for mono, trig in part.terms
-                                   for i, *_ in mono + trig}
+                                   for i, *_ in unpack(mono) + trig}
     x, y = PATCH.coord("x"), PATCH.coord("y")
     assert RatExpr(x, 1 + y).coordinates_used() == {0, 1}
     assert RatExpr(PATCH.zero(), y).coordinates_used() == {1}

@@ -22,9 +22,10 @@ from couplingdirac import (
     parse,
 )
 from couplingdirac.fractionfield import divide_exact
-from couplingdirac.symexpr import _MAX_NESTING
+from couplingdirac.symexpr import _MAX_NESTING, _ONE_KEY
 from couplingdirac.tensorcalc import DiffForm, Multivector, contract, schouten
 from float_oracle import evaluate
+from tuple_ring import key, unpack
 
 PATCH = Patch.build("x1 x2 q p th", angles=("th",))
 
@@ -292,7 +293,7 @@ def test_integer_coefficients_stay_int():
 def test_integral_results_of_fraction_arithmetic_are_int():
     half = PATCH.parse("1/2")
     assert_normal_coefficients(half)
-    assert (half + half).terms == {((), ()): 1}
+    assert (half + half).terms == {_ONE_KEY: 1}
     two_cos_sq = 2 * PATCH.parse("cos(th)") * PATCH.parse("cos(th)")
     assert two_cos_sq == PATCH.parse("1 + cos(2*th)")
     assert_normal_coefficients(two_cos_sq)
@@ -322,10 +323,10 @@ def test_products_of_trig_and_trig_free_factors_match_evaluation():
 
 
 def test_public_constructor_normalizes_its_table():
-    key = (((0, 1),), ())
-    assert ScalarExpr(PATCH, {key: 0}).is_zero()
-    assert ScalarExpr(PATCH, {key: Fraction(0)}) == PATCH.zero()
-    e = ScalarExpr(PATCH, {key: Fraction(4, 2), ((), ()): Fraction(1, 3)})
+    x1 = key(((0, 1),))
+    assert ScalarExpr(PATCH, {x1: 0}).is_zero()
+    assert ScalarExpr(PATCH, {x1: Fraction(0)}) == PATCH.zero()
+    e = ScalarExpr(PATCH, {x1: Fraction(4, 2), _ONE_KEY: Fraction(1, 3)})
     assert e == PATCH.parse("2*x1 + 1/3")
     assert_normal_coefficients(e)
 
@@ -335,7 +336,7 @@ def test_rational_accepts_only_exact_scalars():
         with pytest.raises(ExpressionError, match=(
                 f"must be an int or a Fraction, not {shown}$")):
             PATCH.rational(value)
-    assert PATCH.rational(Fraction(4, 2)).terms == {((), ()): 2}
+    assert PATCH.rational(Fraction(4, 2)).terms == {_ONE_KEY: 2}
 
 
 def test_as_rational_is_a_fraction():
@@ -347,7 +348,7 @@ def test_as_rational_is_a_fraction():
 
 
 def term_coordinates(e):
-    return {i for mono, trig in e.terms for i, *_ in mono + trig}
+    return {i for mono, trig in e.terms for i, *_ in unpack(mono) + trig}
 
 
 def test_coordinates_used_is_the_cached_union_of_term_coordinates():
@@ -481,7 +482,7 @@ def test_substitute_rational_values():
     # terms that meet after evaluation are summed, and may cancel
     cancel = PATCH.parse("x1*q - 2*q + 1/2*x2").substitute(
         {"x1": 2, "x2": Fraction(4)}, PATCH)
-    assert cancel == PATCH.rational(2) and type(cancel.terms[((), ())]) is int
+    assert cancel == PATCH.rational(2) and type(cancel.terms[_ONE_KEY]) is int
     assert PATCH.parse("x1*q - 2*q").substitute({"x1": 2}, PATCH).terms == {}
 
 
@@ -586,11 +587,11 @@ def test_parse_folds_rational_and_coordinate_factors():
         assert_normal_coefficients(PATCH.parse(text))
     assert PATCH.parse("0*x1").terms == {}
     assert PATCH.parse("x1*0 + q").terms == PATCH.coord("q").terms
-    assert PATCH.parse("x1^0").terms == {((), ()): 1}
-    assert PATCH.parse("q*x1^0*x1").terms == {(((0, 1), (2, 1)), ()): 1}
-    assert PATCH.parse("2^3*x1").terms == {(((0, 1),), ()): 8}
-    assert PATCH.parse("x1*(1/2)^2*4*x1").terms == {(((0, 2),), ()): 1}
-    assert PATCH.parse("-2/1^2*x1").terms == {(((0, 1),), ()): 4}
+    assert PATCH.parse("x1^0").terms == {_ONE_KEY: 1}
+    assert PATCH.parse("q*x1^0*x1").terms == {key(((0, 1), (2, 1))): 1}
+    assert PATCH.parse("2^3*x1").terms == {key(((0, 1),)): 8}
+    assert PATCH.parse("x1*(1/2)^2*4*x1").terms == {key(((0, 2),)): 1}
+    assert PATCH.parse("-2/1^2*x1").terms == {key(((0, 1),)): 4}
     assert PATCH.parse("x1 - x1 + q - q").terms == {}
     assert PATCH.parse("2*x1*sin(th)*3") == 6 * PATCH.coord("x1") * PATCH.parse(
         "sin(th)")
