@@ -470,15 +470,11 @@ def _cmd_construct(man: Manifest, args) -> int:
 def _cmd_decompose(man: Manifest, args) -> int:
     if man.bivector is None:
         raise ManifestError("decompose needs a 'bivector' block")
+    # a manifest holds polynomials, so the decomposition has no pivot: the
+    # recovered 2-form F = -M^{-1} and M are polynomial, Pf(F)*Pf(M) = 1
+    # makes both Pfaffians constant, and constant pivots are dropped
     result = decompose_coupling(man.bivector, man.patch)
-    pivots = [str(p) for p in result.pivot_denominators]
     sys.stdout.write(dumps(data_document(result.data)))
-    if pivots:
-        # keep stdout pipeable into `check`; diagnostics go to stderr
-        if args.report == "json":
-            sys.stderr.write(dumps({"pivot_denominators": pivots}))
-        else:
-            print("pivot denominators: " + ", ".join(pivots), file=sys.stderr)
     return 0
 
 

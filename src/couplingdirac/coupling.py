@@ -384,7 +384,6 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
         if claimed.count(name) > 1 or name not in names:
             maxi.append(Witness(("bad_claim", name), one))
     if not maxi:
-        zero = patch.zero()
         h_slots = [((patch.index(n),), n) for n in h_claim]
         v_slots = [((patch.index(n),), n) for n in v_claim]
         for kind, name, section in gens:
@@ -393,10 +392,17 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
                 checks.append((section.form.comps, v_slots))
             for table, slots in checks:
                 for key, slot in slots:
-                    got = table.get(key, zero)
-                    want = one if slot == name else zero
-                    if got != want:
-                        maxi.append(Witness((name, slot), got - want))
+                    # the entry minus the delta; an absent entry is zero,
+                    # and a quotient is compared by value
+                    got = table.get(key)
+                    if slot != name:
+                        if got is not None:
+                            maxi.append(Witness((name, slot), got))
+                    elif got is None:
+                        maxi.append(Witness((name, slot), -one))
+                    elif (got != one if isinstance(got, RatExpr)
+                          else got.terms != one.terms):
+                        maxi.append(Witness((name, slot), got - one))
 
     return CheckReport([ConditionReport("isotropy", iso),
                         ConditionReport("maximality", maxi)])
@@ -499,10 +505,15 @@ def extract_poisson(data: GeometricData) -> Multivector:
     vanish).  Graph compatibility: sharp(Pi, form) + vf = 0 for every
     generator.
 
-    [F_ab] is read off F's table.  Every entry of each W^{ab} hor(d_a) ^
-    hor(d_b), in increasing (a, b) order, is merged into one copy of V's
-    table in one pass, so each entry is summed in the order of V plus
-    the pairwise terms, without a bivector sum per pair.
+    With hor(d_a) = d_a + sum_u H^u_a d_u, H^u_a = -Gamma^u_a, each pair
+    (a, b) adds one term to each entry it reaches, with no wedge formed:
+    W^{ab} to Pi^{ab}, W^{ab} H^v_b to Pi^{av} and W^{ba} H^v_a to Pi^{bv}
+    (so Pi^{av} = P^{av} = sum_b W^{ab} H^v_b), and W^{ab} (H^u_a H^v_b -
+    H^v_a H^u_b) to Pi^{uv} (so Pi^{uv} = V^{uv} + sum_a H^u_a P^{av}).
+    The terms are merged into a copy of V's table in increasing (a, b),
+    the pairwise sum's order: a running sum that cancels drops its key,
+    which decides whether an entry ends a quotient or a fraction over
+    Pf(F).
     """
     patch = data.patch
     base = patch.base_indices
@@ -520,15 +531,28 @@ def extract_poisson(data: GeometricData) -> Multivector:
         raise DegenerateInputError(
             f"degenerate horizontal 2-form: the {n}x{n} determinant "
             f"det[F_ab] vanishes identically") from exc
-    hor = [data.connection.hor(a) for a in base]
+    H = [{u: h for (u,), h in data.connection.hor(a).comps.items() if u != a}
+         for a in base]
     pairs = []
     for pa, pb in combinations(range(n), 2):
+        if not adj[pa][pb][1]:
+            continue
         w = -adj[pa][pb][1]
-        if w:
-            q = divide_exact(w, pf)
-            w = RatExpr(w, pf) if q is None else q
-            pairs += [(key, c * w)
-                      for key, c in hor[pa].wedge(hor[pb]).comps.items()]
+        q = divide_exact(w, pf)
+        w = RatExpr(w, pf) if q is None else q
+        a, b, Ha, Hb = base[pa], base[pb], H[pa], H[pb]
+        pairs.append(((a, b), w))
+        for v, h in Hb.items():
+            pairs.append(((a, v), w * h) if a < v else ((v, a), -(w * h)))
+        for u, h in Ha.items():
+            pairs.append(((u, b), w * h) if u < b else ((b, u), -(w * h)))
+        # one term per fiber entry, K^{uv}_ab = H^u_a H^v_b - H^v_a H^u_b
+        for u, v in {(min(x, y), max(x, y)) for x in Ha for y in Hb if x != y}:
+            K = Ha[u] * Hb[v] if u in Ha and v in Hb else zero
+            if v in Ha and u in Hb:
+                K = K - Ha[v] * Hb[u]
+            if K:
+                pairs.append(((u, v), w * K))
     return Multivector._trusted(patch, 2, _add_terms(
         dict(data.vertical_bivector.comps), pairs))
 

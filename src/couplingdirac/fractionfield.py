@@ -197,7 +197,12 @@ def _real_terms(quo: dict, patch: Patch, angles: list, shift: dict,
 
 
 def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
-    """num/den as an expression when the division is exact, else None."""
+    """num/den as an expression when the division is exact, else None.
+
+    A divisor of 1 or -1 returns the numerator or its negation.  A divisor
+    using a coordinate the numerator does not fails before any division:
+    num = q*den uses every coordinate den does, a polynomial coordinate by
+    degree and an angle by the spread of its Laurent image."""
     if num.patch != den.patch:
         raise PatchMismatchError("operands live on different patches")
     if den.is_zero():
@@ -207,9 +212,24 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
         return patch.zero()
     if len(den.terms) == 1 and _ONE_KEY in den.terms:
         c = den.terms[_ONE_KEY]
+        if c == 1:
+            return num
+        if c == -1:
+            return -num
         return _expr(patch, {k: _quotient(v, c) for k, v in num.terms.items()})
-    angles = sorted(i for i in num.coordinates_used() | den.coordinates_used()
-                    if patch.coords[i].angle)
+    used = num.coordinates_used()
+    if not den.coordinates_used() <= used:
+        return None
+    return _long_division(
+        num, den, sorted(i for i in used if patch.coords[i].angle))
+
+
+def _long_division(num: ScalarExpr, den: ScalarExpr,
+                   angles: list) -> Optional[ScalarExpr]:
+    """num/den for a nonzero numerator, by division on the ring's keys
+    when ``angles``, the angle coordinates of both operands, is empty and
+    on the operands' Laurent images otherwise; None when inexact."""
+    patch = num.patch
     if not angles:
         quo = _divide({m: c for (m, _), c in num.terms.items()},
                       {m: c for (m, _), c in den.terms.items()},

@@ -8,13 +8,19 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from corpus_util import corpus
+
 import couplingdirac
-from couplingdirac.cli import Manifest, dumps, run
+from couplingdirac import (
+    BaseForm, DegenerateInputError, FiberedPatch, GeometricData, Multivector,
+    RatExpr, decompose_coupling, extract_poisson)
+from couplingdirac.cli import Manifest, data_document, dumps, run
 from couplingdirac.fibered import Connection
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,6 +288,116 @@ def test_decompose_needs_a_bivector_block(capsys):
     code, _, err = run_lines(
         capsys, ["decompose", "--manifest", fixture("flat")])
     assert code == 2 and "bivector" in err
+
+
+def decompose_outputs(doc):
+    """(exit code, stdout, stderr) of ``decompose`` on the manifest
+    ``doc``, for the text and then the json report."""
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bivector.json"
+        path.write_text(dumps(doc), encoding="utf-8")
+        for report in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = run(["decompose", "--manifest", str(path),
+                            "--report", report])
+            outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def bivector_document(Pi):
+    return Manifest(Pi.patch, None, bivector=Pi).to_document()
+
+
+# A manifest holds polynomials, so a decompose through the CLI shares no
+# denominator (D = 1): on success the recovered F = -M^-1 and M are both
+# polynomial with Pf(F)*Pf(M) = 1, so both Pfaffians are constants and no
+# pivot is left to report.
+
+def test_decompose_of_the_fixture_leaves_stderr_empty():
+    doc = json.loads(Path(fixture("decompose")).read_text())
+    assert [(code, err) for code, _, err in decompose_outputs(doc)] == [
+        (0, ""), (0, "")]
+
+
+def test_decompose_of_the_corpus_bivectors_reports_no_pivot():
+    # of the 23 corpus sets with an invertible 2-form, 3 extract to a
+    # polynomial bivector, which decomposes back to the set's manifest;
+    # the other 20 carry a fraction over Pf(F), which no manifest holds,
+    # so the only line on stderr is the parse error
+    polynomial = fractional = 0
+    for name, data in corpus():
+        try:
+            Pi = extract_poisson(data)
+        except DegenerateInputError:
+            continue
+        outputs = decompose_outputs(bivector_document(Pi))
+        if any(isinstance(c, RatExpr) for _, c in Pi.items()):
+            fractional += 1
+            (code, out, err), (json_code, _, json_err) = outputs
+            assert (code, out, json_code) == (2, "", 2), name
+            assert err.startswith("error: ") and err.count("\n") == 1, name
+            assert list(json.loads(json_err)) == ["error"], name
+        else:
+            polynomial += 1
+            assert outputs == [(0, dumps(data_document(data)), "")] * 2, name
+    assert (polynomial, fractional) == (3, 20)
+
+
+@st.composite
+def unimodular_data(draw):
+    """Data whose 2-form has a nonzero constant Pfaffian on 2 or 4 base
+    coordinates (F_12 and F_34 constant, F_23 = F_24 = 0), with q or an
+    angle t as the first fiber coordinate: their extracted bivector is
+    polynomial."""
+    nb = draw(st.sampled_from((2, 4)))
+    angle = draw(st.booleans())
+    patch = FiberedPatch.build([f"x{i}" for i in range(1, nb + 1)],
+                               ["t" if angle else "q", "p"], angles=("t",))
+    atoms = [patch.coord(c.name) for c in patch.coords if not c.angle]
+    if angle:
+        atoms += [patch.parse("cos(t)"), patch.parse("sin(t)")]
+
+    def small():
+        out = patch.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            out = out + draw(st.sampled_from((1, -1, 2))) * draw(
+                st.sampled_from([patch.one()] + atoms))
+        return out
+
+    unit = st.sampled_from((1, -1, 2))
+    form = {("x1", "x2"): patch.rational(draw(unit))}
+    if nb == 4:
+        form.update({("x3", "x4"): patch.rational(draw(unit)),
+                     ("x1", "x3"): small(), ("x1", "x4"): small()})
+    fiber = patch.fiber_names
+    return GeometricData(
+        patch, Multivector.build(patch, 2, {tuple(fiber): small()}),
+        Connection(patch, {(u, a): small() for u in fiber
+                           for a in patch.base_names}),
+        BaseForm.build(patch, 2, form))
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(unimodular_data(), st.booleans())
+def test_decompose_through_the_cli_reports_no_pivot(data, bump):
+    Pi = extract_poisson(data)
+    patch = data.patch
+    if bump:  # perturb the base-base block, which may then fail to invert
+        comps = dict(Pi.comps)
+        comps[(0, 1)] = comps[(0, 1)] + patch.coord("x2")
+        Pi = Multivector(patch, 2, comps)
+    assert not any(isinstance(c, RatExpr) for _, c in Pi.items())
+    outputs = decompose_outputs(bivector_document(Pi))
+    for code, out, err in outputs:
+        assert code in (0, 3)
+        if code == 0:
+            assert err == ""
+            assert decompose_coupling(Pi, patch).pivot_denominators == ()
+    if not bump:
+        assert outputs == [(0, dumps(data_document(data)), "")] * 2
 
 
 # ----------------------------------------------------- manifest validation

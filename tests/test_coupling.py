@@ -5,6 +5,7 @@ from itertools import combinations, product
 import math
 import random
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from corpus_util import corpus, mutation_fixtures
@@ -274,14 +275,31 @@ def unit_presentation(patch, vf=None, form=None):
      {"q": {"q": "3", "p": "1"}},
      [(("q", "p"), "1"), (("q", "q"), "2"), (("q", "x1"), "q"),
       (("x1", "x1"), "1"), (("x1", "x2"), "p")]),
+    # a unit entry missing from a field and from a form reads as zero
+    ({"x2": {"x2": "0"}}, {"p": {"p": "0"}}, [(("p", "p"), "-1"),
+                                              (("x2", "x2"), "-1")]),
 ], ids=["horizontal_field", "vertical_field", "vertical_form", "off_block",
-        "all_at_once"])
+        "all_at_once", "absent_units"])
 def test_maximality_witnesses_are_entries_minus_the_unit(vf, form, expected):
     patch = FiberedPatch.build("x1 x2", "q p")
     report = verify_isotropy(unit_presentation(patch, vf, form))
     maxi = report.condition("maximality")
     assert [(w.indices, str(w.expression)) for w in maxi.witnesses] \
         == expected
+
+
+def test_maximality_compares_a_quotient_entry_by_value():
+    patch = FiberedPatch.build("x1 x2", "q p")
+    x1 = patch.coord("x1")
+    L = unit_presentation(patch)
+    for entry, expected in ((RatExpr(x1, x1), []),
+                            (RatExpr(2 * x1, x1), ["(x1)/(x1)"])):
+        section = CourantSection(Multivector.build(patch, 1, {("x1",): entry}),
+                                 DiffForm.zero(patch, 1))
+        L2 = DiracPresentation(patch, [("x1", section)] + list(
+            L.horizontal[1:]), L.vertical)
+        maxi = verify_isotropy(L2).condition("maximality")
+        assert [str(w.expression) for w in maxi.witnesses] == expected
 
 
 # ----------------------------------------------------------------- closure
@@ -369,6 +387,34 @@ def test_verdicts_agree_on_random_data():
         assert direct.passed == spanned.passed
         agreements += 1
     assert agreements == 12
+
+
+def test_oracles_agree_condition_by_condition_on_the_corpus():
+    items = corpus() + list(mutation_fixtures().items())
+    failing = 0
+    for name, data in items:
+        direct = check_integrability(data)
+        spanned = verify_closure(build_dirac(data))
+        assert [(c.name, c.status) for c in direct.conditions] == [
+            (c.name, c.status) for c in spanned.conditions], name
+        failing += not direct.passed
+    assert (len(items), failing) == (58, 15)
+
+
+def test_extracted_bivector_is_poisson_iff_the_data_is_integrable():
+    # a third criterion for the corpus verdicts, on the Poisson side:
+    # [Pi, Pi] = 0 exactly when the data pass all four conditions
+    invertible = degenerate = 0
+    for name, data in corpus():
+        try:
+            Pi = extract_poisson(data)
+        except DegenerateInputError:
+            degenerate += 1
+            continue
+        invertible += 1
+        assert schouten(Pi, Pi).is_zero() == check_integrability(
+            data).passed, name
+    assert (invertible, degenerate) == (23, 31)
 
 
 # the condition a nonzero pairing <[e_i, e_j], e_k> instantiates, keyed by
@@ -887,6 +933,124 @@ def test_extract_matches_the_pairwise_reference_entry_by_entry():
         kinds |= {type(v) for _, c in Pi.items() if not isinstance(c, RatExpr)
                   for v in c.terms.values()}
     assert kinds == {ScalarExpr, RatExpr, int, Fraction}
+
+
+def cancelling_sums():
+    """Data on which an entry of Pi is a quotient only because its pairwise
+    running sum cancels, or because a pair's K^{uv}_ab does: summed in
+    another order, as V^{uv} + sum_a H^u_a P^{av}, it would end a fraction
+    over Pf(F).  Each comes with the entry's name and value."""
+    patch = FiberedPatch.build("x1 x2", "q1 q2")
+    P = patch.parse
+    # Gamma^q1 = Gamma^q2, so every K^{q1 q2}_ab = H^q1_a H^q2_b -
+    # H^q2_a H^q1_b cancels: the pairwise sum adds nothing to V^{q1 q2},
+    # while the terms H^u_a P^{av} are fractions that cancel
+    doubled = GeometricData(
+        patch, Multivector.build(patch, 2, {("q1", "q2"): 1}),
+        Connection(patch, {(u, a): P("x2") for u in ("q1", "q2")
+                           for a in ("x1", "x2")}),
+        BaseForm.build(patch, 2, {("x1", "x2"): P("-1*q2")}))
+    yield doubled, ("q1", "q2"), P("1")
+
+    patch = FiberedPatch.build("x1 x2 x3 x4", "q1 q2")
+    P = patch.parse
+    # P^{x3 q1}: W^{31} H^q1_1 = 1/Pf(F) and W^{32} H^q1_2 = -1/Pf(F)
+    # cancel, then the quotient term W^{34} H^q1_4 = -1 follows
+    base_fiber = GeometricData(
+        patch, Multivector.build(patch, 2, {("q1", "q2"): 1}),
+        Connection(patch, {
+            ("q1", "x1"): P("1"), ("q1", "x2"): P("1"),
+            ("q1", "x3"): P("q2 - 1"), ("q1", "x4"): P("1"),
+            ("q2", "x2"): P("1"), ("q2", "x4"): P("1")}),
+        BaseForm.build(patch, 2, {
+            ("x1", "x2"): P("1 + q1"), ("x1", "x4"): P("-1"),
+            ("x2", "x4"): P("-1"), ("x3", "x4"): P("1")}))
+    yield base_fiber, ("x3", "q1"), P("-1")
+
+    patch = FiberedPatch.build("x1 x2 x3 x4", "q1 q2 q3")
+    P = patch.parse
+    # Pi^{q1 q2}: the fractional terms of the pairs (x1, x2) and (x1, x3)
+    # cancel, then the quotient term of the pair (x2, x4) follows
+    fiber_fiber = GeometricData(
+        patch, Multivector.zero(patch, 2),
+        Connection(patch, {
+            **{("q1", a): P("x1 - 1") for a in ("x1", "x2", "x3")},
+            **{("q2", a): P("x1 - 1") for a in ("x2", "x3", "x4")},
+            ("q3", "x2"): P("-1*q3"), ("q3", "x3"): P("1")}),
+        BaseForm.build(patch, 2, {
+            ("x1", "x3"): P("1 + q1"), ("x1", "x4"): P("x1 - 1"),
+            ("x2", "x4"): P("1"), ("x3", "x4"): P("1")}))
+    yield fiber_fiber, ("q1", "q2"), P("1 - 2*x1 + x1^2")
+
+
+def test_extract_matches_the_reference_where_running_sums_cancel():
+    for data, names, entry in cancelling_sums():
+        Pi = extract_poisson(data)
+        assert entry_tables(Pi) == entry_tables(reference_extract(data))
+        got = Pi.coefficient(*names)
+        assert type(got) is ScalarExpr and got == entry
+
+
+SMALL = (1, -1, 2)
+
+
+@st.composite
+def invertible_data(draw):
+    """Coupling data with an invertible 2-form on 2, 4 or 6 base and 2 or
+    3 fiber coordinates, in any order, one of them the angle t in some
+    draws.  Entries are small, a 2-form entry is +-1 as often as not, and
+    in half the draws the connection is Gamma^u_a = lambda_u c_a, so that
+    every K^{uv}_ab cancels and the terms W^{ab} H^v_b of an entry of Pi
+    cancel often."""
+    nb = draw(st.sampled_from((2, 4, 6)))
+    angle = draw(st.booleans())
+    fiber = ("t" if angle else "r", "q", "p")[:draw(st.integers(2, 3))]
+    patch = FiberedPatch(draw(st.permutations(
+        [Coordinate(f"x{i}", role="base") for i in range(1, nb + 1)]
+        + [Coordinate(u, role="fiber", angle=u == "t") for u in fiber])))
+    atoms = [patch.coord(c.name) for c in patch.coords if not c.angle]
+    if angle:
+        atoms += [patch.parse("cos(t)"), patch.parse("sin(t)")]
+
+    def small():
+        atom = draw(st.sampled_from([patch.one()] + atoms))
+        return draw(st.sampled_from(SMALL)) * atom + draw(st.sampled_from(
+            (0,) + SMALL))
+
+    shared = small()
+    conn = {}
+    if draw(st.booleans()):
+        scale = {u: draw(st.sampled_from((0, 1, -1))) for u in fiber}
+        for a in patch.base_names:
+            c = draw(st.sampled_from((None, shared, "fresh")))
+            c = small() if c == "fresh" else c
+            conn.update({(u, a): k * c for u, k in scale.items()
+                         if c is not None and k})
+    else:
+        for key in product(fiber, patch.base_names):
+            kind = draw(st.sampled_from(("none", "none", "shared", "fresh")))
+            if kind != "none":
+                conn[key] = shared if kind == "shared" else small()
+    form = {}
+    for pair in combinations(patch.base_names, 2):
+        kind = draw(st.sampled_from(("none", "one", "minus", "small")))
+        if kind != "none":
+            form[pair] = {"one": patch.one(), "minus": -patch.one()}.get(
+                kind) or small()
+    V = {pair: small() for pair in combinations(fiber, 2)
+         if draw(st.booleans())}
+    data = GeometricData(patch, Multivector.build(patch, 2, V),
+                         Connection(patch, conn),
+                         BaseForm.build(patch, 2, form))
+    assume(not form_pfaffian(data).is_zero())
+    return data
+
+
+@settings(database=None, deadline=None, max_examples=120)
+@given(invertible_data())
+def test_extract_matches_the_pairwise_reference_on_random_data(data):
+    assert entry_tables(extract_poisson(data)) == entry_tables(
+        reference_extract(data))
 
 
 def test_decompose_over_a_product_of_denominators():

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 import random
 
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from couplingdirac import DegenerateInputError, Patch, fractionfield
@@ -12,6 +13,7 @@ from couplingdirac.coupling import GeometricData, extract_poisson
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
 from couplingdirac.fractionfield import (
     RatExpr,
+    _long_division,
     determinant,
     divide_exact,
     pfaffian,
@@ -207,6 +209,89 @@ def test_divide_exact_constant_and_zero():
             assert q * c == num
             assert q == num * (1 / Fraction(c))
             assert_integral_coefficients_are_ints(q)
+
+
+def test_divide_exact_by_a_unit_returns_the_numerator_or_its_negation():
+    for patch in DIVISION_PATCHES:
+        num = rnd_expr(random.Random(len(patch)), patch, max_terms=4)
+        assert divide_exact(num, patch.one()) is num
+        assert divide_exact(num, -patch.one()).terms == (-num).terms
+
+
+def test_divide_exact_fails_before_dividing_when_the_divisor_uses_more(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a division ran")
+
+    monkeypatch.setattr(fractionfield, "_long_division", refuse)
+    P = PATCH.parse
+    # a constant, or a polynomial or trig numerator, over a divisor using a
+    # coordinate the numerator does not
+    for num, den in (("3", "x"), ("x + 1", "y"), ("x*cos(th)", "y"),
+                     ("x + y", "sin(th)"), ("cos(2*th)", "x*cos(th)")):
+        assert divide_exact(P(num), P(den)) is None
+
+
+@st.composite
+def small_exprs(draw, patch, names):
+    """One to three terms in the coordinates ``names``: small rational
+    coefficients, exponents up to 2, and cos or sin of frequency 1 or 2
+    on an angle."""
+    out = patch.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = patch.rational(draw(st.integers(-3, 3) | st.fractions(
+            -2, 2, max_denominator=3)))
+        for name in names:
+            if not patch.coordinate(name).angle:
+                term = term * patch.coord(name) ** draw(st.integers(0, 2))
+            elif draw(st.booleans()):
+                term = term * patch.trig(draw(st.sampled_from((COS, SIN))),
+                                         draw(st.integers(1, 2)), name)
+        out = out + term
+    return out
+
+
+def expressions_on(patch):
+    """Expressions on ``patch``, each in its own subset of the coordinates."""
+    return st.lists(st.sampled_from(patch.names), unique=True).flatmap(
+        lambda names: small_exprs(patch, names))
+
+
+OPERANDS = st.sampled_from(DIVISION_PATCHES).flatmap(lambda patch: st.tuples(
+    st.just(patch), expressions_on(patch), expressions_on(patch),
+    expressions_on(patch)))
+
+
+@settings(database=None, deadline=None)
+@given(OPERANDS)
+def test_divide_exact_recovers_a_cofactor(operands):
+    patch, q, d, _ = operands
+    assume(not d.is_zero())
+    got = divide_exact(q * d, d)
+    assert got == q
+    assert_integral_coefficients_are_ints(got)
+
+
+@settings(database=None, deadline=None)
+@given(OPERANDS, st.sampled_from(("any", "multiple", "near multiple")))
+@example((PATCH, PATCH.parse("x + 1"), PATCH.coord("y"), PATCH.zero()), "any")
+@example((PATCH, PATCH.parse("x"), PATCH.parse("cos(th)"), PATCH.zero()),
+         "multiple")
+def test_support_test_never_changes_an_answer(operands, shape):
+    # the full division, over the angles of both operands, decides alone
+    patch, n, d, r = operands
+    if shape != "any":
+        n = n * d + (r if shape == "near multiple" else 0)
+    assume(not n.is_zero() and d.as_rational() is None)
+    angles = sorted(i for i in n.coordinates_used() | d.coordinates_used()
+                    if patch.coords[i].angle)
+    want = _long_division(n, d, angles)
+    got = divide_exact(n, d)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == [
+            type(want.terms[k]) for k in got.terms]
 
 
 # --- RatExpr ------------------------------------------------------------------
