@@ -384,6 +384,7 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
         if claimed.count(name) > 1 or name not in names:
             maxi.append(Witness(("bad_claim", name), one))
     if not maxi:
+        zero = patch.zero()
         h_slots = [((patch.index(n),), n) for n in h_claim]
         v_slots = [((patch.index(n),), n) for n in v_claim]
         for kind, name, section in gens:
@@ -392,17 +393,10 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
                 checks.append((section.form.comps, v_slots))
             for table, slots in checks:
                 for key, slot in slots:
-                    # the entry minus the delta; an absent entry is zero,
-                    # and a quotient is compared by value
-                    got = table.get(key)
-                    if slot != name:
-                        if got is not None:
-                            maxi.append(Witness((name, slot), got))
-                    elif got is None:
-                        maxi.append(Witness((name, slot), -one))
-                    elif (got != one if isinstance(got, RatExpr)
-                          else got.terms != one.terms):
-                        maxi.append(Witness((name, slot), got - one))
+                    got = table.get(key, zero)
+                    want = one if slot == name else zero
+                    if got != want:
+                        maxi.append(Witness((name, slot), got - want))
 
     return CheckReport([ConditionReport("isotropy", iso),
                         ConditionReport("maximality", maxi)])

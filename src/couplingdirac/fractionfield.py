@@ -199,10 +199,10 @@ def _real_terms(quo: dict, patch: Patch, angles: list, shift: dict,
 def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
     """num/den as an expression when the division is exact, else None.
 
-    A divisor of 1 or -1 returns the numerator or its negation.  A divisor
-    using a coordinate the numerator does not fails before any division:
-    num = q*den uses every coordinate den does, a polynomial coordinate by
-    degree and an angle by the spread of its Laurent image."""
+    A divisor of 1 returns the numerator itself.  A divisor using a
+    coordinate the numerator does not fails before any division: num =
+    q*den uses every coordinate den does, a polynomial coordinate by degree
+    and an angle by the spread of its Laurent image."""
     if num.patch != den.patch:
         raise PatchMismatchError("operands live on different patches")
     if den.is_zero():
@@ -214,8 +214,6 @@ def divide_exact(num: ScalarExpr, den: ScalarExpr) -> Optional[ScalarExpr]:
         c = den.terms[_ONE_KEY]
         if c == 1:
             return num
-        if c == -1:
-            return -num
         return _expr(patch, {k: _quotient(v, c) for k, v in num.terms.items()})
     used = num.coordinates_used()
     if not den.coordinates_used() <= used:
