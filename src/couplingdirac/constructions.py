@@ -177,9 +177,7 @@ def fat_check(setup: AbelianYMHSetup) -> FatnessReport:
             f"always degenerate"))
     rows = [[patch.zero() for _ in base] for _ in base]
     for pa, pb in combinations(range(n), 2):
-        entry = _curl(setup, pa, pb)
-        rows[pa][pb] = entry
-        rows[pb][pa] = -entry
+        rows[pa][pb] = _curl(setup, pa, pb)
     det = pfaffian(rows, patch) ** 2
     return FatnessReport(not det.is_zero(), determinant=det)
 

@@ -516,11 +516,9 @@ def extract_poisson(data: GeometricData) -> Multivector:
     zero = patch.zero()
     rows = [[zero] * n for _ in range(n)]
     for pa, pb in combinations(range(n), 2):
-        c = F.get((base[pa], base[pb]))
-        if c is not None:
-            rows[pa][pb], rows[pb][pa] = c, -c
+        rows[pa][pb] = F.get((base[pa], base[pb]), zero)
     try:
-        (_, pf), adj = rat_inverse(rows, patch)
+        (_, pf), (_, C) = rat_inverse(rows, patch)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             f"degenerate horizontal 2-form: the {n}x{n} determinant "
@@ -529,9 +527,9 @@ def extract_poisson(data: GeometricData) -> Multivector:
          for a in base]
     pairs = []
     for pa, pb in combinations(range(n), 2):
-        if not adj[pa][pb][1]:
+        if not C[pa][pb]:
             continue
-        w = -adj[pa][pb][1]
+        w = -C[pa][pb]
         q = divide_exact(w, pf)
         w = RatExpr(w, pf) if q is None else q
         a, b, Ha, Hb = base[pa], base[pb], H[pa], H[pb]
@@ -576,20 +574,21 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     :func:`extract_poisson` on nondegenerate data.
 
     The base-base and base-fiber coefficients share one denominator D,
-    the product of their distinct denominators (one, Pf(F), on the output
-    of ``extract_poisson``): with N = D*M and C its Pfaffian adjugate,
-    M^{-1} = D*C/Pf(N), and det(M) = (Pf(N)/D^(n/2))^2.  ``rat_inverse``
-    hands each Pfaffian of N back as D^e*R, having divided D out of it
-    once per subset size where that was exact.  On an extracted bivector
-    Pf(N) = D^(n/2-1)*R with R constant and every entry of C is D^(n/2-2)
-    times a polynomial, so a 2-form entry is -R_ab/R and a connection sum
-    is divided by D*R: no product with D is formed.  In general a power
-    of D goes to whichever side of a fraction keeps it whole.  The pivots
-    name det(M)'s zero locus: Pf(N)^2 when D = 1; otherwise what remains
-    of Pf(N) after dividing D out of it exactly at most n/2 times (the
-    first e of them already done by the expansion), plus D itself when
-    fewer than n/2 of those divisions succeed.  Constant pivots are
-    dropped.
+    the product of their distinct denominators (1 when there are none,
+    Pf(F) on the output of ``extract_poisson``).  ``rat_inverse`` reads
+    the upper triangle of N = D*M and hands back Pf(N) = D^e*R and its
+    Pfaffian adjugate as D^k*C, with e and k the exact divisions by D
+    its expansion made, so M^{-1} = D^(1+k-e)*C/R: a 2-form entry is
+    -D^(1+k-e)*C_ab/R and a connection sum is divided once, by
+    D^(e-k)*R, a power of D going to whichever side keeps it whole.  On
+    an extracted bivector with four or more base coordinates, Jacobi's
+    complementary-minor identity gives e = n/2 - 1, k = n/2 - 2 and R
+    constant, so no product with D is formed.
+
+    The pivots name where the recovered data stop being nondegenerate,
+    the zero locus of Pf(F).  Pf(F)*Pf(N) = D^(n/2), so Pf(F) is the one
+    exact division D^(n/2-e)/R (exact because F is polynomial); the
+    pivots are [Pf(F)] when it is not constant, else [].
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -600,64 +599,57 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     base = patch.base_indices
     fiber = patch.fiber_indices
     n = len(base)
-    zero = patch.zero()
+    zero, one = patch.zero(), patch.one()
 
-    # the rows of the base-base and base-fiber blocks; absent entries are 0
+    # the upper base-base and the base-fiber entries as (numerator,
+    # denominator); absent entries are 0
     comps = Pi.comps
-    solve = {}
-    for a in base:
-        for b in (*base, *fiber):
+    parts = {}
+    for pa, a in enumerate(base):
+        for b in (*base[pa + 1:], *fiber):
             c = comps.get((a, b) if a < b else (b, a))
             if c is not None:
                 c = c if a < b else -c
-                solve[(a, b)] = c if isinstance(c, RatExpr) else RatExpr(c)
+                parts[(a, b)] = (c.num, c.den) if isinstance(c, RatExpr) \
+                    else (c, one)
     # the distinct denominators other than 1, told apart by term table
-    one = patch.one()
     dens = []
-    for c in solve.values():
-        if c.den.terms != one.terms and all(
-                c.den.terms != d.terms for d in dens):
-            dens.append(c.den)
+    for _, den in parts.values():
+        if den.terms != one.terms and all(den.terms != d.terms for d in dens):
+            dens.append(den)
     D = prod(dens, start=one)
-    N = {key: prod((d for d in dens if d.terms != c.den.terms), start=c.num)
-         for key, c in solve.items()}
+    N = {key: prod((d for d in dens if d.terms != den.terms), start=num)
+         for key, (num, den) in parts.items()}
     try:
-        (e, R), adj = rat_inverse(
-            [[N.get((a, b), zero) for b in base] for a in base], patch,
-            D if dens else None)
+        (e, R), (k, C) = rat_inverse(
+            [[N.get((a, b), zero) for b in base] for a in base], patch, D)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "bivector is not transverse to the fibers: the base-base "
             "block is degenerate") from exc
 
-    def over(num, k, den):
-        """D^k*num/den, with the power of D on the side that keeps it whole."""
-        if k:
-            num, den = (num * D ** k, den) if k > 0 else (num, den * D ** -k)
-        return RatExpr(num, den)
+    def over(num, j):
+        """D^j*num/R, with the power of D on the side that keeps it whole."""
+        if j > 0:
+            return RatExpr(num * D ** j, R)
+        return RatExpr(num, R * D ** -j if j else R)
 
     table = {}
     for u in fiber:
         for pa, a in enumerate(base):
-            row = [(adj[pa][pb], N[(b, u)]) for pb, b in enumerate(base)
-                   if adj[pa][pb][1] and (b, u) in N]
-            if not row:
-                continue
-            low = min(k for (k, _), _ in row)
-            g = -sum(((c * D ** (k - low) if k > low else c) * nu
-                      for (k, c), nu in row), zero)
+            g = -sum((C[pa][pb] * N[(b, u)] for pb, b in enumerate(base)
+                      if C[pa][pb] and (b, u) in N), zero)
             if not g.is_zero():
-                table[(u, a)] = _scalarize(over(g, low - e, R),
+                table[(u, a)] = _scalarize(over(g, k - e),
                                            "connection coefficient")
     conn = Connection(patch, table)
 
     ftable = {}
     for pa, pb in combinations(range(n), 2):
-        k, c = adj[pa][pb]
-        if c:
-            ftable[(base[pa], base[pb])] = _scalarize(over(-c, 1 + k - e, R),
-                                                      "2-form entry")
-    F = BaseForm(patch, 2, ftable)
+        if C[pa][pb]:
+            ftable[(base[pa], base[pb])] = _scalarize(
+                over(-C[pa][pb], 1 + k - e), "2-form entry")
+    F = BaseForm._trusted(patch, 2, ftable)
 
     # V^{uv} = Pi^{uv} + sum_a G^u_a Pi^{av}, with Pi^{av} = N^{av}/D
     vtable = {}
@@ -666,18 +658,14 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
                    if (g := table.get((u, a))) is not None and (a, v) in N),
                   zero)
         c = comps.get((u, v), zero)
-        vtable[(u, v)] = _scalarize(c + RatExpr(hor, D) if hor else c,
-                                    "vertical bivector entry")
-    V = Multivector(patch, 2, vtable)
+        c = _scalarize(c + RatExpr(hor, D) if hor else c,
+                       "vertical bivector entry")
+        if c:
+            vtable[(u, v)] = c
+    V = Multivector._trusted(patch, 2, vtable)
 
-    if dens:
-        left = n // 2 - e
-        while left and (q := divide_exact(R, D)) is not None:
-            R, left = q, left - 1
-        pivots = [R, D] if left else [R]
-    else:
-        pivots = [R * R]
-    pivots = [p for p in pivots if p.as_rational() is None]
+    pf = divide_exact(D ** (n // 2 - e), R)
+    pivots = [] if pf.as_rational() is not None else [pf]
     return DecompositionResult(GeometricData(patch, V, conn, F), pivots)
 
 

@@ -24,19 +24,22 @@ ring's 32 bits only for a frequency of 2^30 or more.  The quotient, when
 it exists, is conjugate-symmetric and maps back to a real
 trig-polynomial.
 
-An antisymmetric matrix A is inverted through its Pfaffian: first-row
-expansion memoized on index subsets gives Pf(A) and every Pf of A with
+All Pfaffian bookkeeping lives here.  An antisymmetric matrix is given
+by its strict upper triangle, the only part ever read.  One first-row
+expansion, memoized on index subsets, gives Pf(A) and every Pf of A with
 two rows and columns removed, so A^-1 = (signed Pfaffian minors)/Pf(A)
-and det(A) = Pf(A)^2.  The general determinant is a Laplace expansion
-memoized on column subsets.  Neither divides, unless the Pfaffian
-expansion is given a denominator D that A's entries share, A = D*M.
-When M is +-the inverse of a polynomial matrix B with Pf(B) = D, Jacobi's
-complementary-minor identity Pf((B^-1)_S) = +-Pf(B without S)/Pf(B)
-makes every Pfaffian of A on 2k indices D^(k-1) times a polynomial.  So
-the expansion keeps each Pfaffian as D^e*R and, after summing a subset
-of four or more indices, tries one exact division by D (the
-exact-division step of Bareiss's fraction-free elimination); a division
-that fails leaves R as it is.  ``RatExpr`` never normalizes itself: a
+and det(A) = Pf(A)^2; the determinant of a square matrix is the same
+expansion on [[0, A], [-A^T, 0]], whose Pfaffian is
+(-1)^(n(n-1)/2) det(A).  The expansion divides only when given a
+denominator D that A's entries share, A = D*M.  When M is +-the inverse
+of a polynomial matrix B with Pf(B) = D, Jacobi's complementary-minor
+identity Pf((B^-1)_S) = +-Pf(B without S)/Pf(B) makes every Pfaffian of
+A on 2k indices D^(k-1) times a polynomial.  So the expansion keeps each
+Pfaffian as D^e*R and, after summing a subset of four or more indices,
+tries one exact division by D (the exact-division step of Bareiss's
+fraction-free elimination); a division that fails leaves R as it is.
+The inverse hands back Pf(A) as D^e*R and the adjugate as D^k*C with one
+k for all of its entries.  ``RatExpr`` never normalizes itself: a
 quotient keeps the numerator and denominator it was built from, and
 only ``RatExpr.as_scalar``, that expansion and the callers in
 ``coupling`` that divide by one known Pfaffian call ``divide_exact``.
@@ -45,6 +48,7 @@ only ``RatExpr.as_scalar``, that expansion and the callers in
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import sub
 from typing import List, Optional
 
@@ -366,38 +370,47 @@ class RatExpr:
 Matrix = List[List[ScalarExpr]]
 
 
-def _expansion(rows: Matrix, patch: Patch, split, D=None):
-    """value(mask) = (e, R) over index sets held as bitmasks, memoized,
-    standing for D^e*R: value(0) = (0, 1), and with (r, S) = split(mask),
-    the value of mask sums (-1)^k rows[r][j] value(S without j) over the
-    j in S, the k-th in increasing order.  The terms are brought to their
-    least power of D before they are summed.  With ``D`` given, the sum
-    over a mask of four or more indices is then divided by D once, when
-    that is exact; without it e stays 0."""
+def _lowest(pairs, D):
+    """Pairs (e, R) standing for D^e*R, brought to their least power of D:
+    (low, [R*D^(e-low)]), low = 0 when there are none."""
+    low = min((e for e, _ in pairs), default=0)
+    return low, [R * D ** (e - low) if e > low else R for e, R in pairs]
+
+
+def _pfaffians(rows: Matrix, patch: Patch, D=None):
+    """pf(mask) = (e, R) with Pf(A on the index set ``mask``) = D^e*R,
+    memoized on bitmasks, by first-row expansion
+
+        Pf(S) = sum_k (-1)^(k+1) a(s_0, s_k) Pf(S without s_0, s_k)
+
+    over the elements s_1 < s_2 < ... of S after its least element s_0.
+    It reads only the strict upper triangle, rows[i][j] with i < j, and
+    gives 0 on every odd set.  The terms are brought to their least power
+    of D before they are summed; with ``D`` given, the sum over a set of
+    four or more indices is then divided by D once, when that is exact,
+    and without it e stays 0."""
     n = len(rows)
     if any(len(row) != n for row in rows):
-        raise ValueError("expansion needs a square matrix")
+        raise ValueError("Pfaffian needs a square matrix")
     memo = {0: (0, patch.one())}
 
-    def value(mask: int):
+    def pf(mask: int):
         hit = memo.get(mask)
         if hit is None:
-            r, cols = split(mask)
+            first = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << first)
             terms = []
             sign = 1
-            for j in range(n):
-                if cols >> j & 1:
-                    if not rows[r][j].is_zero():
-                        e, R = value(cols & ~(1 << j))
+            for j in range(first + 1, n):
+                if rest >> j & 1:
+                    a = rows[first][j]
+                    if not a.is_zero():
+                        e, R = pf(rest & ~(1 << j))
                         if R:
-                            terms.append((e, sign, rows[r][j] * R))
+                            terms.append((e, (a if sign > 0 else -a) * R))
                     sign = -sign
-            low = min((e for e, _, _ in terms), default=0)
-            total = patch.zero()
-            for e, sign, term in terms:
-                if e > low:
-                    term = term * D ** (e - low)
-                total = total + term if sign > 0 else total - term
+            low, terms = _lowest(terms, D)
+            total = sum(terms, patch.zero())
             hit = (low, total)
             if D is not None and total and bin(mask).count("1") >= 4:
                 q = divide_exact(total, D)
@@ -406,61 +419,46 @@ def _expansion(rows: Matrix, patch: Patch, split, D=None):
             memo[mask] = hit
         return hit
 
-    return value
-
-
-def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
-    """Laplace expansion along the rows, memoized on the unused columns."""
-    n = len(rows)
-    return _expansion(rows, patch, lambda cols: (
-        n - bin(cols).count("1"), cols))((1 << n) - 1)[1]
-
-
-def _first_row(mask: int):
-    first = (mask & -mask).bit_length() - 1
-    return first, mask & ~(1 << first)
-
-
-def _opposite(a: dict, b: dict) -> bool:
-    """Whether two term tables are each other's negatives."""
-    return len(a) == len(b) and all(b.get(k) == -c for k, c in a.items())
-
-
-def _pfaffians(rows: Matrix, patch: Patch, D=None):
-    """Pf of the principal submatrix on each index set, by first-row
-    expansion: Pf(S) = sum_k (-1)^k a(s_0, s_k) Pf(S without s_0, s_k),
-    as the pair (e, R) with Pf(S) = D^e*R (see ``_expansion``)."""
-    pf, n = _expansion(rows, patch, _first_row, D), len(rows)
-    if not all(_opposite(rows[i][j].terms, rows[j][i].terms)
-               for i in range(n) for j in range(i, n)):
-        raise ValueError("Pfaffian needs an antisymmetric matrix")
-    return pf, (1 << n) - 1
+    return pf
 
 
 def pfaffian(rows: Matrix, patch: Patch) -> ScalarExpr:
-    """Pfaffian of an antisymmetric matrix; 0 for every odd size."""
-    pf, full = _pfaffians(rows, patch)
-    return pf(full)[1]
+    """Pfaffian of the antisymmetric matrix whose strict upper triangle
+    ``rows`` holds; 0 for every odd size."""
+    return _pfaffians(rows, patch)((1 << len(rows)) - 1)[1]
+
+
+def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
+    """det(A) = (-1)^(n(n-1)/2) Pf([[0, A], [-A^T, 0]]) for an n x n A."""
+    n = len(rows)
+    zeros = [patch.zero()] * n
+    pf = pfaffian([zeros + list(row) for row in rows]
+                  + [zeros * 2] * n, patch)
+    return -pf if n * (n - 1) // 2 % 2 else pf
 
 
 def rat_inverse(rows: Matrix, patch: Patch, D: ScalarExpr | None = None):
-    """(Pf(A), C) with A^-1 = C/Pf(A) for antisymmetric A, where C_ij =
-    -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j.  Each
-    Pfaffian comes as a pair (e, R) standing for D^e*R, where e counts the
-    exact divisions by ``D`` that the expansion made (one at most per
-    subset size from four up); without ``D``, e is 0 and R the Pfaffian.
-    Raises DegenerateInputError when Pf(A) = 0, which includes every odd
-    size."""
-    pf, full = _pfaffians(rows, patch, D)
+    """((e, R), (k, C)) for the antisymmetric matrix A whose strict upper
+    triangle ``rows`` holds: Pf(A) = D^e*R and A^-1 = D^k*C/Pf(A), where
+    D^k*C_ij = -D^k*C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for
+    i < j.  e counts the exact divisions by ``D`` that the expansion made
+    (one at most per subset size from four up), and k is the least such
+    count among the nonzero minors, the others lifted to it; without
+    ``D``, e = k = 0.  Raises DegenerateInputError when Pf(A) = 0, which
+    includes every odd size."""
+    pf, n = _pfaffians(rows, patch, D), len(rows)
+    full = (1 << n) - 1
     total = pf(full)
     if not total[1]:
         raise DegenerateInputError("matrix is singular: determinant is 0")
-    n = len(rows)
-    zero = (0, patch.zero())
-    adj = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e, c = pf(full & ~(1 << i) & ~(1 << j))
-            pos, neg = (e, c), (e, -c)
-            adj[i][j], adj[j][i] = (neg, pos) if (i + j) % 2 else (pos, neg)
-    return total, adj
+    minors = {}
+    for i, j in combinations(range(n), 2):
+        e, c = pf(full & ~(1 << i) & ~(1 << j))
+        if c:
+            minors[(i, j)] = (e, -c if (i + j) % 2 else c)
+    k, lifted = _lowest(list(minors.values()), D)
+    zero = patch.zero()
+    C = [[zero] * n for _ in range(n)]
+    for (i, j), c in zip(minors, lifted):
+        C[i][j], C[j][i] = c, -c
+    return total, (k, C)

@@ -125,6 +125,19 @@ def test_hor_rejects_a_bool():
     assert conn.hor(1) is conn.hor("x2")
 
 
+def test_hor_matches_the_table_derivative():
+    # hor(d_a) applied to the coordinate function x^c is its c component,
+    # so every component agrees with the derivative written from the table
+    rng = random.Random(29)
+    for _ in range(10):
+        conn = rnd_connection(rng, FP3)
+        for a in FP3.base_names:
+            lift = conn.hor(a)
+            for c in FP3.names:
+                assert lift.coefficient(c) == horizontal_derivative(
+                    conn, a, FP3.coord(c))
+
+
 def test_lifts_are_built_once():
     conn = Connection(FP, {("q", "x1"): FP.coord("p")})
     assert conn.hor("x1") is conn.hor("x1")

@@ -405,13 +405,24 @@ def test_pfaffian_squares_to_the_determinant():
     assert pfaffian([], PATCH) == 1
     for n in (1, 3, 5):
         assert pfaffian(rnd_skew(rng, n), PATCH).is_zero()
-    broken = rnd_skew(rng, 4)
-    broken[3][1] = broken[3][1] + p  # no longer the negative of [1][3]
-    for bad in ([[PATCH.zero(), p], [p, PATCH.zero()]],
-                [[p, p], [-p, PATCH.zero()]],  # a nonzero diagonal entry
-                broken):
-        with pytest.raises(ValueError):
-            pfaffian(bad, PATCH)
+
+
+def test_only_the_strict_upper_triangle_is_read():
+    # a garbage diagonal and lower triangle change neither the Pfaffian
+    # nor the inverse
+    rng = random.Random(314)
+    for n in (2, 4, 6):
+        A = rnd_skew(rng, n, trig=n < 6)
+        garbage = [[A[i][j] if i < j else rnd_expr(rng) for j in range(n)]
+                   for i in range(n)]
+        assert pfaffian(garbage, PATCH) == pfaffian(A, PATCH)
+        (e, pf), (k, C) = rat_inverse(garbage, PATCH)
+        (e0, pf0), (k0, C0) = rat_inverse(A, PATCH)
+        assert (e, k) == (e0, k0) and pf == pf0
+        assert all(c == c0 for row, row0 in zip(C, C0)
+                   for c, c0 in zip(row, row0))
+    with pytest.raises(ValueError):
+        pfaffian([[PATCH.zero(), PATCH.one()], [PATCH.zero()]], PATCH)
 
 
 def test_rat_inverse_is_exact():
@@ -421,10 +432,9 @@ def test_rat_inverse_is_exact():
     assert any("sin" in str(e) or "cos" in str(e) for e in cases[-1][0])
     for A in cases:
         n = len(A)
-        # without a denominator every Pfaffian comes back as (0, Pf)
-        (e, pf), pairs = rat_inverse(A, PATCH)
-        assert e == 0 and {k for row in pairs for k, _ in row} == {0}
-        adj = [[c for _, c in row] for row in pairs]
+        # without a denominator Pf(A) comes back as (0, Pf), and k is 0
+        (e, pf), (k, adj) = rat_inverse(A, PATCH)
+        assert e == k == 0
         assert pf * pf == determinant(A, PATCH)
         for i in range(n):
             assert adj[i][i].is_zero()
@@ -451,19 +461,18 @@ def test_rat_inverse_rejects_singular_and_odd_sizes():
 # --- Pfaffians over a shared denominator -----------------------------------
 
 def scaled_pfaffians(A, patch, D):
-    """rat_inverse(A, patch, D), each of its pairs (e, R) checked against
-    the plain Pfaffian: D^e*R is Pf(A) and each signed adjugate minor."""
+    """rat_inverse(A, patch, D) checked against the plain Pfaffian: D^e*R
+    is Pf(A), and D^k*C_ij each signed adjugate minor."""
     n = len(A)
-    total, adj = rat_inverse(A, patch, D)
+    total, (k, C) = rat_inverse(A, patch, D)
     e, R = total
     assert D ** e * R == pfaffian(A, patch)
     for i, j in combinations(range(n), 2):
-        k, c = adj[i][j]
         keep = [r for r in range(n) if r not in (i, j)]
         minor = pfaffian([[A[r][s] for s in keep] for r in keep], patch)
-        assert D ** k * c == (-minor if (i + j) % 2 else minor)
-        assert adj[j][i][0] == k and adj[j][i][1] == -c
-    return total, adj
+        assert D ** k * C[i][j] == (-minor if (i + j) % 2 else minor)
+        assert C[j][i] == -C[i][j]
+    return total, (k, C)
 
 
 def counted_divisions(monkeypatch):
@@ -494,9 +503,8 @@ def test_scaled_pfaffians_when_no_division_succeeds(monkeypatch):
     calls = counted_divisions(monkeypatch)
     for n in (4, 6, 4, 6):
         A = rnd_skew_among(rng, n, ("x", "y", "th"))
-        total, adj = scaled_pfaffians(A, PATCH, D)
-        assert total[0] == 0
-        assert {k for row in adj for k, _ in row} == {0}
+        total, (k, _) = scaled_pfaffians(A, PATCH, D)
+        assert total[0] == k == 0
     assert calls and all(q is None and d == D for q, d in calls)
 
 
@@ -508,26 +516,29 @@ def test_scaled_pfaffians_over_a_constant_divide_once_per_size(monkeypatch):
     for n in (4, 6, 8):
         del calls[:]
         A = rnd_skew(rng, n, trig=n < 8)
-        total, adj = scaled_pfaffians(A, PATCH, PATCH.rational(2))
+        total, (k, _) = scaled_pfaffians(A, PATCH, PATCH.rational(2))
         assert total[0] == n // 2 - 1
-        assert {adj[i][j][0] for i, j in combinations(range(n), 2)
-                if adj[i][j][1]} == {n // 2 - 2}
+        assert k == n // 2 - 2
         assert 0 < len(calls) <= sum(comb(n, k) for k in range(4, n + 1, 2))
 
 
 def test_scaled_pfaffians_with_mixed_powers_among_the_terms():
     # with a13 = a14 = 0, Pf on {1, 2, 3, 4} is a12*a34, which D = x
     # divides, and Pf on {1, 2, 3, 5} = a12*a35 + a15*a23 is not: the sum
-    # over all six indices adds terms over different powers of x
+    # over all six indices adds terms over different powers of x.  The
+    # adjugate minors of row 0 are the Pfaffians on four of the indices
+    # 1..5; x divides the ones on {1, 2, 3, 4} and on {1, 3, 4, 5} (only
+    # a15*a34 is left), and they are lifted back to x^0
     rng = random.Random(2024)
     x, zero = PATCH.coord("x"), PATCH.zero()
     A = rnd_skew_among(rng, 6, ("y", "th"))
     for i, j, e in ((1, 3, zero), (1, 4, zero), (1, 2, x * (1 + A[1][2])),
                     (3, 4, x * (2 + A[3][4]))):
         A[i][j], A[j][i] = e, -e
-    total, adj = scaled_pfaffians(A, PATCH, x)
-    assert total[0] == 0
-    assert {adj[0][j][0] for j in range(1, 6)} == {0, 1}
+    total, (k, C) = scaled_pfaffians(A, PATCH, x)
+    assert total[0] == k == 0
+    assert [j for j in range(1, 6)
+            if divide_exact(C[0][j], x) is not None] == [2, 5]
 
 
 def extracted_block(rng, nb, angle):
@@ -565,7 +576,6 @@ def test_scaled_pfaffians_of_an_extracted_block_carry_jacobi_powers():
     rng = random.Random(3)
     for nb, angle in ((4, False), (6, False), (4, True), (6, True)):
         N, D, patch = extracted_block(rng, nb, angle)
-        total, adj = scaled_pfaffians(N, patch, D)
+        total, (k, _) = scaled_pfaffians(N, patch, D)
         assert total[0] == nb // 2 - 1
-        assert {adj[i][j][0] for i, j in combinations(range(nb), 2)
-                if adj[i][j][1]} == {nb // 2 - 2}
+        assert k == nb // 2 - 2

@@ -6,6 +6,29 @@ them on the Dirac span.  Each runs over the acceptance corpus while the
 other oracle's entry points are patched to raise, and must give the
 reports it gives unpatched.  ``coupling`` binds these names at import,
 so they are patched there.
+
+Both oracles still run on shared kernels, and a fault in one of them
+could make the two agree on a wrong verdict.  Each shared kernel is
+checked against a reference that does not run it:
+
+- ``symexpr._add_terms``, the one term-table merge: the merge of the
+  tuple-keyed ring ``tuple_ring`` (``test_packed_keys``) and float
+  evaluation of sums by ``float_oracle.evaluate`` (``test_symexpr``);
+- the ring product ``ScalarExpr.__mul__``: ``tuple_ring.mul``
+  (``test_packed_keys``) and float evaluation of products
+  (``test_symexpr``);
+- ``ScalarExpr.differentiate``: ``tuple_ring.differentiate``
+  (``test_packed_keys``);
+- ``Connection.hor``: ``horizontal_derivative``, written from the
+  connection table (``test_hor_matches_the_table_derivative`` and
+  ``test_d_gamma_matches_horizontal_derivative`` in ``test_fibered``),
+  and the general formula ``curvature`` there for the lifts' brackets;
+- ``tensorcalc.contract``: ``pair``'s own sum over shared components
+  (``test_pair_equals_full_contraction``) and iterated contraction by
+  basis fields (``test_contract_agrees_with_iterated``) in
+  ``test_tensorcalc``, and, for the span oracle's pairings,
+  ``brute_force_closure`` in ``test_coupling``, which pairs every
+  bracket with every generator through ``pairing_plus``.
 """
 
 import pytest
