@@ -16,12 +16,14 @@ Exit codes: 0 every check passed, 1 a mathematical check failed,
 or JSON nested past the decoder's recursion limit, a bad
 ``--fiber-point``, and an output number with more decimal digits than
 the interpreter's integer-string limit, such as the coefficient of
-``2^20000*q``, and an exponent of a coordinate that reaches 2^31, parsed
-as in ``x1^2147483648`` or formed by a product; then stdout stays
-empty), 3 degenerate input (singular
-base block, non-Casimir coefficient, recovered data that is not
-polynomial).  Errors go to stderr, as ``{"error": {"code", "message"}}``
-with ``--report json``.  JSON output is ``json.dumps(doc, indent=2)``.
+``2^20000*q``, an exponent of a coordinate that reaches 2^31, parsed
+as in ``x1^2147483648`` or formed by a product, and a trig frequency
+that reaches 2^30, parsed as in ``sin(1073741824*t)`` or formed by a
+product as in ``sin(536870912*t)^2``; then stdout stays empty), 3
+degenerate input (singular base block, non-Casimir coefficient,
+recovered data that is not polynomial).  Errors go to stderr, as
+``{"error": {"code", "message"}}`` with ``--report json``.  JSON output
+is ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations

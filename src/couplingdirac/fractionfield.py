@@ -19,10 +19,10 @@ operands as a whole, carry the same factor 2^A, which cancels in the
 quotient; integral coefficients stay Gaussian integers.  The Laurent
 tables keep the ring's packed keys, with each angle's field holding its
 ``z`` exponent shifted by the operand's largest frequency in that angle,
-so the operands become ordinary polynomials; the fields widen past the
-ring's 32 bits only for a frequency of 2^30 or more.  The quotient, when
-it exists, is conjugate-symmetric and maps back to a real
-trig-polynomial.
+so the operands become ordinary polynomials; a field holds at most
+2^31 - 2, as ``symexpr`` keeps every frequency below 2^30.  The
+quotient, when it exists, is conjugate-symmetric and maps back to a
+real trig-polynomial.
 
 All Pfaffian bookkeeping lives here.  An antisymmetric matrix is given
 by its strict upper triangle, the only part ever read.  One first-row
@@ -54,8 +54,8 @@ from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
 from .symexpr import (
-    COS, SIN, Patch, ScalarExpr, _ONE_KEY, _WIDTH, _add_terms, _coefficient,
-    _expr, _unpack)
+    COS, SIN, Patch, ScalarExpr, _FIELD, _ONE_KEY, _WIDTH, _add_terms,
+    _coefficient, _expr)
 
 
 def _quotient(a, b):
@@ -128,7 +128,7 @@ def _divide(ntab: dict, dtab: dict, quotient, guard: int) -> Optional[dict]:
     return quo
 
 
-def _laurent_table(e: ScalarExpr, nangles: int, width: int, low: dict) -> dict:
+def _laurent_table(e: ScalarExpr, nangles: int, low: dict) -> dict:
     """2^nangles times an expression, as {packed monomial: _QI} with the
     angle fields Laurent: a term with m trig factors is scaled by
     2^(nangles - m), and each factor maps to z^k + z^-k (cos) or
@@ -138,22 +138,20 @@ def _laurent_table(e: ScalarExpr, nangles: int, width: int, low: dict) -> dict:
     nangles of their joint support, gets the quotient unscaled.  A branch
     carries its weight as the power of i it picked up.
 
-    Keys have ``width`` bits a coordinate, and angle i's field holds its
-    exponent plus ``low[i]``, its largest frequency in ``e``: the image's
-    least exponent in z_i is exactly -low[i], so every field is
-    non-negative and some key has a zero field in each angle."""
-    offset = sum(k << (width * i) for i, k in low.items())
+    Keys are the ring's packed keys, angle i's field holding its exponent
+    plus ``low[i]``, its largest frequency in ``e``: the image's least
+    exponent in z_i is exactly -low[i], so every field is non-negative
+    and some key has a zero field in each angle."""
+    offset = sum(k << (_WIDTH * i) for i, k in low.items())
     pairs = []
     for (mono, trig), c in e.terms.items():
-        if width != _WIDTH:
-            mono = _repack(mono, _WIDTH, width)
         c = _coefficient(c * (1 << (nangles - len(trig))))
         if not trig:
             pairs.append((mono + offset, _QI(c)))
             continue
         branches = [(mono + offset, 0)]
         for i, kind, k in trig:
-            step = k << (width * i)
+            step = k << (_WIDTH * i)
             turn = (0, 0) if kind == COS else (3, 1)
             branches = [pair for m, p in branches for pair in (
                 (m + step, p + turn[0]), (m - step, p + turn[1]))]
@@ -162,31 +160,20 @@ def _laurent_table(e: ScalarExpr, nangles: int, width: int, low: dict) -> dict:
     return _add_terms({}, pairs)
 
 
-def _repack(mono: int, old: int, new: int) -> int:
-    """A packed monomial with ``old`` bits a field moved to ``new``."""
-    return sum(e << (new * i) for i, e in _unpack(mono, old))
-
-
-def _real_terms(quo: dict, patch: Patch, angles: list, shift: dict,
-                width: int) -> Optional[dict]:
-    """The real trig-polynomial whose Laurent table is ``quo`` (keys of
-    ``width`` bits a coordinate, angle i's field holding its exponent plus
-    ``shift[i]``) as ScalarExpr terms, or None when its imaginary part
-    does not cancel.
+def _real_terms(quo: dict, angles: list, shift: dict) -> Optional[dict]:
+    """The real trig-polynomial whose Laurent table is ``quo`` (the ring's
+    packed keys, angle i's field holding its exponent plus ``shift[i]``)
+    as ScalarExpr terms, or None when its imaginary part does not cancel.
 
     z^k = cos(k*t) + i*sin(k*t) on every angle, so each Laurent term
     spreads over the cos/sin choices of its nonzero angle exponents."""
     real, imag = [], []
-    field = (1 << width) - 1
-    poly_fields = ((1 << (width * len(patch))) - 1) ^ sum(
-        field << (width * i) for i in angles)
+    poly_fields = ~sum(_FIELD << (_WIDTH * i) for i in angles)
     for m, c in quo.items():
         mono = m & poly_fields
-        if width != _WIDTH:
-            mono = _repack(mono, width, _WIDTH)
         branches = [((), c.re, c.im)]
         for i in angles:
-            k = (m >> (width * i) & field) - shift[i]
+            k = (m >> (_WIDTH * i) & _FIELD) - shift[i]
             if not k:
                 continue
             s = 1 if k > 0 else -1
@@ -239,8 +226,7 @@ def _long_division(num: ScalarExpr, den: ScalarExpr,
         if quo is None:
             return None
         return _expr(patch, {(m, ()): c for m, c in quo.items()})
-    # each angle's largest frequency in each operand; a field holds twice
-    # that, and a polynomial exponent stays below 2^(_WIDTH - 1)
+    # each angle's largest frequency in each operand, the shift of its field
     lows = []
     for e in (num, den):
         low = dict.fromkeys(angles, 0)
@@ -249,17 +235,13 @@ def _long_division(num: ScalarExpr, den: ScalarExpr,
                 if k > low[i]:
                     low[i] = k
         lows.append(low)
-    top = max(max(low.values()) for low in lows)
-    width = max(_WIDTH, (2 * top).bit_length() + 1)
-    guard = patch._guard if width == _WIDTH else sum(
-        1 << (width * i + width - 1) for i in range(len(patch)))
     quo = _divide(
-        *(_laurent_table(e, len(angles), width, low)
-          for e, low in zip((num, den), lows)), _QI.__truediv__, guard)
+        *(_laurent_table(e, len(angles), low)
+          for e, low in zip((num, den), lows)), _QI.__truediv__, patch._guard)
     if quo is None:
         return None
-    terms = _real_terms(quo, patch, angles,
-                        {i: lows[0][i] - lows[1][i] for i in angles}, width)
+    terms = _real_terms(quo, angles,
+                        {i: lows[0][i] - lows[1][i] for i in angles})
     return None if terms is None else _expr(patch, terms)
 
 

@@ -41,8 +41,11 @@ or a parsed exponent that reaches 2^31 raises :class:`ExpressionError`
 instead; each patch keeps the mask of its own fields' guard bits, so the
 check covers a patch of any size.  Angle coordinates' fields stay zero.
 The trig word is a sorted tuple of ``(coordinate, SIN or COS,
-frequency)``.  The printer orders terms as the unpacked tuples
-``((coordinate, exponent), ...)``.
+frequency)``, every frequency below 2^30, half the exponent bound, as
+exact division shifts an angle's z exponents -k..k by its largest
+frequency k into its field; one that reaches 2^30, parsed or formed by
+a product, raises :class:`ExpressionError`.  The printer orders terms
+as the unpacked tuples ``((coordinate, exponent), ...)``.
 """
 
 from __future__ import annotations
@@ -65,14 +68,14 @@ from .errors import (
 COS = 0
 SIN = 1
 
-# term key pieces: packed monomial and trig word ((coord, kind, k), ...)
+# a term key is (Mono, Trig): packed monomial and trig word
 Mono = int
 Trig = tuple  # tuple[tuple[int, int, int], ...]
-Key = tuple   # tuple[Mono, Trig]
 _ONE_KEY = (0, ())  # the key of the constant term
 
 _WIDTH = 32  # bits per coordinate field of a packed monomial
 _LIMIT = 1 << (_WIDTH - 1)  # the guard bit: every exponent stays below it
+_FREQUENCY = _LIMIT >> 1  # every trig frequency stays below it
 _FIELD = (1 << _WIDTH) - 1
 
 RationalLike = Union[int, Fraction]
@@ -185,13 +188,17 @@ class Patch:
         return _expr(self, {(1 << (_WIDTH * i), ()): 1})
 
     def trig(self, kind: int, k: int, name: str) -> "ScalarExpr":
-        """sin(k*name) for kind=SIN, cos(k*name) for kind=COS."""
+        """sin(k*name) for kind=SIN, cos(k*name) for COS; 0 <= k < 2^30."""
         i = self.index(name)
         if not self.coords[i].angle:
             raise AngleDisciplineError(
                 f"non-angle coordinate {name!r} inside sin/cos")
-        if k < 0:
-            raise ValueError("trig frequency must be a natural number")
+        if not (type(kind) is type(k) is int and kind in (COS, SIN)
+                and k >= 0):
+            raise ExpressionError(f"bad sin/cos kind {quote(kind)} or "
+                                  f"frequency {quote(k)}")
+        if k >= _FREQUENCY:
+            raise _too_high(f"the frequency of {quote(self.coords[i].name)}")
         if k == 0:
             return self.one() if kind == COS else self.zero()
         return _expr(self, {(0, ((i, kind, k),)): 1})
@@ -246,6 +253,8 @@ def _combine_same_angle(kind1: int, k1: int, kind2: int, k2: int):
     the factor collapsed to the constant 1 (frequency zero cosine).
     """
     lo, hi = abs(k1 - k2), k1 + k2
+    if hi >= _FREQUENCY:
+        raise _too_high("a frequency of a product")
     half = Fraction(1, 2)
     if kind1 == COS and kind2 == COS:
         out = [(COS, lo, half), (COS, hi, half)]
@@ -300,16 +309,15 @@ def _mul_trig(t1: Trig, t2: Trig):
     return [(tuple(word), w) for word, w in branches]
 
 
-def _unpack(mono: Mono, width: int = _WIDTH) -> tuple:
+def _unpack(mono: Mono) -> tuple:
     """A packed monomial as ``((coordinate, exponent), ...)`` in increasing
-    coordinate order: one step per nonzero field, from the top one down.
-    Exact division packs with other field widths."""
+    coordinate order: one step per nonzero field, from the top one down."""
     out = []
     while mono:
-        i = (mono.bit_length() - 1) // width
-        e = mono >> (width * i)
+        i = (mono.bit_length() - 1) // _WIDTH
+        e = mono >> (_WIDTH * i)
         out.append((i, e))
-        mono -= e << (width * i)
+        mono -= e << (_WIDTH * i)
     out.reverse()
     return tuple(out)
 
@@ -320,14 +328,15 @@ def _too_large(what: str, position: int | None = None) -> ExpressionError:
         position)
 
 
+def _too_high(what: str) -> ExpressionError:
+    return ExpressionError(
+        f"{what} reaches 2^{_WIDTH - 2}: frequencies must stay below it")
+
+
 class ScalarExpr:
     """Immutable canonical trig-polynomial over a fixed patch."""
 
     __slots__ = ("patch", "terms", "_support")
-
-    def __init__(self, patch: Patch, terms: Mapping[Key, RationalLike]):
-        self.patch = patch
-        self.terms = _add_terms({}, terms.items())
 
     # -- ring structure ------------------------------------------------------
     def _coerce(self, other) -> "ScalarExpr":
@@ -772,7 +781,7 @@ class _Parser:
             f"expected an atom, found {quote(value or 'end of input')}", pos)
 
     def trig_atom(self, kind: int) -> ScalarExpr:
-        self.advance()  # sin / cos
+        start = self.advance()[2]  # sin / cos
         self.expect("(")
         k = 1
         if self.peek() == "NUM":
@@ -782,7 +791,10 @@ class _Parser:
         _, name, pos = self.expect("IDENT")
         i = self.coordinate(name, pos, True)
         self.expect(")")
-        return self.patch.trig(kind, k, i)
+        try:
+            return self.patch.trig(kind, k, i)
+        except ExpressionError as exc:  # the frequency bound
+            raise ExpressionError(exc.args[0], start) from None
 
 
 def parse(text: str, patch: Patch) -> ScalarExpr:

@@ -676,8 +676,21 @@ def test_exponents_at_the_limit_exit_2_with_empty_stdout(tmp_path, capsys):
                    "position 0)")
     product_error = ("an exponent of a product reaches 2^31: exponents must "
                      "stay below it")
+    # trig frequencies stay below 2^30, parsed or formed by a product
+    angle = flat["coordinates"] + [{"name": "t", "role": "base", "angle": True}]
+    frequencies = [
+        (dict(flat, coordinates=angle, connection=[
+            {"fiber": "q", "base": "x1", "coeff": coeff}]),
+         f"bad connection expression {coeff!r}: {reason}")
+        for coeff, reason in (
+            ("sin(1073741824*t)", "the frequency of 't' reaches 2^30: "
+             "frequencies must stay below it (at position 0)"),
+            ("sin(536870912*t)^2", "a frequency of a product reaches 2^30: "
+             "frequencies must stay below it"))]
     cases = [(parsed, cmd, parse_error) for cmd in ("check", "verify", "build")]
     cases += [(product, cmd, product_error) for cmd in ("check", "verify")]
+    cases += [(doc, cmd, message) for doc, message in frequencies
+              for cmd in ("check", "verify", "build")]
     for doc, cmd, message in cases:
         path = tmp_path / "limit.json"
         path.write_text(dumps(doc))

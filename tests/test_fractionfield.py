@@ -168,21 +168,20 @@ def test_laurent_images_of_integral_expressions_are_gaussian_integers():
               " - 7*y*cos(2*th)*sin(3*ph)"),
         (two, "sin(th)*sin(ph) + cos(th)*cos(ph) - 2*y*sin(2*th)*cos(ph)"),
         (two, "x + 1/2*sin(ph) - 3/4*x*cos(th)*sin(2*ph)"),
-        (two, f"x^3*cos({2 ** 40}*th)*sin(ph) - y*sin({2 ** 40 + 1}*th)"),
+        # the top frequency: th's field fills up to 2^31 - 2
+        (two, f"x^3*cos({2 ** 30 - 2}*th)*sin(ph) - y*sin({2 ** 30 - 1}*th)"),
     ]
     for patch, text in texts:
         e = patch.parse(text)
         support = sorted(e.coordinates_used())
         slot = {i: pos for pos, i in enumerate(support)}
-        # each angle's field is offset by its largest frequency, and is
-        # wide enough for twice that
+        # each angle's field is offset by its largest frequency
         low = {i: max((k for _, trig in e.terms for j, _, k in trig
                        if j == i), default=0)
                for i in support if patch.coords[i].angle}
-        width = max(32, (2 * max(low.values())).bit_length() + 1)
-        table = fractionfield._laurent_table(e, len(low), width, low)
+        table = fractionfield._laurent_table(e, len(low), low)
         scale = 2 ** len(low)
-        assert {tuple((k >> (width * i) & ((1 << width) - 1)) - low.get(i, 0)
+        assert {tuple(dict(unpack(k)).get(i, 0) - low.get(i, 0)
                       for i in support): (v.re, v.im)
                 for k, v in table.items()} == {
             k: (scale * re, scale * im)
@@ -233,10 +232,10 @@ def test_divide_exact_fails_before_dividing_when_the_divisor_uses_more(
 
 
 @st.composite
-def small_exprs(draw, patch, names):
+def small_exprs(draw, patch, names, frequencies):
     """One to three terms in the coordinates ``names``: small rational
-    coefficients, exponents up to 2, and cos or sin of frequency 1 or 2
-    on an angle."""
+    coefficients, exponents up to 2, and cos or sin on an angle of a
+    frequency drawn from ``frequencies``."""
     out = patch.zero()
     for _ in range(draw(st.integers(1, 3))):
         term = patch.rational(draw(st.integers(-3, 3) | st.fractions(
@@ -245,25 +244,34 @@ def small_exprs(draw, patch, names):
             if not patch.coordinate(name).angle:
                 term = term * patch.coord(name) ** draw(st.integers(0, 2))
             elif draw(st.booleans()):
-                term = term * patch.trig(draw(st.sampled_from((COS, SIN))),
-                                         draw(st.integers(1, 2)), name)
+                term = term * patch.trig(
+                    draw(st.sampled_from((COS, SIN))),
+                    draw(st.sampled_from(frequencies)), name)
         out = out + term
     return out
 
 
-def expressions_on(patch):
+def expressions_on(patch, frequencies):
     """Expressions on ``patch``, each in its own subset of the coordinates."""
     return st.lists(st.sampled_from(patch.names), unique=True).flatmap(
-        lambda names: small_exprs(patch, names))
+        lambda names: small_exprs(patch, names, frequencies))
 
 
-OPERANDS = st.sampled_from(DIVISION_PATCHES).flatmap(lambda patch: st.tuples(
-    st.just(patch), expressions_on(patch), expressions_on(patch),
-    expressions_on(patch)))
+def division_operands(frequencies=(1, 2)):
+    """A patch and three expressions on it."""
+    return st.sampled_from(DIVISION_PATCHES).flatmap(lambda patch: st.tuples(
+        st.just(patch),
+        *(expressions_on(patch, frequencies) for _ in range(3))))
 
 
+OPERANDS = division_operands()
+
+
+# also at 2^29 - 1, whose products reach 2^30 - 2 and fill a division
+# field to 2^31 - 4; only exact divisions take it, as one that is not
+# exact can step through every degree below a large frequency
 @settings(database=None, deadline=None)
-@given(OPERANDS)
+@given(division_operands((1, 2, 2 ** 29 - 1)))
 def test_divide_exact_recovers_a_cofactor(operands):
     patch, q, d, _ = operands
     assume(not d.is_zero())

@@ -10,9 +10,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from couplingdirac import COS, SIN, ExpressionError, Patch, ScalarExpr
+from couplingdirac import COS, SIN, ExpressionError, Patch
 from couplingdirac.fractionfield import divide_exact
-from couplingdirac.symexpr import _LIMIT, _WIDTH
+from couplingdirac.symexpr import (
+    _FREQUENCY, _LIMIT, _WIDTH, _add_terms, _expr)
 import tuple_ring as ref
 
 POLY = Patch.build("x y q p")
@@ -47,7 +48,7 @@ def tables(draw, patch, exponents=EXPONENTS):
 
 
 def expr(patch, tab):
-    return ScalarExpr(patch, ref.packed(tab))
+    return _expr(patch, _add_terms({}, ref.packed(tab).items()))
 
 
 def same(e, tab):
@@ -160,13 +161,38 @@ def test_division_that_would_pass_the_limit_is_not_exact():
         f"x + y^{k - 1}")
 
 
-def test_angle_division_with_frequencies_past_the_field_width():
+def test_frequencies_below_the_limit_fill_a_division_field():
+    # sin(top*th)'s Laurent image spans the field from 0 to 2*top = 2^31 - 2
+    top = _FREQUENCY - 1
+    assert _FREQUENCY == _LIMIT // 2 == 2 ** 30
     patch = Patch.build("x th", angles=("th",))
-    big = 2 ** 40
-    num = patch.parse(f"x*sin({2 * big}*th)")
-    den = patch.parse(f"sin({big}*th)")
-    assert divide_exact(num, den) == patch.parse(f"2*x*cos({big}*th)")
-    assert divide_exact(num, patch.parse(f"sin({big + 1}*th)")) is None
+    num = patch.parse(f"(x + 1)*sin({top}*th)")
+    assert str(patch.parse(f"sin({top}*th)")) == f"sin({top}*th)"
+    assert divide_exact(num, patch.parse(f"sin({top}*th)")) == patch.parse(
+        "x + 1")
+    assert divide_exact(num, patch.parse(f"cos({top}*th)")) is None
+    half = patch.trig(SIN, _FREQUENCY // 2 - 1, "th")
+    assert half * half == patch.parse(f"1/2 - 1/2*cos({top - 1}*th)")
+
+
+def test_frequencies_at_the_limit_raise():
+    for text, position in ((f"sin({_FREQUENCY}*th)", 0),
+                           (f"2*y + x*cos({_FREQUENCY}*th)", 8),
+                           (f"sin({10 ** 40}*th)", 0)):
+        with pytest.raises(ExpressionError, match=(
+                r"the frequency of 'th' reaches 2\^30")) as err:
+            ONE_ANGLE.parse(text)
+        assert err.value.position == position, text
+    with pytest.raises(ExpressionError, match=r"reaches 2\^30"):
+        ONE_ANGLE.trig(COS, _FREQUENCY, "th")
+    k = _FREQUENCY // 2
+    half = ONE_ANGLE.trig(COS, k, "th")
+    for make in (lambda: ONE_ANGLE.parse(f"sin({k}*th)^2"),
+                 lambda: half * ONE_ANGLE.trig(SIN, k, "th"),
+                 lambda: half * ONE_ANGLE.parse(f"x + cos({k}*th)")):
+        with pytest.raises(ExpressionError,
+                           match=r"a frequency of a product reaches 2\^30"):
+            make()
 
 
 def test_one_key_and_coordinate_keys():

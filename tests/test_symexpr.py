@@ -22,7 +22,7 @@ from couplingdirac import (
     parse,
 )
 from couplingdirac.fractionfield import divide_exact
-from couplingdirac.symexpr import _MAX_NESTING, _ONE_KEY
+from couplingdirac.symexpr import _MAX_NESTING, _ONE_KEY, _add_terms, _expr
 from couplingdirac.tensorcalc import DiffForm, Multivector, contract, schouten
 from float_oracle import evaluate
 from tuple_ring import key, unpack
@@ -157,8 +157,8 @@ def test_constant_operands_scale_term_by_term():
     for x, _ in operand_pairs():
         patch = x.patch
         for c in (2, -1, Fraction(1, 2)):
-            want = ScalarExpr(patch, {k: Fraction(c) * v
-                                      for k, v in x.terms.items()})
+            want = _expr(patch, _add_terms({}, [
+                (k, Fraction(c) * v) for k, v in x.terms.items()]))
             for scalar in (c, patch.rational(c)):
                 assert same_table(x * scalar, want)
                 assert same_table(scalar * x, want)
@@ -322,13 +322,21 @@ def test_products_of_trig_and_trig_free_factors_match_evaluation():
                 math.prod(evaluate(f, pt) for f in factors), abs=1e-9)
 
 
-def test_public_constructor_normalizes_its_table():
+def test_term_tables_are_kept_canonical():
     x1 = key(((0, 1),))
-    assert ScalarExpr(PATCH, {x1: 0}).is_zero()
-    assert ScalarExpr(PATCH, {x1: Fraction(0)}) == PATCH.zero()
-    e = ScalarExpr(PATCH, {x1: Fraction(4, 2), _ONE_KEY: Fraction(1, 3)})
+    assert _add_terms({}, [(x1, 0)]) == {}
+    assert _add_terms({}, [(x1, Fraction(0))]) == {}
+    e = _expr(PATCH, _add_terms(
+        {}, [(x1, Fraction(4, 2)), (_ONE_KEY, Fraction(1, 3))]))
     assert e == PATCH.parse("2*x1 + 1/3")
+    assert type(e.terms[x1]) is int
     assert_normal_coefficients(e)
+
+
+def test_expressions_have_no_raw_constructor():
+    # a stored float would add up to 0.30000000000000004 and decide verdicts
+    with pytest.raises(TypeError):
+        ScalarExpr(PATCH, {_ONE_KEY: 0.1})
 
 
 def test_rational_accepts_only_exact_scalars():
@@ -337,6 +345,16 @@ def test_rational_accepts_only_exact_scalars():
                 f"must be an int or a Fraction, not {shown}$")):
             PATCH.rational(value)
     assert PATCH.rational(Fraction(4, 2)).terms == {_ONE_KEY: 2}
+
+
+# unchecked, kind 7 prints as cos(th) but squares to 1/2*sin(2*th),
+# cos(1.5*th) prints but does not parse, and True is stored as a frequency
+@pytest.mark.parametrize("kind, k", [(7, 1), (COS, 1.5), (SIN, True)])
+def test_trig_accepts_only_cos_or_sin_of_an_int_frequency(kind, k):
+    with pytest.raises(ExpressionError, match=(
+            f"bad sin/cos kind {kind!r} or frequency {k!r}$")):
+        PATCH.trig(kind, k, "th")
+    assert str(PATCH.trig(COS, 3, "th")) == "cos(3*th)"
 
 
 def test_as_rational_is_a_fraction():
@@ -361,7 +379,7 @@ def test_coordinates_used_is_the_cached_union_of_term_coordinates():
             assert b.coordinates_used() == term_coordinates(b)
             name = rng.choice(patch.names)
             for e in (a + b, a - b, -a, a * b, a ** 2, a.differentiate(name),
-                      ScalarExpr(patch, a.terms)):
+                      _expr(patch, dict(a.terms))):
                 support = e.coordinates_used()
                 assert type(support) is frozenset
                 assert support == term_coordinates(e)
