@@ -518,7 +518,7 @@ def extract_poisson(data: GeometricData) -> Multivector:
     for pa, pb in combinations(range(n), 2):
         rows[pa][pb] = F.get((base[pa], base[pb]), zero)
     try:
-        (_, pf), (_, C) = rat_inverse(rows, patch)
+        pf, C, _ = rat_inverse(rows, patch)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             f"degenerate horizontal 2-form: the {n}x{n} determinant "
@@ -576,19 +576,19 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     The base-base and base-fiber coefficients share one denominator D,
     the product of their distinct denominators (1 when there are none,
     Pf(F) on the output of ``extract_poisson``).  ``rat_inverse`` reads
-    the upper triangle of N = D*M and hands back Pf(N) = D^e*R and its
-    Pfaffian adjugate as D^k*C, with e and k the exact divisions by D
-    its expansion made, so M^{-1} = D^(1+k-e)*C/R: a 2-form entry is
-    -D^(1+k-e)*C_ab/R and a connection sum is divided once, by
-    D^(e-k)*R, a power of D going to whichever side keeps it whole.  On
-    an extracted bivector with four or more base coordinates, Jacobi's
-    complementary-minor identity gives e = n/2 - 1, k = n/2 - 2 and R
-    constant, so no product with D is formed.
+    the upper triangle of N = D*M and hands back (R, C, s) with M^{-1} =
+    D^s*C/R: its expansion divides every Pfaffian sum over four or more
+    indices by D once (s = 0), or starts over without D when one of
+    those divisions is inexact (s = 1).  A 2-form entry is -D^s*C_ab/R
+    and a connection sum is divided once, by D^(1-s)*R.  On an extracted
+    bivector with four or more base coordinates, Jacobi's
+    complementary-minor identity makes every division exact and R
+    constant, so s = 0, and D*R is the one product with D formed.
 
     The pivots name where the recovered data stop being nondegenerate,
     the zero locus of Pf(F).  Pf(F)*Pf(N) = D^(n/2), so Pf(F) is the one
-    exact division D^(n/2-e)/R (exact because F is polynomial); the
-    pivots are [Pf(F)] when it is not constant, else [].
+    exact division D/R, or D^(n/2)/R when s = 1 (exact because F is
+    polynomial); the pivots are [Pf(F)] when it is not constant, else [].
     """
     if not isinstance(patch, FiberedPatch):
         raise PatchError("decomposition needs a fibered patch")
@@ -621,34 +621,30 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
     N = {key: prod((d for d in dens if d.terms != den.terms), start=num)
          for key, (num, den) in parts.items()}
     try:
-        (e, R), (k, C) = rat_inverse(
+        R, C, s = rat_inverse(
             [[N.get((a, b), zero) for b in base] for a in base], patch, D)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "bivector is not transverse to the fibers: the base-base "
             "block is degenerate") from exc
 
-    def over(num, j):
-        """D^j*num/R, with the power of D on the side that keeps it whole."""
-        if j > 0:
-            return RatExpr(num * D ** j, R)
-        return RatExpr(num, R * D ** -j if j else R)
-
     table = {}
+    gden = R if s else R * D
     for u in fiber:
         for pa, a in enumerate(base):
             g = -sum((C[pa][pb] * N[(b, u)] for pb, b in enumerate(base)
                       if C[pa][pb] and (b, u) in N), zero)
             if not g.is_zero():
-                table[(u, a)] = _scalarize(over(g, k - e),
+                table[(u, a)] = _scalarize(RatExpr(g, gden),
                                            "connection coefficient")
     conn = Connection(patch, table)
 
     ftable = {}
     for pa, pb in combinations(range(n), 2):
         if C[pa][pb]:
+            c = -C[pa][pb]
             ftable[(base[pa], base[pb])] = _scalarize(
-                over(-C[pa][pb], 1 + k - e), "2-form entry")
+                RatExpr(c * D if s else c, R), "2-form entry")
     F = BaseForm._trusted(patch, 2, ftable)
 
     # V^{uv} = Pi^{uv} + sum_a G^u_a Pi^{av}, with Pi^{av} = N^{av}/D
@@ -664,7 +660,7 @@ def decompose_coupling(Pi: Multivector, patch: FiberedPatch) -> DecompositionRes
             vtable[(u, v)] = c
     V = Multivector._trusted(patch, 2, vtable)
 
-    pf = divide_exact(D ** (n // 2 - e), R)
+    pf = divide_exact(D ** (n // 2) if s else D, R)
     pivots = [] if pf.as_rational() is not None else [pf]
     return DecompositionResult(GeometricData(patch, V, conn, F), pivots)
 

@@ -103,11 +103,12 @@ class Connection:
 
     # -- lifts ---------------------------------------------------------------
     def hor(self, a) -> Multivector:
-        """Horizontal lift of the base coordinate field d_a; a fiber
-        coordinate raises ``ValueError``."""
+        """Horizontal lift of the base coordinate field d_a, given by name,
+        ``Coordinate`` or position; a fiber coordinate raises
+        ``ValueError``."""
         if type(a) is bool:
             raise PatchError(f"a coordinate position must be an int, not {a}")
-        a = self.patch.index(a) if isinstance(a, str) else a
+        a = a if type(a) is int else self.patch.index(a)
         if a in self.patch.fiber_indices:
             raise ValueError(
                 f"cannot lift a field with fiber component "

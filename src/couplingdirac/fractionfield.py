@@ -34,14 +34,13 @@ expansion on [[0, A], [-A^T, 0]], whose Pfaffian is
 denominator D that A's entries share, A = D*M.  When M is +-the inverse
 of a polynomial matrix B with Pf(B) = D, Jacobi's complementary-minor
 identity Pf((B^-1)_S) = +-Pf(B without S)/Pf(B) makes every Pfaffian of
-A on 2k indices D^(k-1) times a polynomial.  So the expansion keeps each
-Pfaffian as D^e*R and, after summing a subset of four or more indices,
-tries one exact division by D (the exact-division step of Bareiss's
-fraction-free elimination); a division that fails leaves R as it is.
-The inverse hands back Pf(A) as D^e*R and the adjugate as D^k*C with one
-k for all of its entries.  ``RatExpr`` never normalizes itself: a
-quotient keeps the numerator and denominator it was built from, and
-only ``RatExpr.as_scalar``, that expansion and the callers in
+A on 2k indices D^(k-1) times a polynomial.  So the expansion divides
+the sum over every set of four or more indices by D once (the
+exact-division step of Bareiss's fraction-free elimination).  If any of
+those divisions, the adjugate minors' included, is inexact, the inverse
+starts over on the plain expansion without D.  ``RatExpr`` never
+normalizes itself: a quotient keeps the numerator and denominator it
+was built from, and only ``RatExpr.as_scalar``, that expansion and the callers in
 ``coupling`` that divide by one known Pfaffian call ``divide_exact``.
 """
 
@@ -315,7 +314,10 @@ class RatExpr:
         return not self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except PatchMismatchError:
+            return False
         if other is NotImplemented:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -352,54 +354,47 @@ class RatExpr:
 Matrix = List[List[ScalarExpr]]
 
 
-def _lowest(pairs, D):
-    """Pairs (e, R) standing for D^e*R, brought to their least power of D:
-    (low, [R*D^(e-low)]), low = 0 when there are none."""
-    low = min((e for e, _ in pairs), default=0)
-    return low, [R * D ** (e - low) if e > low else R for e, R in pairs]
+class _Inexact(Exception):
+    """A sum of the expansion over D that D does not divide exactly."""
 
 
 def _pfaffians(rows: Matrix, patch: Patch, D=None):
-    """pf(mask) = (e, R) with Pf(A on the index set ``mask``) = D^e*R,
-    memoized on bitmasks, by first-row expansion
+    """pf(mask) = Pf(A on the index set ``mask``), memoized on bitmasks,
+    by first-row expansion
 
         Pf(S) = sum_k (-1)^(k+1) a(s_0, s_k) Pf(S without s_0, s_k)
 
     over the elements s_1 < s_2 < ... of S after its least element s_0.
     It reads only the strict upper triangle, rows[i][j] with i < j, and
-    gives 0 on every odd set.  The terms are brought to their least power
-    of D before they are summed; with ``D`` given, the sum over a set of
-    four or more indices is then divided by D once, when that is exact,
-    and without it e stays 0."""
+    gives 0 on every odd set.  With ``D`` given, the sum over a set of
+    2k >= 4 indices is divided by D once, so pf gives Pf(A on S)/D^(k-1);
+    a division that is not exact raises ``_Inexact``."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("Pfaffian needs a square matrix")
-    memo = {0: (0, patch.one())}
+    memo = {0: patch.one()}
 
     def pf(mask: int):
-        hit = memo.get(mask)
-        if hit is None:
+        total = memo.get(mask)
+        if total is None:
             first = (mask & -mask).bit_length() - 1
             rest = mask & ~(1 << first)
-            terms = []
+            total = patch.zero()
             sign = 1
             for j in range(first + 1, n):
                 if rest >> j & 1:
                     a = rows[first][j]
                     if not a.is_zero():
-                        e, R = pf(rest & ~(1 << j))
-                        if R:
-                            terms.append((e, (a if sign > 0 else -a) * R))
+                        minor = pf(rest & ~(1 << j))
+                        if minor:
+                            total = total + (a if sign > 0 else -a) * minor
                     sign = -sign
-            low, terms = _lowest(terms, D)
-            total = sum(terms, patch.zero())
-            hit = (low, total)
             if D is not None and total and bin(mask).count("1") >= 4:
-                q = divide_exact(total, D)
-                if q is not None:
-                    hit = (low + 1, q)
-            memo[mask] = hit
-        return hit
+                total = divide_exact(total, D)
+                if total is None:
+                    raise _Inexact
+            memo[mask] = total
+        return total
 
     return pf
 
@@ -407,7 +402,7 @@ def _pfaffians(rows: Matrix, patch: Patch, D=None):
 def pfaffian(rows: Matrix, patch: Patch) -> ScalarExpr:
     """Pfaffian of the antisymmetric matrix whose strict upper triangle
     ``rows`` holds; 0 for every odd size."""
-    return _pfaffians(rows, patch)((1 << len(rows)) - 1)[1]
+    return _pfaffians(rows, patch)((1 << len(rows)) - 1)
 
 
 def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
@@ -420,27 +415,30 @@ def determinant(rows: Matrix, patch: Patch) -> ScalarExpr:
 
 
 def rat_inverse(rows: Matrix, patch: Patch, D: ScalarExpr | None = None):
-    """((e, R), (k, C)) for the antisymmetric matrix A whose strict upper
-    triangle ``rows`` holds: Pf(A) = D^e*R and A^-1 = D^k*C/Pf(A), where
-    D^k*C_ij = -D^k*C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for
-    i < j.  e counts the exact divisions by ``D`` that the expansion made
-    (one at most per subset size from four up), and k is the least such
-    count among the nonzero minors, the others lifted to it; without
-    ``D``, e = k = 0.  Raises DegenerateInputError when Pf(A) = 0, which
+    """(R, C, s) for the antisymmetric matrix A = D*M whose strict upper
+    triangle ``rows`` holds, with M^-1 = D^s*C/R (D read as 1 when not
+    given).  With s = 1, R = Pf(A) and C is the Pfaffian adjugate, C_ij =
+    -C_ji = (-1)^(i+j) Pf(A without rows/columns i, j) for i < j, so
+    A^-1 = C/R.  s = 0 when the expansion divided by D, n >= 4 and every
+    division exact: R = Pf(A)/D^(n/2-1) and C is the adjugate over
+    D^(n/2-2).  A division that is not exact starts the inverse over
+    without D.  Raises DegenerateInputError when Pf(A) = 0, which
     includes every odd size."""
-    pf, n = _pfaffians(rows, patch, D), len(rows)
+    n = len(rows)
+    s = 0 if D is not None and n >= 4 else 1
+    pf = _pfaffians(rows, patch, None if s else D)
     full = (1 << n) - 1
-    total = pf(full)
-    if not total[1]:
-        raise DegenerateInputError("matrix is singular: determinant is 0")
-    minors = {}
-    for i, j in combinations(range(n), 2):
-        e, c = pf(full & ~(1 << i) & ~(1 << j))
-        if c:
-            minors[(i, j)] = (e, -c if (i + j) % 2 else c)
-    k, lifted = _lowest(list(minors.values()), D)
-    zero = patch.zero()
-    C = [[zero] * n for _ in range(n)]
-    for (i, j), c in zip(minors, lifted):
-        C[i][j], C[j][i] = c, -c
-    return total, (k, C)
+    try:
+        total = pf(full)
+        if not total:
+            raise DegenerateInputError("matrix is singular: determinant is 0")
+        zero = patch.zero()
+        C = [[zero] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            c = pf(full & ~(1 << i) & ~(1 << j))
+            if c:
+                C[i][j] = c = -c if (i + j) % 2 else c
+                C[j][i] = -c
+    except _Inexact:
+        return rat_inverse(rows, patch)
+    return total, C, s

@@ -929,12 +929,13 @@ def dense_base_data(nb):
 
 
 def recorded_inverses(monkeypatch):
-    """The (D, result) of every ``rat_inverse`` call made by ``coupling``."""
+    """The (rows, D, result) of every ``rat_inverse`` call made by
+    ``coupling``."""
     calls = []
 
     def recorded(rows, patch, D=None):
-        calls.append((D, rat_inverse(rows, patch, D)))
-        return calls[-1][1]
+        calls.append((rows, D, rat_inverse(rows, patch, D)))
+        return calls[-1][2]
 
     monkeypatch.setattr(coupling, "rat_inverse", recorded)
     return calls
@@ -949,11 +950,17 @@ def test_dense_round_trip_with_eight_base_coordinates(monkeypatch):
     assert result.data == data
     assert list(result.pivot_denominators) == [pf]
     # the swell, pinned: over D = Pf(F), N = D*M has Pf(N) = D^3 times a
-    # constant and the adjugate minors are D^2 times polynomials
-    (D, ((e, R), (k, _))), = inverses[1:]
+    # constant, and every division by D is exact (s = 0)
+    (N, D, (R, _, s)), = inverses[1:]
     assert D == pf
-    assert e == 3 and R.as_rational() is not None
-    assert k == 2
+    assert s == 0 and R.as_rational() is not None
+    # Pf(N) = D^3*R, read at two points: the plain expansion of N is the
+    # swell that the divisions avoid
+    patch = data.patch
+    for k in (1, 2):
+        point = {name: i + k for i, name in enumerate(patch.names)}
+        at = [[c.substitute(point, patch) for c in row] for row in N]
+        assert D.substitute(point, patch) ** 3 * R == pfaffian(at, patch)
 
 
 def test_extract_puts_every_fraction_over_the_one_pfaffian():
@@ -1002,7 +1009,7 @@ def reference_extract(data):
     divided out where that is exact."""
     patch, base = data.patch, data.patch.base_indices
     F, hor = data.horizontal_form, data.connection.hor
-    (_, pf), (_, C) = rat_inverse(
+    pf, C, _ = rat_inverse(
         [[F.coefficient(a, b) for b in base] for a in base], patch)
     Pi = data.vertical_bivector
     for pa, pb in combinations(range(len(base)), 2):
@@ -1187,8 +1194,8 @@ def test_decompose_over_a_product_of_denominators():
 
 def test_decompose_over_a_proper_factor_of_the_pfaffian(monkeypatch):
     # Pf(F) = 3*q^2, but every fraction of the extracted bivector reduces
-    # to one over 3*q: D = 3*q divides some Pfaffians of N = D*M once more
-    # than others, so some adjugate minors are lifted to the least power
+    # to one over 3*q: D = 3*q leaves a remainder in some Pfaffian sum of
+    # N = D*M, so the inverse starts over without D (s = 1)
     patch = FiberedPatch.build("x1 x2 x3 x4 x5 x6", "q p")
     P, q = patch.parse, patch.coord("q")
     data = GeometricData(
@@ -1216,9 +1223,9 @@ def test_decompose_over_a_proper_factor_of_the_pfaffian(monkeypatch):
     assert result.data == data
     # the pivot is the true locus Pf(F), not the reduced denominator
     assert list(result.pivot_denominators) == [P("3*q^2")]
-    (D, (_, (_, C))), = inverses
+    (_, D, (_, _, s)), = inverses
     assert D == P("3*q")
-    assert any(c and divide_exact(c, D) is not None for row in C for c in row)
+    assert s == 1
 
 
 def product_of_denominators_bivector():

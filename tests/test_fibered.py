@@ -111,9 +111,10 @@ def test_hor_rejects_an_index_outside_the_patch():
     conn = Connection(FP, {("q", "x1"): FP.coord("p")})
     with pytest.raises(PatchError, match="no base coordinate"):
         conn.hor(7)
-    with pytest.raises(ValueError, match="fiber component q") as err:
-        conn.hor("q")
-    assert not isinstance(err.value, PatchError)
+    for q in ("q", FP.coordinate("q")):
+        with pytest.raises(ValueError, match="fiber component q") as err:
+            conn.hor(q)
+        assert not isinstance(err.value, PatchError)
 
 
 def test_hor_rejects_a_bool():
@@ -142,6 +143,7 @@ def test_lifts_are_built_once():
     conn = Connection(FP, {("q", "x1"): FP.coord("p")})
     assert conn.hor("x1") is conn.hor("x1")
     assert conn.hor(0) is conn.hor("x1")
+    assert conn.hor(FP.coordinate("x1")) is conn.hor("x1")
     assert conn.hor("x2") == Multivector.basis(FP, "x2")
 
 
@@ -204,8 +206,12 @@ def test_coordinate_curvature_matches_curvature():
                                      Multivector.basis(FP3, names[1]))
                 assert coordinate_curvature(conn, *names) == expected
                 assert coordinate_curvature(conn, a, b) == expected
+                assert coordinate_curvature(
+                    conn, *map(FP3.coordinate, names)) == expected
     with pytest.raises(ValueError):
         coordinate_curvature(conn, "x1", "q")
+    with pytest.raises(ValueError):
+        coordinate_curvature(conn, "x1", FP3.coordinate("q"))
     with pytest.raises(ValueError):
         coordinate_curvature(conn, FP3.index("p"), 0)
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from couplingdirac import DegenerateInputError, Patch, fractionfield
+from couplingdirac.errors import PatchMismatchError
 from couplingdirac.coupling import GeometricData, extract_poisson
 from couplingdirac.fibered import BaseForm, Connection, FiberedPatch
 from couplingdirac.fractionfield import (
@@ -317,6 +318,20 @@ def test_ratexpr_arithmetic():
         RatExpr(x, PATCH.zero())
 
 
+def test_ratexpr_equality_across_patches_is_false():
+    # as for ScalarExpr, values on different patches are unequal, while
+    # arithmetic across patches still raises
+    other = Patch.build("x y")
+    half_x = RatExpr(PATCH.coord("x"), PATCH.rational(2))
+    for value in (RatExpr(other.coord("x"), other.rational(2)),
+                  other.coord("x"), other.zero()):
+        assert half_x != value and value != half_x
+        assert not half_x == value
+        with pytest.raises(PatchMismatchError):
+            half_x + value
+    assert half_x == RatExpr(2 * PATCH.coord("x"), PATCH.rational(4))
+
+
 def test_ratexpr_differentiate():
     rng = random.Random(2718)
     for _ in range(40):
@@ -424,9 +439,9 @@ def test_only_the_strict_upper_triangle_is_read():
         garbage = [[A[i][j] if i < j else rnd_expr(rng) for j in range(n)]
                    for i in range(n)]
         assert pfaffian(garbage, PATCH) == pfaffian(A, PATCH)
-        (e, pf), (k, C) = rat_inverse(garbage, PATCH)
-        (e0, pf0), (k0, C0) = rat_inverse(A, PATCH)
-        assert (e, k) == (e0, k0) and pf == pf0
+        pf, C, s = rat_inverse(garbage, PATCH)
+        pf0, C0, s0 = rat_inverse(A, PATCH)
+        assert s == s0 and pf == pf0
         assert all(c == c0 for row, row0 in zip(C, C0)
                    for c, c0 in zip(row, row0))
     with pytest.raises(ValueError):
@@ -440,9 +455,9 @@ def test_rat_inverse_is_exact():
     assert any("sin" in str(e) or "cos" in str(e) for e in cases[-1][0])
     for A in cases:
         n = len(A)
-        # without a denominator Pf(A) comes back as (0, Pf), and k is 0
-        (e, pf), (k, adj) = rat_inverse(A, PATCH)
-        assert e == k == 0
+        # without a denominator Pf(A) and its adjugate come back plain
+        pf, adj, s = rat_inverse(A, PATCH)
+        assert s == 1
         assert pf * pf == determinant(A, PATCH)
         for i in range(n):
             assert adj[i][i].is_zero()
@@ -469,18 +484,20 @@ def test_rat_inverse_rejects_singular_and_odd_sizes():
 # --- Pfaffians over a shared denominator -----------------------------------
 
 def scaled_pfaffians(A, patch, D):
-    """rat_inverse(A, patch, D) checked against the plain Pfaffian: D^e*R
-    is Pf(A), and D^k*C_ij each signed adjugate minor."""
+    """rat_inverse(A, patch, D) checked against the plain Pfaffian: with
+    s = 0, D^(n/2-1)*R is Pf(A) and D^(n/2-2)*C_ij each signed adjugate
+    minor; with s = 1, R and C_ij are those themselves."""
     n = len(A)
-    total, (k, C) = rat_inverse(A, patch, D)
-    e, R = total
+    R, C, s = rat_inverse(A, patch, D)
+    e = 0 if s else n // 2 - 1
     assert D ** e * R == pfaffian(A, patch)
     for i, j in combinations(range(n), 2):
         keep = [r for r in range(n) if r not in (i, j)]
-        minor = pfaffian([[A[r][s] for s in keep] for r in keep], patch)
-        assert D ** k * C[i][j] == (-minor if (i + j) % 2 else minor)
+        minor = pfaffian([[A[r][c] for c in keep] for r in keep], patch)
+        assert D ** max(e - 1, 0) * C[i][j] == (
+            -minor if (i + j) % 2 else minor)
         assert C[j][i] == -C[i][j]
-    return total, (k, C)
+    return R, C, s
 
 
 def counted_divisions(monkeypatch):
@@ -505,48 +522,78 @@ def rnd_skew_among(rng, n, names):
 
 
 def test_scaled_pfaffians_when_no_division_succeeds(monkeypatch):
-    # p occurs in no entry, so 1 + p divides no nonzero sum of them
+    # p occurs in no entry, so 1 + p divides no nonzero sum of them: the
+    # first division fails, and the inverse starts over without D
     rng = random.Random(1729)
     D = PATCH.parse("1 + p")
     calls = counted_divisions(monkeypatch)
     for n in (4, 6, 4, 6):
         A = rnd_skew_among(rng, n, ("x", "y", "th"))
-        total, (k, _) = scaled_pfaffians(A, PATCH, D)
-        assert total[0] == k == 0
-    assert calls and all(q is None and d == D for q, d in calls)
+        assert scaled_pfaffians(A, PATCH, D)[2] == 1
+    assert len(calls) == 4 and all(q is None and d == D for q, d in calls)
 
 
 def test_scaled_pfaffians_over_a_constant_divide_once_per_size(monkeypatch):
     # 2 divides every sum, yet each subset of 2k >= 4 indices is divided
-    # once: e = k - 1, and the tries are at most the number of such subsets
+    # once: s = 0, and the tries are at most the number of such subsets
     rng = random.Random(6174)
     calls = counted_divisions(monkeypatch)
     for n in (4, 6, 8):
         del calls[:]
         A = rnd_skew(rng, n, trig=n < 8)
-        total, (k, _) = scaled_pfaffians(A, PATCH, PATCH.rational(2))
-        assert total[0] == n // 2 - 1
-        assert k == n // 2 - 2
+        assert scaled_pfaffians(A, PATCH, PATCH.rational(2))[2] == 0
         assert 0 < len(calls) <= sum(comb(n, k) for k in range(4, n + 1, 2))
 
 
 def test_scaled_pfaffians_with_mixed_powers_among_the_terms():
     # with a13 = a14 = 0, Pf on {1, 2, 3, 4} is a12*a34, which D = x
-    # divides, and Pf on {1, 2, 3, 5} = a12*a35 + a15*a23 is not: the sum
-    # over all six indices adds terms over different powers of x.  The
-    # adjugate minors of row 0 are the Pfaffians on four of the indices
-    # 1..5; x divides the ones on {1, 2, 3, 4} and on {1, 3, 4, 5} (only
-    # a15*a34 is left), and they are lifted back to x^0
+    # divides, and Pf on {1, 2, 3, 5} = a12*a35 + a15*a23 is not: the
+    # inverse starts over without x, and its adjugate is the plain one.
+    # The adjugate minors of row 0 are the Pfaffians on four of the
+    # indices 1..5; x divides the ones on {1, 2, 3, 4} and on
+    # {1, 3, 4, 5} (only a15*a34 is left)
     rng = random.Random(2024)
     x, zero = PATCH.coord("x"), PATCH.zero()
     A = rnd_skew_among(rng, 6, ("y", "th"))
     for i, j, e in ((1, 3, zero), (1, 4, zero), (1, 2, x * (1 + A[1][2])),
                     (3, 4, x * (2 + A[3][4]))):
         A[i][j], A[j][i] = e, -e
-    total, (k, C) = scaled_pfaffians(A, PATCH, x)
-    assert total[0] == k == 0
+    _, C, s = scaled_pfaffians(A, PATCH, x)
+    assert s == 1
     assert [j for j in range(1, 6)
             if divide_exact(C[0][j], x) is not None] == [2, 5]
+
+
+def test_a_minor_the_full_expansion_misses_starts_over_without_d(
+        monkeypatch):
+    # x divides rows 1 and 2, and a01 = a12 = 0: each term of Pf(A) holds
+    # one entry of each row, so x^2 divides it, and x divides every set
+    # the expansion of all six indices reaches, all of them holding index
+    # 1.  The minor on {0, 3, 4, 5} (rows and columns 1 and 2 removed) is
+    # outside that reach, and x does not divide it
+    rng = random.Random(77)
+    x, zero = PATCH.coord("x"), PATCH.zero()
+    A = rnd_skew_among(rng, 6, ("y", "th"))
+    for i, j in ((0, 1), (1, 2)):
+        A[i][j], A[j][i] = zero, zero
+    for i, j in (*((1, k) for k in (3, 4, 5)), (0, 2), (2, 3), (2, 4),
+                 (2, 5)):
+        e = x * (1 + A[i][j] * A[i][j])
+        A[i][j], A[j][i] = e, -e
+    full = divide_exact(pfaffian(A, PATCH), x ** 2)
+    assert full is not None
+    keep = (0, 3, 4, 5)
+    assert divide_exact(pfaffian([[A[r][c] for c in keep] for r in keep],
+                                 PATCH), x) is None
+    calls = counted_divisions(monkeypatch)
+    R, C, s = rat_inverse(A, PATCH, x)
+    assert s == 1 and R == pfaffian(A, PATCH)
+    # every division but the last, the full set's among them, was exact
+    assert calls[-1][0] is None
+    assert all(q is not None for q, _ in calls[:-1])
+    assert full in [q for q, _ in calls]
+    del calls[:]
+    assert scaled_pfaffians(A, PATCH, x)[2] == 1
 
 
 def extracted_block(rng, nb, angle):
@@ -584,6 +631,5 @@ def test_scaled_pfaffians_of_an_extracted_block_carry_jacobi_powers():
     rng = random.Random(3)
     for nb, angle in ((4, False), (6, False), (4, True), (6, True)):
         N, D, patch = extracted_block(rng, nb, angle)
-        total, (k, _) = scaled_pfaffians(N, patch, D)
-        assert total[0] == nb // 2 - 1
-        assert k == nb // 2 - 2
+        # so the expansion never starts over on extract's output
+        assert scaled_pfaffians(N, patch, D)[2] == 0
