@@ -12,8 +12,9 @@ the package grammar, printed canonically on output.  Optional blocks:
 coordinates).
 
 Exit codes: 0 every check passed, 1 a mathematical check failed,
-2 manifest parse/validation error (including a file that is not UTF-8
-or JSON nested past the decoder's recursion limit, a bad
+2 manifest parse/validation error (including a file that is not UTF-8,
+JSON nested past the decoder's recursion limit, a JSON integer literal
+with more digits than the interpreter's integer-string limit, a bad
 ``--fiber-point``, and an output number with more decimal digits than
 the interpreter's integer-string limit, such as the coefficient of
 ``2^20000*q``, an exponent of a coordinate that reaches 2^31, parsed
@@ -527,6 +528,12 @@ def run(argv=None) -> int:
         except RecursionError as exc:
             raise ManifestError(
                 "manifest JSON is nested too deeply to decode") from exc
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ManifestError(
+                "manifest JSON has an integer literal with more digits than "
+                "the interpreter's integer-string limit") from exc
         man = Manifest.from_document(doc)
         return _COMMANDS[args.command](man, args)
     except DegenerateInputError as exc:

@@ -1,20 +1,29 @@
 """Recipes that produce integrable geometric data.
 
-Three inputs of increasing generality feed the same checker:
+Every construction is one recipe on a potential: a base 1-form
+``P = sum_a P_a dx^a`` whose coefficients may involve all coordinates.
 
-* an abelian gauge-style setup (commuting fiber momenta, base-only
-  potential rows) whose data is built from the momenta's Hamiltonian
-  fields and the potential's exterior derivative;
-* a Hamiltonian potential (a base 1-form with total-space coefficients)
-  whose connection subtracts the coefficient's Hamiltonian field and
-  whose 2-form corrects the potential's curl by the coefficients'
-  Poisson bracket;
-* a torus-averaged momentum: the connection uses the angle-averaged
-  potential while the 2-form averages the *unaveraged* potential's curl
-  and bracket, in that order.
+* The lift of each base coordinate field subtracts the Hamiltonian field
+  ``X_a = sharp(V, dP_a)`` of the matching coefficient.
+* The 2-form is the potential's curl minus the coefficients' Poisson
+  bracket, ``F_ab = d_a P_b - d_b P_a - {P_a, P_b}``.
 
-The gauge-style construction is the potential construction applied to
-the products (potential row x momentum), which the tests exploit.
+The recipe takes each gradient ``dP_a`` and field ``X_a`` once.  It reads
+``d_a P_b`` off ``dP_b``, and the bracket off the identity
+``{P_a, P_b} = <dP_b, X_a>``, which is ``{f, g} = (sharp(V, df))(g)``.
+
+Three inputs feed it:
+
+* :func:`chb_data` averages over listed fiber angles: the connection uses
+  the fields of the averaged coefficients, while the 2-form averages the
+  *unaveraged* potential's curl and bracket, in that order;
+* :func:`cartan_data` is :func:`chb_data` over no angle;
+* :func:`yang_mills_data` runs the recipe on an abelian gauge setup's
+  potential ``P = sum_k J_k A_k`` (commuting fiber momenta ``J_k``,
+  base-only rows ``A_k``), whose fields are ``sum_k A^k_a X_{J_k}``, whose
+  brackets vanish, and whose curl is ``sum_k J_k (d_a A^k_b - d_b A^k_a)``.
+
+:func:`fat_check` reads that same curl and forms no connection.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from .errors import MalformedDataError, PatchError, PatchMismatchError
 from .fibered import BaseForm, Connection, FiberedPatch
 from .fractionfield import pfaffian
 from .symexpr import ScalarExpr, _add_terms
-from .tensorcalc import Multivector, d_scalar, poisson_bracket, schouten, sharp
+from .tensorcalc import (Multivector, d_scalar, pair, poisson_bracket,
+                         schouten, sharp)
 
 
 def _parse_all(patch, values) -> tuple:
@@ -50,16 +60,12 @@ def _check_fiber_poisson(patch: FiberedPatch, V: Multivector) -> None:
             "the vertical bivector does not self-commute")
 
 
-def _curl(setup: "AbelianYMHSetup", pa: int, pb: int) -> ScalarExpr:
-    """Sum over factors of J (d_a A_b - d_b A_a), a and b by base position."""
-    patch = setup.patch
-    base = patch.base_indices
-    a, b = base[pa], base[pb]
-    total = patch.zero()
-    for row, J in zip(setup.potentials, setup.momenta):
-        total = total + J * (row[pb].differentiate(a)
-                             - row[pa].differentiate(b))
-    return total
+def _coefficients(setup) -> list:
+    """The potential's coefficient ``P_a`` for each base coordinate, in
+    base order."""
+    zero = setup.patch.zero()
+    return [setup.potential.comps.get((a,), zero)
+            for a in setup.patch.base_indices]
 
 
 class AbelianYMHSetup:
@@ -68,9 +74,11 @@ class AbelianYMHSetup:
     ``momenta`` lists one fiber function per torus/line factor;
     ``potentials`` lists, per factor, one base-only coefficient per base
     coordinate.  A single factor may be given without the extra nesting.
+    ``potential`` is the base 1-form ``sum_k J_k A_k`` the recipe runs on.
     """
 
-    __slots__ = ("patch", "vertical_bivector", "potentials", "momenta")
+    __slots__ = ("patch", "vertical_bivector", "potentials", "momenta",
+                 "potential")
 
     def __init__(self, patch: FiberedPatch, vertical_bivector: Multivector,
                  potentials: Sequence, momenta):
@@ -114,31 +122,21 @@ class AbelianYMHSetup:
         self.vertical_bivector = V
         self.potentials = potentials
         self.momenta = momenta
+        self.potential = BaseForm(patch, 1, _add_terms({}, [
+            ((a,), J * A) for row, J in zip(potentials, momenta)
+            for a, A in zip(patch.base_indices, row)]))
 
 
 def yang_mills_data(setup: AbelianYMHSetup) -> GeometricData:
-    """Data from an abelian gauge-style setup.
+    """Data from an abelian gauge-style setup: the recipe on its
+    ``potential`` ``sum_k J_k A_k``.
 
-    The lift subtracts (potential entry) x (momentum's Hamiltonian field)
-    summed over factors, and the 2-form is the momentum-weighted curl of
-    each potential row; integrability of the output is what the tests
-    verify, instance by instance.
+    The momenta commute and the rows are base-only, so the lift subtracts
+    ``sum_k A^k_a X_{J_k}`` and the 2-form is the momentum-weighted curl
+    ``sum_k J_k (d_a A^k_b - d_b A^k_a)``; integrability of the output is
+    what the tests verify, instance by instance.
     """
-    patch = setup.patch
-    V = setup.vertical_bivector
-    base = patch.base_indices
-    pairs = []
-    for row, J in zip(setup.potentials, setup.momenta):
-        field = _hamiltonian(V, J)
-        for pos, a in enumerate(base):
-            pairs += [((u, a), row[pos] * c) for (u,), c in field.items()]
-    conn = Connection(patch, _add_terms({}, pairs))
-    ftable: dict = {}
-    for pa, pb in combinations(range(len(base)), 2):
-        total = _curl(setup, pa, pb)
-        if total:
-            ftable[(base[pa], base[pb])] = total
-    return GeometricData(patch, V, conn, BaseForm(patch, 2, ftable))
+    return chb_data(setup, ())
 
 
 class FatnessReport:
@@ -161,10 +159,13 @@ class FatnessReport:
 
 
 def fat_check(setup: AbelianYMHSetup) -> FatnessReport:
-    """Decide whether the momentum-weighted curl matrix is nondegenerate.
+    """Decide whether the curl matrix of the setup's potential is
+    nondegenerate.
 
-    The matrix has the entries of :func:`yang_mills_data`'s 2-form, with
-    the symbolic momenta as weights; its determinant is the squared
+    The matrix has the entries ``d_a P_b - d_b P_a`` of
+    :func:`yang_mills_data`'s 2-form, with the symbolic momenta as
+    weights; each coefficient is differentiated along the base alone, and
+    no connection is formed.  Its determinant is the squared
     Pfaffian.  An odd number of base coordinates is an immediate parity
     obstruction.
     """
@@ -175,9 +176,11 @@ def fat_check(setup: AbelianYMHSetup) -> FatnessReport:
         return FatnessReport(False, obstruction=(
             f"odd base dimension {n}: an antisymmetric matrix is "
             f"always degenerate"))
-    rows = [[patch.zero() for _ in base] for _ in base]
-    for pa, pb in combinations(range(n), 2):
-        rows[pa][pb] = _curl(setup, pa, pb)
+    P = _coefficients(setup)
+    zero = patch.zero()
+    rows = [[P[pb].differentiate(a) - P[pa].differentiate(b) if pa < pb
+             else zero for pb, b in enumerate(base)]
+            for pa, a in enumerate(base)]
     det = pfaffian(rows, patch) ** 2
     return FatnessReport(not det.is_zero(), determinant=det)
 
@@ -205,32 +208,8 @@ class CartanSetup:
         self.potential = potential
 
 
-def _potential_data(setup: CartanSetup, conn_potential: BaseForm,
-                    form_potential: BaseForm, average=None) -> GeometricData:
-    """Shared core: connection from one potential, 2-form from another."""
-    patch = setup.patch
-    V = setup.vertical_bivector
-    base = patch.base_indices
-    table: dict = {}
-    for (a,), c in conn_potential.items():
-        for (u,), coeff in _hamiltonian(V, c).items():
-            table[(u, a)] = coeff
-    conn = Connection(patch, table)
-    ftable: dict = {}
-    for a, b in combinations(base, 2):
-        pa = form_potential.coefficient(a)
-        pb = form_potential.coefficient(b)
-        entry = pb.differentiate(a) - pa.differentiate(b) \
-            - poisson_bracket(V, pa, pb)
-        if average:
-            entry = average(entry)
-        if entry:
-            ftable[(a, b)] = entry
-    return GeometricData(patch, V, conn, BaseForm(patch, 2, ftable))
-
-
 def cartan_data(setup: CartanSetup) -> GeometricData:
-    """Data from a Hamiltonian potential.
+    """Data from a Hamiltonian potential: :func:`chb_data` over no angle.
 
     The lift of each base coordinate field subtracts the Hamiltonian
     field of the matching potential coefficient; the 2-form is the
@@ -238,16 +217,17 @@ def cartan_data(setup: CartanSetup) -> GeometricData:
     The output passes the integrability checker for every setup, which
     the tests verify on randomized potentials.
     """
-    return _potential_data(setup, setup.potential, setup.potential)
+    return chb_data(setup, ())
 
 
 def chb_data(setup: CartanSetup, angles: Iterable[str]) -> GeometricData:
-    """Data from a torus-averaged potential.
+    """Data from a potential averaged over the listed fiber angles.
 
-    The connection is built from the potential averaged over the listed
-    fiber angles; the 2-form averages the curl-minus-bracket of the raw
-    potential.  With no angles listed this reduces to the plain
-    potential construction.
+    ``setup`` is a :class:`CartanSetup` or an :class:`AbelianYMHSetup`.
+    The 2-form averages the raw potential's ``d_a P_b - d_b P_a -
+    {P_a, P_b}``, with the bracket taken as ``<dP_b, X_a>``.  The
+    connection subtracts the fields ``X_a`` themselves when no angle is
+    listed, and otherwise the fields of the averaged coefficients.
     """
     patch = setup.patch
     names = list(angles)
@@ -261,7 +241,20 @@ def chb_data(setup: CartanSetup, angles: Iterable[str]) -> GeometricData:
             e = e.angle_average(name)
         return e
 
-    averaged = BaseForm(patch, 1,
-                        {key: avg for key, c in setup.potential.items()
-                         if (avg := average(c))})
-    return _potential_data(setup, averaged, setup.potential, average=average)
+    V = setup.vertical_bivector
+    base = patch.base_indices
+    coefficients = _coefficients(setup)
+    grads = [d_scalar(patch, c) for c in coefficients]
+    fields = [sharp(V, g) for g in grads]
+    zero = patch.zero()
+    ftable: dict = {}
+    for (pa, a), (pb, b) in combinations(enumerate(base), 2):
+        curl = (grads[pb].comps.get((a,), zero)
+                - grads[pa].comps.get((b,), zero))
+        if entry := average(curl - pair(grads[pb], fields[pa])):
+            ftable[(a, b)] = entry
+    if names:
+        fields = [_hamiltonian(V, average(c)) for c in coefficients]
+    conn = Connection(patch, {(u, a): c for a, X in zip(base, fields)
+                              for (u,), c in X.items()})
+    return GeometricData(patch, V, conn, BaseForm(patch, 2, ftable))

@@ -625,9 +625,9 @@ def _tokenize(text: str):
         j = i + 1
         if ch in _SYMBOLS:
             kind = ch
-        elif ch.isdigit():
+        elif ch.isdecimal():
             kind = "NUM"
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
         elif ch.isalpha() or ch == "_":
             kind = "IDENT"

@@ -560,6 +560,28 @@ def test_hostile_manifest_files_exit_2(tmp_path, capsys):
         assert err.startswith("error:") and len(err) < 200, path.name
 
 
+def test_integer_literal_past_the_string_limit_exits_2(tmp_path, capsys):
+    text = Path(fixture("flat")).read_text()
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"angle": false', '"angle": ' + "1" * 5000, 1))
+    message = ("manifest JSON has an integer literal with more digits than "
+               "the interpreter's integer-string limit")
+    for report in ("json", "text"):
+        code, out, err = run_lines(
+            capsys, ["check", "--manifest", str(path), "--report", report])
+        assert (code, out) == (2, []), report
+        if report == "json":
+            assert json.loads(err) == {"error": {"code": 2, "message": message}}
+        else:
+            assert err == f"error: {message}\n"
+    # a syntax error keeps the decoder's own message
+    path.write_text(text[:-3])
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(text[:-3])
+    code, out, err = run_lines(capsys, ["check", "--manifest", str(path)])
+    assert (code, out, err) == (2, [], f"error: {decoded.value}\n")
+
+
 def test_deeply_nested_coefficient_exits_2(tmp_path, capsys):
     doc = json.loads(Path(fixture("flat")).read_text())
     doc["vertical_bivector"][0]["coeff"] = "(" * 5000 + "q" + ")" * 5000

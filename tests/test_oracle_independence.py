@@ -28,7 +28,17 @@ checked against a reference that does not run it:
   basis fields (``test_contract_agrees_with_iterated``) in
   ``test_tensorcalc``, and, for the span oracle's pairings,
   ``brute_force_closure`` in ``test_coupling``, which pairs every
-  bracket with every generator through ``pairing_plus``.
+  bracket with every generator through ``pairing_plus``;
+- ``tensorcalc.lie_bracket``, in ``coordinate_curvature`` and in
+  ``courant_bracket``'s vector half: ``full_lie_bracket`` in
+  ``test_calculus_matches_differentiation_along_every_coordinate``
+  (``test_tensorcalc``);
+- ``tensorcalc.sharp``, in the curvature identity and in the vertical
+  generators: ``test_sharp_pairing_identity`` and
+  ``test_sharp_convention`` (``test_tensorcalc``);
+- ``tensorcalc.d_scalar``, in the curvature identity and in the Courant
+  bracket's form half: ``full_d_scalar`` in the same
+  ``test_tensorcalc`` test.
 """
 
 import pytest

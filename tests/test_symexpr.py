@@ -557,6 +557,12 @@ def test_parse_errors():
     with pytest.raises(ExpressionSyntaxError) as err:
         PATCH.parse("x1 + * q")
     assert err.value.position == 5
+    # a number is what int reads: decimal digits of any script, and no
+    # superscript
+    with pytest.raises(ExpressionSyntaxError) as err:
+        PATCH.parse("x1^²")
+    assert str(err.value) == "unexpected character '²' (at position 3)"
+    assert PATCH.parse("٣*x1^٢") == 3 * PATCH.coord("x1") ** 2
     with pytest.raises(UnknownCoordinateError):
         PATCH.parse("x1 + y")
     with pytest.raises(AngleDisciplineError):
