@@ -49,11 +49,11 @@ from .symexpr import ScalarExpr, _add_terms
 from .tensorcalc import (
     CourantSection,
     Multivector,
+    _hamiltonian,
     _pairing_row,
     _slot_index,
     contract,
     courant_bracket,
-    d_scalar,
     lie_derivative,
     schouten,
     sharp,
@@ -294,8 +294,10 @@ def check_integrability(data: GeometricData) -> CheckReport:
     bracket.  poisson_connection: it is preserved along every horizontal
     coordinate lift.  curvature_identity: the connection's curvature on
     (d_a, d_b) equals the bivector's bundle map applied to d of the
-    2-form component F_ab.  horizontally_closed: the twisted Koszul
-    differential of the 2-form vanishes.
+    2-form component F_ab, read off F's table for a < b; that Hamiltonian
+    field differentiates F_ab only along the bivector's slots, the only
+    components of dF_ab the bundle map reads.  horizontally_closed: the
+    twisted Koszul differential of the 2-form vanishes.
     """
     patch = data.patch
     V = data.vertical_bivector
@@ -310,10 +312,10 @@ def check_integrability(data: GeometricData) -> CheckReport:
         pres += tensor_witnesses(moved, prefix=(patch.coords[a].name,))
 
     curv = []
+    zero = patch.zero()
     for a, b in combinations(patch.base_indices, 2):
-        f_ab = F.coefficient(a, b)
         delta = coordinate_curvature(conn, a, b) \
-            - sharp(V, d_scalar(patch, f_ab))
+            - _hamiltonian(V, F.comps.get((a, b), zero))
         curv += tensor_witnesses(
             delta, prefix=(patch.coords[a].name, patch.coords[b].name))
 
@@ -333,7 +335,8 @@ def build_dirac(data: GeometricData) -> DiracPresentation:
     One horizontal generator per base coordinate (its lift, paired with
     the lift's contraction into the horizontal 2-form) and one vertical
     generator per fiber coordinate (minus the bivector image of the
-    annihilator coframe element, paired with that element).
+    annihilator coframe element, paired with that element).  The
+    bivector is negated once, and each vertical field is ``sharp(-V, eta)``.
     """
     patch = data.patch
     conn = data.connection
@@ -346,9 +349,10 @@ def build_dirac(data: GeometricData) -> DiracPresentation:
         horizontal.append(
             (patch.coords[a].name, CourantSection(X, contract(X, F))))
     vertical = []
+    minus_V = -data.vertical_bivector
     for u, eta in zip(patch.fiber_indices, ann_hor_basis(conn)):
-        vf = -sharp(data.vertical_bivector, eta)
-        vertical.append((patch.coords[u].name, CourantSection(vf, eta)))
+        vertical.append((patch.coords[u].name,
+                         CourantSection(sharp(minus_V, eta), eta)))
     return DiracPresentation(patch, horizontal, vertical)
 
 
@@ -365,6 +369,9 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
     unit triangular: each generator's vector field on the claimed vector
     slots, and a vertical generator's form on the claimed form slots, is
     the Kronecker delta of slot and label, each difference a witness.
+    Only the diagonal entry is compared, against one.  Tables hold no
+    zeros, so an off-diagonal entry that is present is its own witness
+    and an absent one is zero.
     """
     gens = list(L.labeled())
     iso = [Witness((gens[i][1], gens[j][1]), val)
@@ -393,10 +400,12 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
                 checks.append((section.form.comps, v_slots))
             for table, slots in checks:
                 for key, slot in slots:
-                    got = table.get(key, zero)
-                    want = one if slot == name else zero
-                    if got != want:
-                        maxi.append(Witness((name, slot), got - want))
+                    if slot == name:
+                        got = table.get(key, zero)
+                        if got != one:
+                            maxi.append(Witness((name, slot), got - one))
+                    elif (got := table.get(key)) is not None:
+                        maxi.append(Witness((name, slot), got))
 
     return CheckReport([ConditionReport("isotropy", iso),
                         ConditionReport("maximality", maxi)])
@@ -677,7 +686,7 @@ def equivalent_data(data: GeometricData, potential: BaseForm) -> GeometricData:
         raise PatchMismatchError("potential lives on a different patch")
     V = data.vertical_bivector
     for (a,), c in sorted(potential.items()):
-        ham = sharp(V, d_scalar(patch, c))
+        ham = _hamiltonian(V, c)
         if ham:
             name = patch.coords[a].name
             raise NonCasimirError(
@@ -698,7 +707,7 @@ def check_casimir_complex(data: GeometricData, casimirs) -> CheckReport:
     for pos, C in enumerate(casimirs):
         if isinstance(C, str):
             C = patch.parse(C)
-        ham = sharp(V, d_scalar(patch, C))
+        ham = _hamiltonian(V, C)
         if ham:
             raise NonCasimirError(
                 f"listed function {C} is not a Casimir; its Hamiltonian "

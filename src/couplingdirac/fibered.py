@@ -144,10 +144,12 @@ def coordinate_curvature(conn: Connection, a, b) -> Multivector:
     Coordinate fields commute, ``[d_a, d_b] = 0``, so the ``hor([X, Y])``
     term of ``Curv(X, Y) = hor([X, Y]) - [hor(X), hor(Y)]`` vanishes and
     ``Curv(d_a, d_b) = -[hor(d_a), hor(d_b)]``, with the lifts read from
-    ``conn.hor``.  The tests check this against the general formula on
+    ``conn.hor``.  That is formed as ``[hor(d_b), hor(d_a)]``, whose terms
+    are those of ``-[hor(d_a), hor(d_b)]`` one by one, so no negated copy
+    is built.  The tests check this against the general formula on
     lifted vector fields.
     """
-    return -lie_bracket(conn.hor(a), conn.hor(b))
+    return lie_bracket(conn.hor(b), conn.hor(a))
 
 
 def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
@@ -155,6 +157,8 @@ def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
 
     On coordinate base fields the bracket terms vanish, leaving
     ``(d_gamma a)_{a0..ak} = sum_i (-1)^i hor(d_{ai}) a_{a0..^ai..ak}``.
+    The table is built clean (increasing base keys, no zero entry) and
+    is not re-checked.
     """
     patch = conn.patch
     if alpha.patch != patch:
@@ -172,7 +176,7 @@ def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
             total = total + (d if pos % 2 == 0 else -d)
         if total:
             table[key] = total
-    return BaseForm(patch, alpha.degree + 1, table)
+    return BaseForm._trusted(patch, alpha.degree + 1, table)
 
 
 def ann_hor_basis(conn: Connection) -> list:

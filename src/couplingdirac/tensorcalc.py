@@ -438,6 +438,15 @@ def sharp(V: Multivector, alpha: DiffForm) -> Multivector:
     return Multivector._trusted(V.patch, 1, _add_terms({}, pairs))
 
 
+def _hamiltonian(V: Multivector, f) -> Multivector:
+    """The Hamiltonian field ``sharp(V, df)``, with ``f`` differentiated
+    only along the slots of ``V`` in its support: ``sharp`` reads no other
+    component of ``df``."""
+    slots = f.coordinates_used().intersection(chain.from_iterable(V.comps))
+    return sharp(V, DiffForm._trusted(V.patch, 1, {
+        (i,): df for i in slots if (df := f.differentiate(i))}))
+
+
 def poisson_bracket(V: Multivector, f, g):
     """{f, g} = V(df, dg)."""
     if V.degree != 2:

@@ -52,6 +52,7 @@ from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _hamiltonian,
     _pairing_row,
     _slot_index,
     contract,
@@ -397,15 +398,84 @@ def test_verdicts_agree_on_random_data():
 
 
 def test_oracles_agree_condition_by_condition_on_the_corpus():
+    # and witness by witness, on the same index sets
     items = corpus() + list(mutation_fixtures().items())
-    failing = 0
+    failing = orbits = witnesses = 0
     for name, data in items:
         direct = check_integrability(data)
         spanned = verify_closure(build_dirac(data))
         assert [(c.name, c.status) for c in direct.conditions] == [
             (c.name, c.status) for c in spanned.conditions], name
         failing += not direct.passed
+        o, w = assert_witnesses_agree(direct, spanned)
+        orbits += o
+        witnesses += w
     assert (len(items), failing) == (58, 15)
+    assert (orbits, witnesses) == (39, 234)
+
+
+# a closure witness over the check witness on the same labels, times the
+# parity of the closure's label order against the check's; derived in
+# assert_witnesses_agree
+WITNESS_SCALE = {"jacobi": Fraction(1, 4),
+                 "poisson_connection": Fraction(-1, 2),
+                 "curvature_identity": Fraction(-1, 2),
+                 "horizontally_closed": Fraction(1, 2)}
+
+
+def order_parity(order, reference):
+    """The sign of the permutation taking ``reference`` to ``order``."""
+    perm = [reference.index(label) for label in order]
+    return -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
+
+
+def assert_witnesses_agree(direct, spanned):
+    """Witness by witness: condition by condition, the closure report's
+    witnesses fall on the check report's index sets and reach every one,
+    and each closure witness ``T(i, j, k) = <[e_i, e_j], e_k>`` is the
+    check witness on the same three labels times ``WITNESS_SCALE`` of its
+    condition, times the parity of the closure's label order against the
+    check's.  Returns (index sets, closure witnesses).
+
+    The scales follow from the README's conventions: the pairing
+    ``<(X, a), (Y, b)> = (a(Y) + b(X))/2``, the Dorfman bracket, the
+    generators ``e_a = (h_a, i_{h_a} F)`` with ``h_a = hor d_a`` and
+    ``e_u = (-V#eta^u, eta^u)``, and ``F`` read on the total patch, where
+    it vanishes on vertical vectors.  The lifts' brackets are vertical.
+
+    - horizontally_closed, labels (a, b, c): on the graph of ``F`` over
+      the lifts ``T = dF(h_a, h_b, h_c)/2``, and with vertical brackets
+      that is ``(d_gamma F)_abc / 2``.  Scale 1/2.
+    - curvature_identity, labels (a, b, u): ``F`` drops out on the
+      vertical bracket, so ``T = (eta^u([h_a, h_b]) - dF_ab(V#eta^u))/2``.
+      Here ``[h_a, h_b] = -Curv(d_a, d_b)`` and ``dF_ab(V#eta^u) =
+      -(V#dF_ab)^u``, so ``T = -(Curv(d_a, d_b) - V#dF_ab)^u / 2``.
+      Scale -1/2.
+    - poisson_connection, labels (a, u, v): ``F`` drops out on vertical
+      pairs, and ``T = -(L_{h_a} V)(eta^u, eta^v)/2``, which is
+      ``-(L_{h_a} V)^uv / 2`` as ``L_{h_a} V`` is vertical.  Scale -1/2.
+    - jacobi, labels (u, v, w): on vertical vectors ``eta^u`` acts as
+      ``dy^u``, so ``T`` is half the Jacobiator ``{y^u, {y^v, y^w}} +
+      cyclic`` of ``-V``, which is that of ``V``.  The Schouten bracket,
+      normalized to the Lie bracket in degree one, has ``[V, V]^uvw``
+      twice the Jacobiator (``test_schouten_examples`` freezes 2 against
+      1).  Scale 1/4.
+
+    This compares two reports; neither oracle calls the other.
+    """
+    orbits = witnesses = 0
+    for d, s in zip(direct.conditions, spanned.conditions):
+        assert d.name == s.name
+        ref = {frozenset(w.indices): w for w in d.witnesses}
+        assert len(ref) == len(d.witnesses), d.name
+        assert {frozenset(w.indices) for w in s.witnesses} == set(ref), d.name
+        for w in s.witnesses:
+            r = ref[frozenset(w.indices)]
+            scale = WITNESS_SCALE[d.name] * order_parity(w.indices, r.indices)
+            assert w.expression == r.expression * scale, (d.name, w, r)
+        orbits += len(ref)
+        witnesses += len(s.witnesses)
+    return orbits, witnesses
 
 
 def cleared_schouten(Pi, D):
@@ -446,14 +516,11 @@ def test_extracted_bivector_is_poisson_iff_the_data_is_integrable():
     assert (invertible, degenerate) == (23, 31)
 
 
-@st.composite
-def broken_constructions(draw):
-    """(data, broken): integrable data from ``cartan_data`` or
-    ``yang_mills_data`` on 1 to 4 base and 2 to 4 fiber coordinates, the
-    fiber coordinate y1 an angle in some draws, and in most draws one
-    coefficient of the vertical bivector, the connection or the 2-form
-    then moved by a small term (which may or may not break a condition).
-    """
+def draw_fiber_poisson(draw):
+    """(patch, V, small) inside a composite strategy: 1 to 4 base and 2 to
+    4 fiber coordinates, the fiber coordinate y1 an angle in some draws, a
+    vertical Poisson bivector ``V``, and ``small(names)``, which draws a
+    small term in the named coordinates."""
     nb, nf = draw(st.integers(1, 4)), draw(st.integers(2, 4))
     base = [f"x{i}" for i in range(1, nb + 1)]
     fiber = [f"y{i}" for i in range(1, nf + 1)]
@@ -474,7 +541,19 @@ def broken_constructions(draw):
     V = {("y1", "y2"): patch.parse(weight)}
     if nf == 4 and weight == "1" and draw(st.booleans()):
         V[("y3", "y4")] = patch.rational(draw(st.sampled_from(SMALL)))
-    V = Multivector.build(patch, 2, V)
+    return patch, Multivector.build(patch, 2, V), small
+
+
+@st.composite
+def broken_constructions(draw):
+    """(data, broken): integrable data from ``cartan_data`` or
+    ``yang_mills_data`` on ``draw_fiber_poisson``'s patch and bivector,
+    and in most draws one coefficient of the vertical bivector, the
+    connection or the 2-form then moved by a small term (which may or may
+    not break a condition).
+    """
+    patch, V, small = draw_fiber_poisson(draw)
+    base, fiber = patch.base_names, patch.fiber_names
     if draw(st.booleans()):
         data = cartan_data(CartanSetup(patch, V, BaseForm.build(
             patch, 1, {(a,): small(patch.names) for a in base})))
@@ -515,10 +594,27 @@ def test_oracles_agree_condition_by_condition_on_generated_data(drawn):
     assert [(c.name, c.status) for c in direct.conditions] == [
         (c.name, c.status) for c in spanned.conditions]
     assert direct.passed or broken
+    assert_witnesses_agree(direct, spanned)
     D = form_pfaffian(data)
     if not D.is_zero():
         Pi = extract_poisson(data)
         assert cleared_schouten(Pi, D).is_zero() == direct.passed
+
+
+@st.composite
+def momentum_flows(draw):
+    """(V, J): ``draw_fiber_poisson``'s bivector and a fiber-only J."""
+    patch, V, small = draw_fiber_poisson(draw)
+    return V, small(patch.fiber_names)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(momentum_flows())
+def test_a_hamiltonian_field_preserves_its_poisson_bivector(drawn):
+    # [X_J, V] = 0 for every J once [V, V] = 0, which is why
+    # AbelianYMHSetup checks no momentum's flow after its Poisson check
+    V, J = drawn
+    assert schouten(_hamiltonian(V, J), V).is_zero()
 
 
 # the condition a nonzero pairing <[e_i, e_j], e_k> instantiates, keyed by

@@ -33,12 +33,19 @@ checked against a reference that does not run it:
   ``courant_bracket``'s vector half: ``full_lie_bracket`` in
   ``test_calculus_matches_differentiation_along_every_coordinate``
   (``test_tensorcalc``);
-- ``tensorcalc.sharp``, in the curvature identity and in the vertical
+- ``tensorcalc.sharp``, in the curvature identity (through
+  ``_hamiltonian``, which ``test_hamiltonian_is_sharp_of_the_full_gradient``
+  checks against ``sharp`` of the full gradient) and in the vertical
   generators: ``test_sharp_pairing_identity`` and
   ``test_sharp_convention`` (``test_tensorcalc``);
-- ``tensorcalc.d_scalar``, in the curvature identity and in the Courant
-  bracket's form half: ``full_d_scalar`` in the same
-  ``test_tensorcalc`` test.
+- ``tensorcalc.d_scalar``, in the twisted differential and in the Courant
+  bracket's form half: ``full_d_scalar`` in
+  ``test_calculus_matches_differentiation_along_every_coordinate``
+  (``test_tensorcalc``).
+
+Witness by witness, ``test_coupling`` also checks that every closure
+witness is the matching check witness times a fixed scale per condition
+(``assert_witnesses_agree``, on the corpus and on generated data).
 """
 
 import pytest

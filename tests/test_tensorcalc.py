@@ -11,6 +11,7 @@ from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _hamiltonian,
     contract,
     courant_bracket,
     d_scalar,
@@ -399,6 +400,18 @@ def test_sharp_pairing_identity():
         alpha = rnd_tensor(rng, BIG, DiffForm, 1)
         beta = rnd_tensor(rng, BIG, DiffForm, 1)
         assert pair(beta, sharp(V, alpha)) == contract(V, alpha.wedge(beta)).scalar()
+
+
+def test_hamiltonian_is_sharp_of_the_full_gradient():
+    # _hamiltonian differentiates f only along V's slots, the components
+    # of df that sharp reads; a bivector on one or two pairs leaves some
+    # coordinate of f's support out
+    rng = random.Random(101)
+    for patch in (BIG, ANG):
+        for _ in range(40):
+            V = rnd_tensor(rng, patch, Multivector, 2, max_entries=2)
+            f = rnd_scalar(rng, patch, max_terms=3)
+            assert _hamiltonian(V, f) == sharp(V, d_scalar(patch, f))
 
 
 def test_poisson_bracket_values():
