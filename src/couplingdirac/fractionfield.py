@@ -17,10 +17,11 @@ with m trig factors maps through
 and is scaled by 2^(A-m), so every term of both operands, and both
 operands as a whole, carry the same factor 2^A, which cancels in the
 quotient; integral coefficients stay Gaussian integers.  The Laurent
-tables keep the ring's packed keys, with each angle's field holding its
-``z`` exponent shifted by the operand's largest frequency in that angle,
-so the operands become ordinary polynomials; a field holds at most
-2^31 - 2, as ``symexpr`` keeps every frequency below 2^30.  The
+tables keep the ring's packed keys, with each angle's field, ``2k +
+kind`` in the ring, holding its ``z`` exponent shifted by the operand's
+largest frequency in that angle, so the operands become ordinary
+polynomials; a field holds at most 2^31 - 2, as ``symexpr`` keeps every
+frequency below 2^30.  The
 quotient, when it exists, is conjugate-symmetric and maps back to a
 real trig-polynomial.
 
@@ -53,7 +54,7 @@ from typing import List, Optional
 
 from .errors import DegenerateInputError, PatchMismatchError
 from .symexpr import (
-    COS, SIN, Patch, ScalarExpr, _FIELD, _ONE_KEY, _WIDTH, _add_terms,
+    SIN, Patch, ScalarExpr, _FIELD, _ONE_KEY, _WIDTH, _add_terms,
     _coefficient, _expr)
 
 
@@ -128,8 +129,8 @@ def _divide(ntab: dict, dtab: dict, quotient, guard: int) -> Optional[dict]:
 
 
 def _laurent_table(e: ScalarExpr, nangles: int, low: dict) -> dict:
-    """2^nangles times an expression, as {packed monomial: _QI} with the
-    angle fields Laurent: a term with m trig factors is scaled by
+    """2^nangles times an expression, as {packed key: _QI} with the angle
+    fields Laurent: a term with m trig factors is scaled by
     2^(nangles - m), and each factor maps to z^k + z^-k (cos) or
     -i*z^k + i*z^-k (sin), twice its value.  Every term thus carries the
     factor 2^nangles, so an integral expression has Gaussian-integer
@@ -137,52 +138,57 @@ def _laurent_table(e: ScalarExpr, nangles: int, low: dict) -> dict:
     nangles of their joint support, gets the quotient unscaled.  A branch
     carries its weight as the power of i it picked up.
 
-    Keys are the ring's packed keys, angle i's field holding its exponent
-    plus ``low[i]``, its largest frequency in ``e``: the image's least
-    exponent in z_i is exactly -low[i], so every field is non-negative
-    and some key has a zero field in each angle."""
+    The ring key's field ``2k + kind`` of angle i (0 for no factor)
+    becomes its z exponent plus ``low[i]``, its largest frequency in
+    ``e``: the image's least exponent in z_i is exactly -low[i], so every
+    field is non-negative and some key has a zero field in each angle."""
     offset = sum(k << (_WIDTH * i) for i, k in low.items())
     pairs = []
-    for (mono, trig), c in e.terms.items():
-        c = _coefficient(c * (1 << (nangles - len(trig))))
-        if not trig:
-            pairs.append((mono + offset, _QI(c)))
+    for key, c in e.terms.items():
+        branches = [(key + offset, 0)]
+        scale = nangles
+        for i in low:
+            shift = _WIDTH * i
+            f = key >> shift & _FIELD
+            if f:
+                scale -= 1
+                k = f >> 1
+                up, down = (k - f) << shift, (-k - f) << shift
+                turn = (3, 1) if f & 1 else (0, 0)
+                branches = [pair for m, p in branches for pair in (
+                    (m + up, p + turn[0]), (m + down, p + turn[1]))]
+        c = _coefficient(c * (1 << scale))
+        if scale == nangles:  # no trig factor
+            pairs.append((key + offset, _QI(c)))
             continue
-        branches = [(mono + offset, 0)]
-        for i, kind, k in trig:
-            step = k << (_WIDTH * i)
-            turn = (0, 0) if kind == COS else (3, 1)
-            branches = [pair for m, p in branches for pair in (
-                (m + step, p + turn[0]), (m - step, p + turn[1]))]
         phases = (_QI(c), _QI(0, c), _QI(-c), _QI(0, -c))
         pairs += [(m, phases[p % 4]) for m, p in branches]
     return _add_terms({}, pairs)
 
 
 def _real_terms(quo: dict, angles: list, shift: dict) -> Optional[dict]:
-    """The real trig-polynomial whose Laurent table is ``quo`` (the ring's
-    packed keys, angle i's field holding its exponent plus ``shift[i]``)
-    as ScalarExpr terms, or None when its imaginary part does not cancel.
+    """The real trig-polynomial whose Laurent table is ``quo`` (packed
+    keys, angle i's field holding its z exponent plus ``shift[i]``) as
+    ScalarExpr terms, angle i's field ``2k + kind``, or None when its
+    imaginary part does not cancel.
 
     z^k = cos(k*t) + i*sin(k*t) on every angle, so each Laurent term
     spreads over the cos/sin choices of its nonzero angle exponents."""
     real, imag = [], []
     poly_fields = ~sum(_FIELD << (_WIDTH * i) for i in angles)
     for m, c in quo.items():
-        mono = m & poly_fields
-        branches = [((), c.re, c.im)]
+        branches = [(m & poly_fields, c.re, c.im)]
         for i in angles:
             k = (m >> (_WIDTH * i) & _FIELD) - shift[i]
             if not k:
                 continue
             s = 1 if k > 0 else -1
-            nxt = []
-            for word, re, im in branches:
-                nxt.append((word + ((i, COS, s * k),), re, im))
-                nxt.append((word + ((i, SIN, s * k),), -s * im, s * re))
-            branches = nxt
-        real += [((mono, word), re) for word, re, _ in branches]
-        imag += [((mono, word), im) for word, _, im in branches]
+            cos = 2 * s * k << (_WIDTH * i)
+            sin = cos + (SIN << (_WIDTH * i))
+            branches = [pair for key, re, im in branches for pair in (
+                (key + cos, re, im), (key + sin, -s * im, s * re))]
+        real += [(key, re) for key, re, _ in branches]
+        imag += [(key, im) for key, _, im in branches]
     return None if _add_terms({}, imag) else _add_terms({}, real)
 
 
@@ -219,21 +225,11 @@ def _long_division(num: ScalarExpr, den: ScalarExpr,
     on the operands' Laurent images otherwise; None when inexact."""
     patch = num.patch
     if not angles:
-        quo = _divide({m: c for (m, _), c in num.terms.items()},
-                      {m: c for (m, _), c in den.terms.items()},
-                      _quotient, patch._guard)
-        if quo is None:
-            return None
-        return _expr(patch, {(m, ()): c for m, c in quo.items()})
+        quo = _divide(num.terms, den.terms, _quotient, patch._guard)
+        return None if quo is None else _expr(patch, quo)
     # each angle's largest frequency in each operand, the shift of its field
-    lows = []
-    for e in (num, den):
-        low = dict.fromkeys(angles, 0)
-        for _, trig in e.terms:
-            for i, _, k in trig:
-                if k > low[i]:
-                    low[i] = k
-        lows.append(low)
+    lows = [{i: max(key >> (_WIDTH * i) & _FIELD for key in e.terms) >> 1
+             for i in angles} for e in (num, den)]
     quo = _divide(
         *(_laurent_table(e, len(angles), low)
           for e, low in zip((num, den), lows)), _QI.__truediv__, patch._guard)

@@ -30,22 +30,26 @@ printing do not depend on the type, but integer arithmetic is far
 cheaper than ``Fraction`` arithmetic, and most coefficients stay small
 integers.
 
-A term is keyed by ``(monomial, trig word)``.  The monomial is one packed
-``int`` (Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007): coordinate ``i`` owns
-the W = 32 bits from bit ``W*i`` up, and its field holds its exponent,
-so ``x_i^e`` is ``e << (W*i)`` and a product of monomials is one integer
-addition.  The top bit of each field is a guard: every exponent stays
-below 2^(W-1) = 2^31, fields never carry into each other, and a product
-or a parsed exponent that reaches 2^31 raises :class:`ExpressionError`
+A term is keyed by one packed ``int`` (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): coordinate ``i`` owns the W = 32 bits from bit ``W*i`` up.  A
+non-angle coordinate's field holds its exponent, so ``x_i^e`` is
+``e << (W*i)`` and a product of monomials is one integer addition.  An
+angle coordinate's field holds ``2k + kind`` for the factor ``cos(k*t)``
+(kind COS = 0) or ``sin(k*t)`` (kind SIN = 1), and 0 when the term has
+no factor on that angle; a derivative along the angle flips the kind
+bit.  The top bit of each field is a guard: every exponent stays below
+2^(W-1) = 2^31, fields never carry into each other, and a product or a
+parsed exponent that reaches 2^31 raises :class:`ExpressionError`
 instead; each patch keeps the mask of its own fields' guard bits, so the
-check covers a patch of any size.  Angle coordinates' fields stay zero.
-The trig word is a sorted tuple of ``(coordinate, SIN or COS,
-frequency)``, every frequency below 2^30, half the exponent bound, as
-exact division shifts an angle's z exponents -k..k by its largest
-frequency k into its field; one that reaches 2^30, parsed or formed by
-a product, raises :class:`ExpressionError`.  The printer orders terms
-as the unpacked tuples ``((coordinate, exponent), ...)``.
+check covers a patch of any size.  Every frequency stays below 2^30,
+half the exponent bound, so an angle's field stays below the guard bit,
+and exact division can shift an angle's z exponents -k..k by its largest
+frequency k into its field; one that reaches 2^30, parsed or formed by a
+product, raises :class:`ExpressionError`.  A product adds keys, and only
+an angle field that both terms use goes through product-to-sum.  The
+printer orders terms as ``(((coordinate, exponent), ...), ((angle,
+kind, frequency), ...))``.
 """
 
 from __future__ import annotations
@@ -68,12 +72,9 @@ from .errors import (
 COS = 0
 SIN = 1
 
-# a term key is (Mono, Trig): packed monomial and trig word
-Mono = int
-Trig = tuple  # tuple[tuple[int, int, int], ...]
-_ONE_KEY = (0, ())  # the key of the constant term
+_ONE_KEY = 0  # the key of the constant term
 
-_WIDTH = 32  # bits per coordinate field of a packed monomial
+_WIDTH = 32  # bits per coordinate field of a packed term key
 _LIMIT = 1 << (_WIDTH - 1)  # the guard bit: every exponent stays below it
 _FREQUENCY = _LIMIT >> 1  # every trig frequency stays below it
 _FIELD = (1 << _WIDTH) - 1
@@ -101,10 +102,11 @@ class Coordinate:
 class Patch:
     """An ordered tuple of named coordinates; the home of expressions.
 
-    ``_guard`` has the guard bit of every coordinate's monomial field set,
-    and ``_names`` holds the names the printer writes."""
+    ``_guard`` has the guard bit of every coordinate's field set,
+    ``_angles`` every bit of every angle coordinate's field, and
+    ``_names`` holds the names the printer writes."""
 
-    __slots__ = ("coords", "_index", "_guard", "_names")
+    __slots__ = ("coords", "_index", "_guard", "_angles", "_names")
 
     def __init__(self, coords: Iterable[Coordinate]):
         coords = tuple(coords)
@@ -116,6 +118,8 @@ class Patch:
         self.coords = coords
         self._index = {c.name: i for i, c in enumerate(coords)}
         self._guard = sum(_LIMIT << (_WIDTH * i) for i in range(len(coords)))
+        self._angles = sum(_FIELD << (_WIDTH * i)
+                           for i, c in enumerate(coords) if c.angle)
         self._names = tuple(names)
 
     @classmethod
@@ -185,7 +189,7 @@ class Patch:
         if self.coords[i].angle:
             raise AngleDisciplineError(
                 f"angle coordinate {name!r} may appear only inside sin/cos")
-        return _expr(self, {(1 << (_WIDTH * i), ()): 1})
+        return _expr(self, {1 << (_WIDTH * i): 1})
 
     def trig(self, kind: int, k: int, name: str) -> "ScalarExpr":
         """sin(k*name) for kind=SIN, cos(k*name) for COS; 0 <= k < 2^30."""
@@ -201,7 +205,7 @@ class Patch:
             raise _too_high(f"the frequency of {quote(self.coords[i].name)}")
         if k == 0:
             return self.one() if kind == COS else self.zero()
-        return _expr(self, {(0, ((i, kind, k),)): 1})
+        return _expr(self, {(2 * k + kind) << (_WIDTH * i): 1})
 
     def parse(self, text: str) -> "ScalarExpr":
         return parse(text, self)
@@ -246,71 +250,44 @@ def _check_patch(a: "ScalarExpr", b: "ScalarExpr") -> None:
         raise PatchMismatchError("expressions live on different patches")
 
 
-def _combine_same_angle(kind1: int, k1: int, kind2: int, k2: int):
-    """Product-to-sum rewrite of two factors on the same angle.
+def _same_angle(f1: int, f2: int) -> list:
+    """Product-to-sum rewrite of the factors whose angle fields are ``f1``
+    and ``f2``: ``[(field, weight), ...]``, field 0 the constant 1.
 
-    Returns a list of (kind_or_None, frequency, weight); ``None`` means
-    the factor collapsed to the constant 1 (frequency zero cosine).
+        cos a cos b = (cos(a-b) + cos(a+b)) / 2
+        sin a sin b = (cos(a-b) - cos(a+b)) / 2
+        sin a cos b = (sin(a+b) + sin(a-b)) / 2
     """
-    lo, hi = abs(k1 - k2), k1 + k2
-    if hi >= _FREQUENCY:
+    k1, k2 = f1 >> 1, f2 >> 1
+    if k1 + k2 >= _FREQUENCY:
         raise _too_high("a frequency of a product")
     half = Fraction(1, 2)
-    if kind1 == COS and kind2 == COS:
-        out = [(COS, lo, half), (COS, hi, half)]
-    elif kind1 == SIN and kind2 == SIN:
-        out = [(COS, lo, half), (COS, hi, -half)]
-    else:
-        # sin(a)cos(b) = (sin(a+b) + sin(a-b)) / 2, with sin on frequency ka
-        ka = k1 if kind1 == SIN else k2
-        kb = k2 if kind1 == SIN else k1
-        d = ka - kb
-        out = [(SIN, hi, half)]
-        if d > 0:
-            out.append((SIN, d, half))
-        elif d < 0:
-            out.append((SIN, -d, -half))
-    result = []
-    for kind, k, w in out:
-        if k == 0:
-            if kind == COS:
-                result.append((None, 0, w))
-            # sin(0) contributes nothing
-        else:
-            result.append((kind, k, w))
-    return result
+    if not (f1 ^ f2) & 1:  # one kind: cosines of the difference and sum
+        return [(2 * abs(k1 - k2), half),
+                (2 * (k1 + k2), -half if f1 & 1 else half)]
+    d = k1 - k2 if f1 & 1 else k2 - k1  # the sine's frequency minus the cosine's
+    out = [(2 * (k1 + k2) + SIN, half)]
+    if d:
+        out.append((2 * abs(d) + SIN, half if d > 0 else -half))
+    return out
 
 
-def _mul_trig(t1: Trig, t2: Trig):
-    """Multiply two trig words; yields (trig_word, weight) branches."""
-    branches = [([], 1)]
-    i = j = 0
-    while i < len(t1) or j < len(t2):
-        if j >= len(t2) or (i < len(t1) and t1[i][0] < t2[j][0]):
-            fac, i = t1[i], i + 1
-            for word, _ in branches:
-                word.append(fac)
-        elif i >= len(t1) or t2[j][0] < t1[i][0]:
-            fac, j = t2[j], j + 1
-            for word, _ in branches:
-                word.append(fac)
-        else:
-            idx = t1[i][0]
-            pieces = _combine_same_angle(t1[i][1], t1[i][2], t2[j][1], t2[j][2])
-            i, j = i + 1, j + 1
-            new_branches = []
-            for word, w in branches:
-                for kind, k, piece_w in pieces:
-                    nw = list(word)
-                    if kind is not None:
-                        nw.append((idx, kind, k))
-                    new_branches.append((nw, w * piece_w))
-            branches = new_branches
-    return [(tuple(word), w) for word, w in branches]
+def _same_angles(mono: int, angles: int, other: int, c) -> list:
+    """The terms of a product of two terms whose keys sum to ``mono``:
+    ``angles`` is one key's angle fields and ``other`` the other key, and
+    every angle field both use is rewritten by :func:`_same_angle`."""
+    out = [(mono, c)]
+    for i, f1 in _unpack(angles):
+        shift = _WIDTH * i
+        f2 = other >> shift & _FIELD
+        if f2:
+            out = [(m + ((f - f1 - f2) << shift), b * w) for m, b in out
+                   for f, w in _same_angle(f1, f2)]
+    return out
 
 
-def _unpack(mono: Mono) -> tuple:
-    """A packed monomial as ``((coordinate, exponent), ...)`` in increasing
+def _unpack(mono: int) -> tuple:
+    """A packed key as ``((coordinate, field), ...)`` in increasing
     coordinate order: one step per nonzero field, from the top one down."""
     out = []
     while mono:
@@ -390,20 +367,20 @@ class ScalarExpr:
             return _scaled(self, right[_ONE_KEY])
         if len(left) == 1 and _ONE_KEY in left:
             return _scaled(other, left[_ONE_KEY])
-        guard = self.patch._guard
+        angles = self.patch._angles
+        guard = self.patch._guard & ~angles  # the exponent fields' guards
         products = []
         right = right.items()
-        for (m1, t1), c1 in left.items():
-            for (m2, t2), c2 in right:
+        for m1, c1 in left.items():
+            a1 = m1 & angles
+            for m2, c2 in right:
                 mono = m1 + m2
                 if mono & guard:
                     raise _too_large("an exponent of a product")
-                if t1 and t2:
-                    base = c1 * c2
-                    products += [((mono, trig), base * w)
-                                 for trig, w in _mul_trig(t1, t2)]
-                else:  # a trig-free side: the other word is the product
-                    products.append(((mono, t1 or t2), c1 * c2))
+                if a1 and m2 & angles:
+                    products += _same_angles(mono, a1, m2, c1 * c2)
+                else:  # at most one side has trig factors: keys add
+                    products.append((mono, c1 * c2))
         return _expr(self.patch, _add_terms({}, products))
 
     __rmul__ = __mul__
@@ -453,34 +430,30 @@ class ScalarExpr:
         try:
             return self._support
         except AttributeError:
-            monos = 0
-            for mono, _ in self.terms:
-                monos |= mono
-            used = self._support = frozenset(
-                [i for i, _ in _unpack(monos)]
-                + [i for _, trig in self.terms for i, _, _ in trig])
+            fields = 0
+            for key in self.terms:
+                fields |= key
+            used = self._support = frozenset(i for i, _ in _unpack(fields))
             return used
 
     # -- calculus ------------------------------------------------------------
     def differentiate(self, coord: str | Coordinate | int) -> "ScalarExpr":
         i = self.patch.index(coord)
+        shift = _WIDTH * i
+        unit = 1 << shift
         out = []
         if not self.patch.coords[i].angle:
-            shift = _WIDTH * i
-            unit = 1 << shift
-            for (mono, trig), c in self.terms.items():
-                e = mono >> shift & _FIELD
+            for key, c in self.terms.items():
+                e = key >> shift & _FIELD
                 if e:
-                    out.append(((mono - unit, trig), c * e))
+                    out.append((key - unit, c * e))
             return _expr(self.patch, _add_terms({}, out))
-        for (mono, trig), c in self.terms.items():
-            for pos, (j, kind, k) in enumerate(trig):
-                if j == i:
-                    newkind = COS if kind == SIN else SIN
-                    factor = k if kind == SIN else -k
-                    rest = trig[:pos] + ((j, newkind, k),) + trig[pos + 1:]
-                    out.append(((mono, rest), c * factor))
-                    break
+        # d/dt cos(k*t) = -k*sin(k*t), d/dt sin(k*t) = k*cos(k*t)
+        for key, c in self.terms.items():
+            f = key >> shift & _FIELD
+            if f:
+                k = f >> 1
+                out.append((key ^ unit, c * k if f & 1 else c * -k))
         return _expr(self.patch, _add_terms({}, out))
 
     def angle_average(self, coord: str | Coordinate | int) -> "ScalarExpr":
@@ -489,9 +462,9 @@ class ScalarExpr:
         if not self.patch.coords[i].angle:
             raise AngleDisciplineError(
                 f"{self.patch.coords[i].name!r} is not an angle coordinate")
-        keep = {key: c for key, c in self.terms.items()
-                if all(j != i for j, _, _ in key[1])}
-        return _expr(self.patch, keep)
+        field = _FIELD << (_WIDTH * i)
+        return _expr(self.patch, {key: c for key, c in self.terms.items()
+                                  if not key & field})
 
     # -- substitution ---------------------------------------------------------
     def substitute(self, values: Mapping[str, RationalLike], target: Patch) -> "ScalarExpr":
@@ -522,32 +495,36 @@ class ScalarExpr:
                 raise AngleDisciplineError(
                     f"angle coordinate {coords[i].name!r} cannot take a value")
         out = []
-        for (mono, trig), c in self.terms.items():
+        for key, c in self.terms.items():
             moved = 0
-            for i, e in _unpack(mono):
+            for i, e in _unpack(key):
                 if i in point:
                     c = c * point[i] ** e
                 else:
                     moved += e << (_WIDTH * where[i])
-            out.append(((moved, tuple(sorted(
-                (where[i], kind, k) for i, kind, k in trig))), c))
+            out.append((moved, c))
         return _expr(target, _add_terms({}, out))
 
     # -- printing --------------------------------------------------------------
     def __str__(self) -> str:
         """Terms in increasing order of ``((coordinate, exponent), ...)``,
-        then trig word; the first carries its sign, the others are joined
-        by `` + `` or `` - ``.  Each key is unpacked once, and only ``int``
-        coefficients are compared: a ``Fraction``'s sign is read off its
-        text."""
+        then ``((angle, kind, frequency), ...)``; the first carries its
+        sign, the others are joined by `` + `` or `` - ``.  Each key is
+        unpacked once, and only ``int`` coefficients are compared: a
+        ``Fraction``'s sign is read off its text."""
         if not self.terms:
             return "0"
         names = self.patch._names
+        angles = self.patch._angles
+        monos = ~angles
+        # the trig word of each distinct set of angle fields, built once
+        words = {trig: tuple([(i, f & 1, f >> 1) for i, f in _unpack(trig)])
+                 for trig in {key & angles for key in self.terms}}
         parts = []
         try:
-            for (mono, trig), c in sorted([
-                    ((_unpack(mono), trig), c)
-                    for (mono, trig), c in self.terms.items()]):
+            for (pairs, word), c in sorted([
+                    ((_unpack(key & monos), words[key & angles]), c)
+                    for key, c in self.terms.items()]):
                 if type(c) is int:
                     if parts:
                         parts.append(" - " if c < 0 else " + ")
@@ -559,7 +536,7 @@ class ScalarExpr:
                         negative = text[0] == "-"
                         parts.append(" - " if negative else " + ")
                         text = text[negative:]
-                parts.append(_term_str(names, mono, trig, text))
+                parts.append(_term_str(names, pairs, word, text))
         except ValueError:  # past the interpreter's integer-string limit
             raise ExpressionError(
                 "number too long to print: more decimal digits than the "
@@ -570,11 +547,12 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
-def _term_str(names: tuple, mono: tuple, trig: Trig, coeff: str) -> str:
+def _term_str(names: tuple, pairs: tuple, word: tuple, coeff: str) -> str:
     """One term: ``coeff``, the empty string for a unit coefficient, then
-    the factors of its unpacked monomial and of its trig word."""
-    factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
-    for i, kind, k in trig:
+    the factors of its ``(coordinate, exponent)`` pairs and of its trig
+    word."""
+    factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in pairs]
+    for i, kind, k in word:
         fn = "sin" if kind == SIN else "cos"
         factors.append(f"{fn}({names[i]})" if k == 1
                        else f"{fn}({k}*{names[i]})")
@@ -711,7 +689,7 @@ class _Parser:
             self.advance()
         coeff = _coefficient(coeff)
         mono = sum(e << (_WIDTH * i) for i, e in exps.items())
-        value = _expr(self.patch, {(mono, ()): coeff} if coeff else {})
+        value = _expr(self.patch, {mono: coeff} if coeff else {})
         return value if rest is None else value * rest
 
     def power(self) -> int:

@@ -142,8 +142,8 @@ class _Alternating:
     def basis(cls, patch: Patch, *names: str):
         return cls.build(patch, len(names), {tuple(names): patch.one()})
 
-    def _check(self, other, *, kind=True):
-        if kind and type(other) is not type(self):
+    def _check(self, other):
+        if type(other) is not type(self):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.patch != other.patch:

@@ -3,16 +3,16 @@
 import math
 
 from couplingdirac.symexpr import SIN
-from tuple_ring import unpack
+from tuple_ring import table
 
 
 def evaluate(expr, values):
     """Numeric evaluation (floats) of ``expr`` at ``values``, a mapping
     from coordinate names to numbers."""
     total = 0.0
-    for (mono, trig), c in expr.terms.items():
+    for (mono, trig), c in table(expr).items():
         v = float(c)
-        for i, e in unpack(mono):
+        for i, e in mono:
             v *= float(values[expr.patch.coords[i].name]) ** e
         for i, kind, k in trig:
             th = float(values[expr.patch.coords[i].name])

@@ -23,7 +23,7 @@ from couplingdirac.fractionfield import (
 from couplingdirac.symexpr import COS, SIN
 from couplingdirac.tensorcalc import Multivector
 from float_oracle import evaluate
-from tuple_ring import unpack
+from tuple_ring import table, unpack
 
 PATCH = Patch.build("x y p th", angles=("th",))
 # polynomial only, one angle, two angles
@@ -139,10 +139,10 @@ def halved_laurent(e, slot, nvars):
     half = Fraction(1, 2)
     pieces = {COS: ((1, (half, 0)), (-1, (half, 0))),
               SIN: ((1, (0, -half)), (-1, (0, half)))}
-    table = {}
-    for (mono, trig), c in e.terms.items():
+    image = {}
+    for (mono, trig), c in table(e).items():
         exps = [0] * nvars
-        for i, k in unpack(mono):
+        for i, k in mono:
             exps[slot[i]] = k
         branches = [(exps, (Fraction(c), Fraction(0)))]
         for i, kind, k in trig:
@@ -154,9 +154,9 @@ def halved_laurent(e, slot, nvars):
                     nxt.append((ex2, (re * pr - im * pi, re * pi + im * pr)))
             branches = nxt
         for ex, (re, im) in branches:
-            old = table.get(tuple(ex), (0, 0))
-            table[tuple(ex)] = (old[0] + re, old[1] + im)
-    return {k: v for k, v in table.items() if any(v)}
+            old = image.get(tuple(ex), (0, 0))
+            image[tuple(ex)] = (old[0] + re, old[1] + im)
+    return {k: v for k, v in image.items() if any(v)}
 
 
 def test_laurent_images_of_integral_expressions_are_gaussian_integers():
@@ -177,21 +177,21 @@ def test_laurent_images_of_integral_expressions_are_gaussian_integers():
         support = sorted(e.coordinates_used())
         slot = {i: pos for pos, i in enumerate(support)}
         # each angle's field is offset by its largest frequency
-        low = {i: max((k for _, trig in e.terms for j, _, k in trig
+        low = {i: max((k for _, trig in table(e) for j, _, k in trig
                        if j == i), default=0)
                for i in support if patch.coords[i].angle}
-        table = fractionfield._laurent_table(e, len(low), low)
+        image = fractionfield._laurent_table(e, len(low), low)
         scale = 2 ** len(low)
         assert {tuple(dict(unpack(k)).get(i, 0) - low.get(i, 0)
                       for i in support): (v.re, v.im)
-                for k, v in table.items()} == {
+                for k, v in image.items()} == {
             k: (scale * re, scale * im)
             for k, (re, im) in halved_laurent(e, slot, len(support)).items()}
         integral = all(type(c) is int for c in e.terms.values())
         assert integral == ("/" not in text)
         if integral:
             assert all(type(v.re) is int and type(v.im) is int
-                       for v in table.values()), text
+                       for v in image.values()), text
 
 
 def test_divide_exact_constant_and_zero():
@@ -361,8 +361,8 @@ def test_ratexpr_coordinates_used_is_the_union_of_its_parts():
                 support = e.coordinates_used()
                 assert type(support) is frozenset
                 assert support == {i for part in (e.num, e.den)
-                                   for mono, trig in part.terms
-                                   for i, *_ in unpack(mono) + trig}
+                                   for k in part.terms
+                                   for i, _ in unpack(k)}
     x, y = PATCH.coord("x"), PATCH.coord("y")
     assert RatExpr(x, 1 + y).coordinates_used() == {0, 1}
     assert RatExpr(PATCH.zero(), y).coordinates_used() == {1}

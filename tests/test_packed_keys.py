@@ -1,4 +1,4 @@
-"""Packed monomial keys against the tuple-key reference, and the guard.
+"""Packed term keys against the tuple-key reference, and the guard.
 
 ``tuple_ring`` keeps the kernels of the tuple-keyed ring; every ring
 result here must be the packed image of the reference result, with the
@@ -136,6 +136,18 @@ def test_products_reaching_the_limit_raise():
             make()
 
 
+def test_the_exponent_bound_is_checked_before_the_frequency_bound():
+    # the square breaks both bounds: x^(2^31) and sin(2^29*th)^2 reaches
+    # a frequency of 2^30
+    both = ONE_ANGLE.parse(f"x^{_LIMIT // 2}*sin({_FREQUENCY // 2}*th)")
+    for make in (lambda: both * both, lambda: both ** 2,
+                 lambda: ONE_ANGLE.parse(
+                     f"(x^{_LIMIT // 2}*sin({_FREQUENCY // 2}*th))^2")):
+        with pytest.raises(ExpressionError, match=(
+                r"an exponent of a product reaches 2\^31")):
+            make()
+
+
 def test_parsed_exponents_at_the_limit_raise_with_a_position():
     for text, position in ((f"x^{_LIMIT}", 0), (f"2*y + q*x^{_LIMIT}", 8),
                            (f"x^{_LIMIT - 1}*y*x", 15),
@@ -196,9 +208,16 @@ def test_frequencies_at_the_limit_raise():
 
 
 def test_one_key_and_coordinate_keys():
-    assert POLY.one().terms == {(0, ()): 1}
-    assert POLY.coord("q").terms == {(1 << (2 * _WIDTH), ()): 1}
-    assert ONE_ANGLE.parse("sin(2*th)").terms == {(0, ((1, SIN, 2),)): 1}
+    assert POLY.one().terms == {0: 1}
+    assert POLY.coord("q").terms == {1 << (2 * _WIDTH): 1}
+    # an angle's field holds 2k + kind
+    assert ONE_ANGLE.parse("sin(2*th)").terms == {(2 * 2 + SIN) << _WIDTH: 1}
+    assert ONE_ANGLE.parse("x^3*cos(5*th)").terms == {
+        3 + ((2 * 5 + COS) << _WIDTH): 1}
+    assert ONE_ANGLE.parse("cos(th)").differentiate("th").terms == {
+        (2 * 1 + SIN) << _WIDTH: -1}
+    assert ref.table(ONE_ANGLE.parse("y*sin(4*th)")) == {
+        (((2, 1),), ((1, SIN, 4),)): 1}
     assert ref.table(POLY.parse("3*p^2*x")) == {(((0, 1), (3, 2)), ()): 3}
     assert ref.unpack(ref.pack(((0, 5), (7, _LIMIT - 1)))) == (
         (0, 5), (7, _LIMIT - 1))

@@ -366,7 +366,7 @@ def test_as_rational_is_a_fraction():
 
 
 def term_coordinates(e):
-    return {i for mono, trig in e.terms for i, *_ in unpack(mono) + trig}
+    return {i for k in e.terms for i, _ in unpack(k)}
 
 
 def test_coordinates_used_is_the_cached_union_of_term_coordinates():

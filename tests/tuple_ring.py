@@ -1,18 +1,20 @@
 """The tuple-key ring: the tests' reference for the packed-key kernels.
 
-``symexpr`` keys a term by ``(packed monomial, trig word)``, where the
-monomial is one ``int`` with a W-bit exponent field per coordinate.  The
-kernels here are the ones it replaced, on term tables keyed by
-``(((coordinate, exponent), ...), trig word)`` with the pairs in
-increasing coordinate order: the monomial product merges exponent maps,
-the derivative edits one pair, the printer sorts the tuple keys.  They
-share only the trig-word product with the library, and keep their
-tables canonical with their own merge.
+``symexpr`` keys a term by one ``int`` with a W-bit field per coordinate:
+a non-angle coordinate's field holds its exponent, an angle's holds
+``2k + kind`` for its factor ``cos(k*t)`` or ``sin(k*t)`` (0 for none).
+The kernels here are the ones it replaced, on term tables keyed by
+``(((coordinate, exponent), ...), ((angle, kind, frequency), ...))``
+with both tuples in increasing coordinate order: the monomial product
+merges exponent maps, the trig-word product rewrites each shared angle
+by the product-to-sum identities, the derivative edits one pair or
+triple, the printer sorts the tuple keys.  They share no kernel with the
+library, and keep their tables canonical with their own merge.
 """
 
 from fractions import Fraction
 
-from couplingdirac.symexpr import COS, SIN, _WIDTH, _mul_trig
+from couplingdirac.symexpr import COS, SIN, _WIDTH
 
 
 def pack(mono) -> int:
@@ -21,8 +23,8 @@ def pack(mono) -> int:
 
 
 def unpack(m: int) -> tuple:
-    """The ``((coordinate, exponent), ...)`` pairs of a packed monomial,
-    read field by field."""
+    """The ``((coordinate, field), ...)`` pairs of a packed key's nonzero
+    fields, read field by field."""
     out, i = [], 0
     while m:
         e = m % (1 << _WIDTH)
@@ -33,19 +35,89 @@ def unpack(m: int) -> tuple:
     return tuple(out)
 
 
-def key(mono=(), trig=()) -> tuple:
+def key(mono=(), trig=()) -> int:
     """The packed term key of a tuple monomial and a trig word."""
-    return (pack(mono), tuple(trig))
+    return pack(mono) + pack((i, 2 * k + kind) for i, kind, k in trig)
+
+
+def split(k: int, patch) -> tuple:
+    """The tuple monomial and trig word of the packed key ``k``."""
+    fields = unpack(k)
+    return (tuple((i, f) for i, f in fields if not patch.coords[i].angle),
+            tuple((i, f % 2, f // 2) for i, f in fields
+                  if patch.coords[i].angle))
 
 
 def table(e) -> dict:
-    """The term table of an expression, keyed by tuple monomials."""
-    return {(unpack(m), trig): c for (m, trig), c in e.terms.items()}
+    """The term table of an expression, keyed by tuple monomials and trig
+    words."""
+    return {split(k, e.patch): c for k, c in e.terms.items()}
 
 
 def packed(tab: dict) -> dict:
-    """A tuple-keyed table keyed by packed monomials."""
-    return {(pack(mono), trig): c for (mono, trig), c in tab.items()}
+    """A tuple-keyed table keyed by packed keys."""
+    return {key(mono, trig): c for (mono, trig), c in tab.items()}
+
+
+def _combine_same_angle(kind1: int, k1: int, kind2: int, k2: int):
+    """Product-to-sum rewrite of two factors on the same angle.
+
+    Returns a list of (kind_or_None, frequency, weight); ``None`` means
+    the factor collapsed to the constant 1 (frequency zero cosine).
+    """
+    lo, hi = abs(k1 - k2), k1 + k2
+    half = Fraction(1, 2)
+    if kind1 == COS and kind2 == COS:
+        out = [(COS, lo, half), (COS, hi, half)]
+    elif kind1 == SIN and kind2 == SIN:
+        out = [(COS, lo, half), (COS, hi, -half)]
+    else:
+        # sin(a)cos(b) = (sin(a+b) + sin(a-b)) / 2, with sin on frequency ka
+        ka = k1 if kind1 == SIN else k2
+        kb = k2 if kind1 == SIN else k1
+        d = ka - kb
+        out = [(SIN, hi, half)]
+        if d > 0:
+            out.append((SIN, d, half))
+        elif d < 0:
+            out.append((SIN, -d, -half))
+    result = []
+    for kind, k, w in out:
+        if k == 0:
+            if kind == COS:
+                result.append((None, 0, w))
+            # sin(0) contributes nothing
+        else:
+            result.append((kind, k, w))
+    return result
+
+
+def mul_trig(t1, t2):
+    """Multiply two trig words; yields (trig_word, weight) branches."""
+    branches = [([], 1)]
+    i = j = 0
+    while i < len(t1) or j < len(t2):
+        if j >= len(t2) or (i < len(t1) and t1[i][0] < t2[j][0]):
+            fac, i = t1[i], i + 1
+            for word, _ in branches:
+                word.append(fac)
+        elif i >= len(t1) or t2[j][0] < t1[i][0]:
+            fac, j = t2[j], j + 1
+            for word, _ in branches:
+                word.append(fac)
+        else:
+            idx = t1[i][0]
+            pieces = _combine_same_angle(t1[i][1], t1[i][2], t2[j][1], t2[j][2])
+            i, j = i + 1, j + 1
+            new_branches = []
+            for word, w in branches:
+                for kind, k, piece_w in pieces:
+                    nw = list(word)
+                    if kind is not None:
+                        nw.append((idx, kind, k))
+                    new_branches.append((nw, w * piece_w))
+            branches = new_branches
+    return [(tuple(word), w) for word, w in branches]
 
 
 def _merge(pairs) -> dict:
@@ -79,7 +151,7 @@ def mul(a: dict, b: dict) -> dict:
         for (m2, t2), c2 in b.items():
             mono = mul_mono(m1, m2)
             pairs += [((mono, trig), c1 * c2 * w)
-                      for trig, w in _mul_trig(t1, t2)]
+                      for trig, w in mul_trig(t1, t2)]
     return _merge(pairs)
 
 
