@@ -427,7 +427,11 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     condition its generator-kind pattern instantiates, which localizes a
     single broken condition.
 
-    ``courant_bracket`` is the non-skew (Dorfman) bracket, which obeys
+    ``courant_bracket`` is the non-skew (Dorfman) bracket.  It reads the
+    first partials each generator keeps (``CourantSection.partials``),
+    taken on the generator's first bracket, so a generator coefficient is
+    differentiated once whatever the number of brackets, and a second
+    closure of the same presentation differentiates nothing.  It obeys
 
         [a,b] + [b,a] = 2 d<a,b>,
         X_a <b,c> = <[a,b],c> + <b,[a,c]>.

@@ -458,16 +458,33 @@ def poisson_bracket(V: Multivector, f, g):
 _HALF = Fraction(1, 2)
 
 
+def _first_partials(T: _Alternating) -> tuple:
+    """The nonzero first partials of a vector field's or a 1-form's
+    coefficients, each coefficient differentiated once along its coordinate
+    support, as ``(along, of)``: ``along[(i,)]`` lists ``(key, d_i T[key])``
+    by the coordinate differentiated along, ``of[key]`` lists
+    ``((i,), d_i T[key])`` by component."""
+    along: dict = {}
+    of: dict = {}
+    for key, c in T.comps.items():
+        row = of[key] = []
+        for i in c.coordinates_used():
+            if dc := c.differentiate(i):
+                along.setdefault((i,), []).append((key, dc))
+                row.append(((i,), dc))
+    return along, of
+
+
 class CourantSection:
     """A section (vector field, 1-form) of the generalized tangent bundle.
 
     Sections are immutable: assigning an attribute raises
-    ``AttributeError``.  ``dform``, the exterior derivative of ``form``, is
-    computed on first use and kept on the section, so a generator that
-    enters many brackets has its form differentiated once.
+    ``AttributeError``.  ``partials``, the first partials of both halves'
+    coefficients, is computed on first use and kept on the section, so a
+    generator that enters many brackets is differentiated once.
     """
 
-    __slots__ = ("vf", "form", "_dform")
+    __slots__ = ("vf", "form", "_partials")
 
     def __init__(self, vf: Multivector, form: DiffForm):
         if not isinstance(vf, Multivector) or not isinstance(form, DiffForm):
@@ -478,7 +495,7 @@ class CourantSection:
             raise PatchMismatchError("section halves live on different patches")
         object.__setattr__(self, "vf", vf)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_dform", None)
+        object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CourantSection is immutable; cannot set {name!r}")
@@ -488,11 +505,13 @@ class CourantSection:
         return self.vf.patch
 
     @property
-    def dform(self) -> DiffForm:
-        """d(form), the 2-form the Courant bracket contracts into."""
-        if self._dform is None:
-            object.__setattr__(self, "_dform", exterior_derivative(self.form))
-        return self._dform
+    def partials(self) -> tuple:
+        """``(vf along, vf of, form along, form of)``: ``_first_partials``
+        of the vector field and of the form."""
+        if self._partials is None:
+            object.__setattr__(self, "_partials", _first_partials(self.vf)
+                               + _first_partials(self.form))
+        return self._partials
 
     def __eq__(self, other):
         return (isinstance(other, CourantSection)
@@ -547,31 +566,38 @@ def _pairing_row(s: CourantSection, index: tuple, lo: int, hi: int) -> dict:
     return {c: v * _HALF for c, v in row.items()}
 
 
-def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
-    """Non-skew (Dorfman) bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1).
+def _products(T: dict, partials: dict):
+    """``(key, T[k] * d)`` for each partial ``(key, d)`` filed under a key
+    ``k`` of ``T``."""
+    return ((key, tc * dc) for k, tc in T.items()
+            for key, dc in partials.get(k, ()))
 
-    The form half is expanded by Cartan's formula
-    ``L_X a = i_X da + d(i_X a)`` into
-    ``i_{X1} dform2 + d<form2, X1> - i_{X2} dform1``, whose three parts are
-    merged into one table; each section's ``dform`` is taken once and
-    reused across every bracket it enters.
+
+def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
+    """Non-skew (Dorfman) bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1),
+    in coordinates:
+
+        [X1,X2]^k = X1^i d_i X2^k - X2^i d_i X1^k
+        form_j = X1^i d_i form2_j + form2_i d_j X1^i
+                 - X2^i (d_i form1_j - d_j form1_i)
+
+    Every derivative is read from the sections' ``partials``, taken once per
+    section and reused across every bracket it enters; no derivative is
+    taken here.  The X1^i d_j form2_i terms, which i_{X1} d form2 and
+    d<form2, X1> carry with opposite signs, are never formed.  Each half
+    merges its positive products into one table and subtracts its
+    negative ones.
     """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    X1 = s1.vf
-    vf = lie_bracket(X1, s2.vf)
-    f = _shared_sum(s2.form.comps, X1.comps)
-    pairs = [] if f is None else list(d_scalar(s1.patch, f).comps.items())
-    # i_{X1} dform2 and -i_{X2} dform1, contracted inline: a 2-form entry
-    # (i, j) gives +X^i on (j,) and -X^j on (i,)
-    for X, dform, negate in ((X1.comps, s2.dform.comps, False),
-                             (s2.vf.comps, s1.dform.comps, True)):
-        for (i, j), wc in dform.items():
-            if (xc := X.get((i,))) is not None:
-                c = xc * wc
-                pairs.append(((j,), -c if negate else c))
-            if (xc := X.get((j,))) is not None:
-                c = xc * wc
-                pairs.append(((i,), c if negate else -c))
-    form = DiffForm._trusted(s1.patch, 1, _add_terms({}, pairs))
-    return CourantSection(vf, form)
+    X1, X2 = s1.vf.comps, s2.vf.comps
+    along1, of1, form_along1, form_of1 = s1.partials
+    along2, _, form_along2, _ = s2.partials
+    vf = _add_terms(_add_terms({}, _products(X1, along2)),
+                    _products(X2, along1), sub)
+    form = _add_terms({}, chain(_products(X1, form_along2),
+                                _products(s2.form.comps, of1),
+                                _products(X2, form_of1)))
+    _add_terms(form, _products(X2, form_along1), sub)
+    return CourantSection(Multivector._trusted(s1.patch, 1, vf),
+                          DiffForm._trusted(s1.patch, 1, form))

@@ -785,6 +785,49 @@ def test_closure_of_non_isotropic_presentation_pairs_all_triples(monkeypatch):
     assert sum(hi - lo for _, lo, hi in closure) == n ** 3
 
 
+def test_closure_differentiates_each_generator_once(monkeypatch):
+    # a generator's first partials are taken once, however many brackets
+    # it enters: floor((N-1)^2/4) on a span, all N^2 on the hand-built
+    # presentation, the same derivatives either way, and none again
+    presentations = [build_dirac(ymh_fixture()), non_isotropic_presentation()]
+    presentations += [build_dirac(next(random_shaped_data(*shape)))
+                      for shape in SHAPES]
+    real = ScalarExpr.differentiate
+    real_bracket = coupling.courant_bracket
+    bracket_counts = set()
+    total = 0
+    for L in presentations:
+        nonzero = {id(s): sum(bool(c.differentiate(i))
+                              for T in (s.vf, s.form) for c in T.comps.values()
+                              for i in range(len(L.patch)))
+                   for s in L.sections}
+        derivatives = []
+        operands = []
+
+        def counting(self, coord):
+            derivatives.append(coord)
+            return real(self, coord)
+
+        def bracket(s1, s2):
+            operands.append((s1, s2))
+            return real_bracket(s1, s2)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ScalarExpr, "differentiate", counting)
+            patched.setattr(coupling, "courant_bracket", bracket)
+            verify_closure(L)
+            entered = {id(s) for pair in operands for s in pair}
+            assert len(derivatives) == sum(nonzero[k] for k in entered)
+            first = len(operands)
+            verify_closure(L)
+            assert len(derivatives) == sum(nonzero[k] for k in entered)
+        assert len(operands) == 2 * first
+        bracket_counts.add((first, len(L)))
+        total += len(derivatives)
+    assert (9, 3) in bracket_counts and (12, 8) in bracket_counts
+    assert total > 50
+
+
 def test_pairing_rows_match_pairing_plus():
     presentations = [build_dirac(data) for _, data in corpus()]
     presentations += [build_dirac(data)

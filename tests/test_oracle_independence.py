@@ -29,8 +29,8 @@ checked against a reference that does not run it:
   ``test_tensorcalc``, and, for the span oracle's pairings,
   ``brute_force_closure`` in ``test_coupling``, which pairs every
   bracket with every generator through ``pairing_plus``;
-- ``tensorcalc.lie_bracket``, in ``coordinate_curvature`` and in
-  ``courant_bracket``'s vector half: ``full_lie_bracket`` in
+- ``tensorcalc.lie_bracket``, in ``coordinate_curvature`` only:
+  ``full_lie_bracket`` in
   ``test_calculus_matches_differentiation_along_every_coordinate``
   (``test_tensorcalc``);
 - ``tensorcalc.sharp``, in the curvature identity (through
@@ -38,10 +38,18 @@ checked against a reference that does not run it:
   checks against ``sharp`` of the full gradient) and in the vertical
   generators: ``test_sharp_pairing_identity`` and
   ``test_sharp_convention`` (``test_tensorcalc``);
-- ``tensorcalc.d_scalar``, in the twisted differential and in the Courant
-  bracket's form half: ``full_d_scalar`` in
-  ``test_calculus_matches_differentiation_along_every_coordinate``
+- ``tensorcalc.d_scalar``, in the twisted differential: ``full_d_scalar``
+  in ``test_calculus_matches_differentiation_along_every_coordinate``
   (``test_tensorcalc``).
+
+The span oracle's own kernels are not shared: ``courant_bracket``, which
+reads each section's first partials (``CourantSection.partials``,
+``tensorcalc._first_partials``) and calls none of ``lie_bracket``,
+``d_scalar`` or ``exterior_derivative``, is checked against the Cartan
+formula built from those three (``cartan_bracket`` in
+``test_courant_bracket_matches_cartan_formula`` and its fraction-field
+case, ``test_tensorcalc``), and the stored partials against
+differentiation along every coordinate in the same test.
 
 Witness by witness, ``test_coupling`` also checks that every closure
 witness is the matching check witness times a fixed scale per condition
@@ -52,7 +60,7 @@ import pytest
 
 from corpus_util import corpus, mutation_fixtures
 
-from couplingdirac import coupling
+from couplingdirac import coupling, tensorcalc
 
 DATA = [data for _, data in corpus()] + list(mutation_fixtures().values())
 
@@ -75,11 +83,11 @@ def span_oracle(data):
     return coupling.verify_closure(coupling.build_dirac(data))
 
 
-def forbid(monkeypatch, *names):
+def forbid(monkeypatch, *names, module=coupling):
     for name in names:
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"the other oracle called {name}")
-        monkeypatch.setattr(coupling, name, refuse)
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("run,names,other", [
@@ -96,3 +104,10 @@ def test_each_oracle_runs_without_the_other(monkeypatch, run, names, other):
     with pytest.raises(AssertionError, match="the other oracle called"):
         other(DATA[0])  # the patches are where the other oracle looks
     assert run() == expected
+
+
+def test_courant_bracket_shares_no_derivative_kernel(monkeypatch):
+    expected = span_reports()
+    forbid(monkeypatch, "lie_bracket", "d_scalar", "exterior_derivative",
+           module=tensorcalc)
+    assert span_reports() == expected

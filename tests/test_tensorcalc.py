@@ -494,33 +494,72 @@ def test_courant_bracket_examples():
     assert b.vf.is_zero() and b.form.is_zero()
 
 
-def test_courant_bracket_matches_cartan_formula():
+def cartan_bracket(s1, s2):
     # textbook form: ([X1, X2], L_{X1} a2 - i_{X2} d a1)
+    return CourantSection(
+        lie_bracket(s1.vf, s2.vf),
+        lie_derivative(s1.vf, s2.form)
+        - contract(s2.vf, exterior_derivative(s1.form)))
+
+
+def every_partial(T):
+    """``{(coordinate key, component key): derivative}`` over every
+    coordinate of the patch, nonzero derivatives only."""
+    return {((i,), key): dc for key, c in T.items()
+            for i in range(len(T.patch)) if (dc := c.differentiate(i))}
+
+
+def rnd_mixed(rng, patch):
+    return rnd_rat(rng, patch) if rng.random() < 0.5 else rnd_scalar(rng, patch)
+
+
+def test_courant_bracket_matches_cartan_formula():
     rng = random.Random(83)
     for patch in (BIG, ANG):
         for _ in range(15):
             s1, s2 = (CourantSection(rnd_vf(rng, patch),
                                      rnd_tensor(rng, patch, DiffForm, 1))
                       for _ in range(2))
-            expected = CourantSection(
-                lie_bracket(s1.vf, s2.vf),
-                lie_derivative(s1.vf, s2.form)
-                - contract(s2.vf, exterior_derivative(s1.form)))
-            # the second call reuses both sections' stored d(form)
+            expected = cartan_bracket(s1, s2)
+            # the second call reuses both sections' stored partials
             assert courant_bracket(s1, s2) == expected
             assert courant_bracket(s1, s2) == expected
-            assert s1.dform == exterior_derivative(s1.form)
-            assert courant_bracket(s2, s2).form == (
-                lie_derivative(s2.vf, s2.form)
-                - contract(s2.vf, exterior_derivative(s2.form)))
+            along, of, form_along, form_of = s1.partials
+            for T, by_coord, by_comp in ((s1.vf, along, of),
+                                         (s1.form, form_along, form_of)):
+                want = every_partial(T)
+                assert {(i, key): dc for i, row in by_coord.items()
+                        for key, dc in row} == want
+                assert {(i, key): dc for key, row in by_comp.items()
+                        for i, dc in row} == want
+            assert courant_bracket(s2, s2) == cartan_bracket(s2, s2)
+    # fraction coefficients: the partials read RatExpr's
+    # coordinates_used/differentiate
+    fractions = 0
+    for patch in (BIG, ANG):
+        x, y = (patch.coord(c.name) for c in patch.coords[:2])
+        fixed = RatExpr(y, 1 + x * x)
+        for _ in range(15):
+            s1 = CourantSection(
+                rnd_tensor(rng, patch, Multivector, 1, scalar=rnd_mixed),
+                rnd_tensor(rng, patch, DiffForm, 1, scalar=rnd_mixed))
+            s2 = CourantSection(
+                rnd_vf(rng, patch) + Multivector.basis(patch, "q") * fixed,
+                rnd_tensor(rng, patch, DiffForm, 1, scalar=rnd_mixed)
+                + DiffForm.basis(patch, "x1") * fixed)
+            fractions += sum(isinstance(c, RatExpr) for s in (s1, s2)
+                             for T in (s.vf, s.form) for c in T.comps.values())
+            for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+                assert courant_bracket(a, b) == cartan_bracket(a, b)
+    assert fractions > 60
 
 
 def test_courant_section_is_immutable():
     s = CourantSection(Multivector.basis(QP, "q"), DiffForm.basis(QP, "p"))
-    for name in ("vf", "form", "dform", "_dform", "other"):
+    for name in ("vf", "form", "partials", "_partials", "other"):
         with pytest.raises(AttributeError):
             setattr(s, name, DiffForm.zero(QP, 1))
-    assert s.dform.is_zero()
+    assert s.partials == ({}, {(0,): []}, {}, {(1,): []})
     assert s.form == DiffForm.basis(QP, "p")
 
 
