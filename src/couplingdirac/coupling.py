@@ -40,8 +40,8 @@ from .fibered import (
     BaseForm,
     Connection,
     FiberedPatch,
+    _d_gamma_table,
     ann_hor_basis,
-    coordinate_curvature,
     d_gamma,
 )
 from .fractionfield import RatExpr, divide_exact, rat_inverse
@@ -49,13 +49,15 @@ from .symexpr import ScalarExpr, _add_terms
 from .tensorcalc import (
     CourantSection,
     Multivector,
+    _difference,
+    _first_partials,
     _hamiltonian,
+    _merge_indices,
     _pairing_row,
+    _products,
     _slot_index,
     contract,
     courant_bracket,
-    lie_derivative,
-    schouten,
     sharp,
 )
 
@@ -281,45 +283,93 @@ class DiracPresentation:
 def tensor_witnesses(T, prefix: tuple = ()) -> list:
     """One witness per nonzero component of ``T``, in index order, located
     by ``prefix`` followed by the component's coordinate names."""
-    patch = T.patch
-    return [Witness(prefix + tuple(patch.coords[i].name for i in key),
-                    T.comps[key])
-            for key in sorted(T.comps)]
+    return _witnesses(T.patch.names, T.comps, prefix)
+
+
+def _witnesses(names: Sequence[str], table: dict, prefix: tuple = ()) -> list:
+    return [Witness(prefix + tuple(names[i] for i in key), table[key])
+            for key in sorted(table)]
+
+
+def _bivector_slots(V: Multivector) -> dict:
+    """``{l: [(i, v, s)]}``: each entry ``V^{il} = s*v`` of the bivector,
+    ``v`` a stored coefficient and ``s`` its sign, filed by ``l``."""
+    slots: dict = {}
+    for (p, q), v in V.comps.items():
+        slots.setdefault(q, []).append((p, v, 1))
+        slots.setdefault(p, []).append((q, v, -1))
+    return slots
 
 
 def check_integrability(data: GeometricData) -> CheckReport:
     """Decide the four closure conditions directly on the data.
 
-    jacobi: the vertical bivector self-commutes under the Schouten
-    bracket.  poisson_connection: it is preserved along every horizontal
-    coordinate lift.  curvature_identity: the connection's curvature on
-    (d_a, d_b) equals the bivector's bundle map applied to d of the
-    2-form component F_ab, read off F's table for a < b; that Hamiltonian
-    field differentiates F_ab only along the bivector's slots, the only
-    components of dF_ab the bundle map reads.  horizontally_closed: the
-    twisted Koszul differential of the 2-form vanishes.
+    The first partials of ``V``'s coefficients, of each lift
+    ``hor(d_a)``'s and of each ``F_ab`` are taken once per call
+    (``tensorcalc._first_partials``), along each coefficient's support;
+    each condition is then one table of products read from them, its
+    negative products subtracted:
+
+    * jacobi: ``[V,V]^{ijk} = 2 sum_cyc V^{il} d_l V^{jk}``, which is
+      ``schouten(V, V)``;
+    * poisson_connection: ``(L_X V)^{ij} = X^k d_k V^{ij} - d_k X^i V^{kj}
+      - d_k X^j V^{ik}`` along every lift ``X = hor(d_a)``, which is
+      ``lie_derivative(X, V)``;
+    * curvature_identity: ``Curv(d_a, d_b) - V#(dF_ab)`` for a < b, the
+      curvature ``hor_b^j d_j hor_a^k - hor_a^j d_j hor_b^k``
+      (``coordinate_curvature``) and ``V#`` reading only the partials of
+      ``F_ab`` along ``V``'s slots;
+    * horizontally_closed: the twisted Koszul differential ``d_gamma F``.
+
+    Nothing is kept after the call, and no function of the span oracle
+    is called.
     """
     patch = data.patch
-    V = data.vertical_bivector
+    names = patch.names
     conn = data.connection
-    F = data.horizontal_form
+    lifts = {a: conn.hor(a).comps for a in patch.base_indices}
+    lift_along = {a: _first_partials(conn.hor(a))[0] for a in lifts}
+    V_along = _first_partials(data.vertical_bivector)[0]
+    F_along, F_of = _first_partials(data.horizontal_form)
+    slots = _bivector_slots(data.vertical_bivector)
 
-    jac = tensor_witnesses(schouten(V, V))
+    # V^{il} d_l V^{jk} lands on the sorted (i, j, k) with the sign of
+    # putting i in front, which the cyclic sum makes the same for all three
+    plus, minus = [], []
+    for l, row in slots.items():
+        for key, d in V_along.get((l,), ()):
+            for i, v, s in row:
+                hit = _merge_indices((i,), key)
+                if hit is not None:
+                    (plus if hit[0] == s else minus).append((hit[1], v * d))
+    jac = _witnesses(names, {key: c * 2 for key, c in
+                             _difference(plus, minus).items()})
 
+    # -d_k X^i V^{kj} = s*v d_k X^i on (i, j); the -d_k X^j V^{ik} terms
+    # are its transposes, so each lands on the sorted key once, signed
     pres = []
-    for a in patch.base_indices:
-        moved = lie_derivative(conn.hor(a), V)
-        pres += tensor_witnesses(moved, prefix=(patch.coords[a].name,))
+    for a, X in lifts.items():
+        plus, minus = list(_products(X, V_along)), []
+        along = lift_along[a]
+        for k, row in slots.items():
+            for (i,), d in along.get((k,), ()):
+                for j, v, s in row:
+                    if i != j:
+                        (plus if (i < j) == (s > 0) else minus).append(
+                            ((i, j) if i < j else (j, i), v * d))
+        pres += _witnesses(names, _difference(plus, minus), (names[a],))
 
     curv = []
-    zero = patch.zero()
-    for a, b in combinations(patch.base_indices, 2):
-        delta = coordinate_curvature(conn, a, b) \
-            - _hamiltonian(V, F.comps.get((a, b), zero))
-        curv += tensor_witnesses(
-            delta, prefix=(patch.coords[a].name, patch.coords[b].name))
+    for a, b in combinations(lifts, 2):
+        plus = list(_products(lifts[b], lift_along[a]))
+        minus = list(_products(lifts[a], lift_along[b]))
+        for (l,), d in F_of.get((a, b), ()):
+            for i, v, s in slots.get(l, ()):  # -V#(dF_ab) at d_i
+                (plus if s > 0 else minus).append(((i,), v * d))
+        curv += _witnesses(names, _difference(plus, minus),
+                           (names[a], names[b]))
 
-    closed = tensor_witnesses(d_gamma(conn, F))
+    closed = _witnesses(names, _d_gamma_table(conn, F_along))
 
     return CheckReport([
         ConditionReport(JACOBI, jac),

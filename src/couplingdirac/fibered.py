@@ -8,13 +8,13 @@ annihilator coframe is ``eta^u = dy^u + sum_a G^u_a dx^a``, so
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import DegreeError, PatchError, PatchMismatchError
 from .symexpr import Coordinate, Patch, ScalarExpr
 from .tensorcalc import (
-    DiffForm, Multivector, _Alternating, d_scalar, lie_bracket, pair)
+    DiffForm, Multivector, _Alternating, _difference, _first_partials,
+    _merge_indices, lie_bracket)
 
 
 class FiberedPatch(Patch):
@@ -139,7 +139,9 @@ class BaseForm(_Alternating):
 
 
 def coordinate_curvature(conn: Connection, a, b) -> Multivector:
-    """Curvature on the coordinate fields (d_a, d_b), by name or index.
+    """Curvature on one pair of coordinate fields (d_a, d_b), by name or
+    index; the single-pair API, and the tests' reference for the curvature
+    ``check_integrability`` builds from the lifts' first partials.
 
     Coordinate fields commute, ``[d_a, d_b] = 0``, so the ``hor([X, Y])``
     term of ``Curv(X, Y) = hor([X, Y]) - [hor(X), hor(Y)]`` vanishes and
@@ -157,26 +159,30 @@ def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
 
     On coordinate base fields the bracket terms vanish, leaving
     ``(d_gamma a)_{a0..ak} = sum_i (-1)^i hor(d_{ai}) a_{a0..^ai..ak}``.
-    The table is built clean (increasing base keys, no zero entry) and
-    is not re-checked.
+    Each coefficient of ``alpha`` is differentiated once along its
+    support; the table is then one merge (``_d_gamma_table``).
     """
-    patch = conn.patch
-    if alpha.patch != patch:
+    if alpha.patch != conn.patch:
         raise PatchMismatchError("base form lives on a different patch")
-    lifts = {a: conn.hor(a) for a in patch.base_indices}
-    grad = {key: d_scalar(patch, c) for key, c in alpha.comps.items()}
-    table: dict = {}
-    for key in combinations(patch.base_indices, alpha.degree + 1):
-        total = patch.zero()
-        for pos, a in enumerate(key):
-            dc = grad.get(key[:pos] + key[pos + 1:])
-            if dc is None:
-                continue
-            d = pair(dc, lifts[a])
-            total = total + (d if pos % 2 == 0 else -d)
-        if total:
-            table[key] = total
-    return BaseForm._trusted(patch, alpha.degree + 1, table)
+    return BaseForm._trusted(conn.patch, alpha.degree + 1, _d_gamma_table(
+        conn, _first_partials(alpha)[0]))
+
+
+def _d_gamma_table(conn: Connection, along: dict) -> dict:
+    """The table of ``d_gamma`` of the base form whose first partials
+    ``along`` are filed as by ``tensorcalc._first_partials``: for each base
+    ``a``, ``hor(d_a)``'s components times the partials along them of the
+    coefficients whose key lacks ``a``, each product filed under ``a``
+    inserted into that key with the sign of the insertion.  Keys are
+    increasing base tuples and no value is zero."""
+    plus, minus = [], []
+    for a in conn.patch.base_indices:
+        for k, xc in conn.hor(a).comps.items():
+            for key, dc in along.get(k, ()):
+                hit = _merge_indices((a,), key)
+                if hit is not None:
+                    (plus if hit[0] > 0 else minus).append((hit[1], xc * dc))
+    return _difference(plus, minus)
 
 
 def ann_hor_basis(conn: Connection) -> list:

@@ -573,6 +573,12 @@ def _products(T: dict, partials: dict):
             for key, dc in partials.get(k, ()))
 
 
+def _difference(plus, minus) -> dict:
+    """One table: the ``(key, value)`` pairs of ``plus`` merged, then those
+    of ``minus`` subtracted, so no negative term is negated first."""
+    return _add_terms(_add_terms({}, plus), minus, sub)
+
+
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
     """Non-skew (Dorfman) bracket ([X1,X2], L_{X1} form2 - i_{X2} d form1),
     in coordinates:
@@ -593,11 +599,10 @@ def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
     X1, X2 = s1.vf.comps, s2.vf.comps
     along1, of1, form_along1, form_of1 = s1.partials
     along2, _, form_along2, _ = s2.partials
-    vf = _add_terms(_add_terms({}, _products(X1, along2)),
-                    _products(X2, along1), sub)
-    form = _add_terms({}, chain(_products(X1, form_along2),
-                                _products(s2.form.comps, of1),
-                                _products(X2, form_of1)))
-    _add_terms(form, _products(X2, form_along1), sub)
+    vf = _difference(_products(X1, along2), _products(X2, along1))
+    form = _difference(chain(_products(X1, form_along2),
+                             _products(s2.form.comps, of1),
+                             _products(X2, form_of1)),
+                       _products(X2, form_along1))
     return CourantSection(Multivector._trusted(s1.patch, 1, vf),
                           DiffForm._trusted(s1.patch, 1, form))

@@ -828,6 +828,37 @@ def test_closure_differentiates_each_generator_once(monkeypatch):
     assert total > 50
 
 
+def test_check_differentiates_each_coefficient_once(monkeypatch):
+    # one check takes each first partial of V's, every lift's and F's
+    # coefficients once, along the coefficient's support, and no
+    # (coefficient, coordinate) derivative twice
+    datas = [data for _, data in corpus()] + list(random_data())
+    datas += [data for shape in SHAPES for data in random_shaped_data(*shape)]
+    real = ScalarExpr.differentiate
+    taken = []
+
+    def counting(self, coord):
+        taken.append((id(self), coord))
+        return real(self, coord)
+
+    total = 0
+    for data in datas:
+        conn = data.connection
+        coefficients = [*data.vertical_bivector.comps.values(),
+                        *data.horizontal_form.comps.values()]
+        coefficients += [c for a in data.patch.base_indices
+                         for c in conn.hor(a).comps.values()]
+        taken.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(ScalarExpr, "differentiate", counting)
+            check_integrability(data)
+        assert len(set(taken)) == len(taken)
+        assert len(taken) == sum(len(c.coordinates_used())
+                                 for c in coefficients)
+        total += len(taken)
+    assert total > 250
+
+
 def test_pairing_rows_match_pairing_plus():
     presentations = [build_dirac(data) for _, data in corpus()]
     presentations += [build_dirac(data)

@@ -1,11 +1,21 @@
-"""Connections, lifts, curvature, the twisted Koszul operator."""
+"""Connections, lifts, curvature, the twisted Koszul operator, and the
+data oracle's tables against the generic kernels."""
 
 import random
 from itertools import combinations
 
 import pytest
 
+from corpus_util import random_scalar
+
 from couplingdirac import Patch, PatchError
+from couplingdirac.coupling import (
+    CONDITION_ORDER,
+    ConditionReport,
+    GeometricData,
+    check_integrability,
+    tensor_witnesses,
+)
 from couplingdirac.fibered import (
     BaseForm,
     Connection,
@@ -18,9 +28,12 @@ from couplingdirac.errors import DegreeError, PatchMismatchError
 from couplingdirac.tensorcalc import (
     DiffForm,
     Multivector,
+    _hamiltonian,
     contract,
     lie_bracket,
+    lie_derivative,
     pair,
+    schouten,
 )
 
 FP = FiberedPatch.build("x1 x2", "q p")
@@ -59,6 +72,21 @@ def horizontal_derivative(conn, a, f):
             if df:
                 out = out - coeff * df
     return out
+
+
+def reference_d_gamma(conn, alpha):
+    """d_gamma written out as sum_i (-1)^i hor(d_ai) alpha_{..^ai..}, each
+    lift applied by ``horizontal_derivative``."""
+    patch = conn.patch
+    expected = {}
+    for key in combinations(patch.base_indices, alpha.degree + 1):
+        total = patch.zero()
+        for pos, a in enumerate(key):
+            rest = key[:pos] + key[pos + 1:]
+            d = horizontal_derivative(conn, a, alpha.coefficient(*rest))
+            total = total + (d if pos % 2 == 0 else -d)
+        expected[key] = total
+    return BaseForm(patch, alpha.degree + 1, expected)
 
 
 def rnd_scalar(rng, patch, max_terms=2, max_deg=2):
@@ -250,16 +278,7 @@ def test_d_gamma_matches_horizontal_derivative():
                 key: rnd_scalar(rng, FP3)
                 for key in combinations(bases, degree)
                 if rng.random() < 0.7})
-            expected = {}
-            for key in combinations(FP3.base_indices, degree + 1):
-                total = FP3.zero()
-                for pos, a in enumerate(key):
-                    rest = key[:pos] + key[pos + 1:]
-                    d = horizontal_derivative(
-                        conn, a, alpha.coefficient(*rest))
-                    total = total + (d if pos % 2 == 0 else -d)
-                expected[key] = total
-            assert d_gamma(conn, alpha) == BaseForm(FP3, degree + 1, expected)
+            assert d_gamma(conn, alpha) == reference_d_gamma(conn, alpha)
 
 
 def test_promote_and_round_trip():
@@ -293,3 +312,65 @@ def test_ann_hor_basis():
         for eta in ann_hor_basis(conn):
             assert all(pair(eta, h).is_zero() for h in lifts)
     assert len(ann_hor_basis(Connection.flat(FP3))) == 2
+
+
+def random_data(rng, patch):
+    """Unconstrained data: most components of V, the connection and F
+    drawn at random, so each condition usually fails."""
+    fiber, base = patch.fiber_names, patch.base_names
+    V = Multivector.build(patch, 2, {
+        key: random_scalar(rng, patch)
+        for key in combinations(fiber, 2) if rng.random() < 0.8})
+    conn = Connection(patch, {
+        (u, a): random_scalar(rng, patch)
+        for u in fiber for a in base if rng.random() < 0.6})
+    F = BaseForm.build(patch, 2, {
+        key: random_scalar(rng, patch)
+        for key in combinations(base, 2) if rng.random() < 0.8})
+    return GeometricData(patch, V, conn, F)
+
+
+def generic_witnesses(data):
+    """check_integrability's four witness lists, built from the generic
+    kernels: schouten, lie_derivative, coordinate_curvature less the
+    Hamiltonian field, and d_gamma through horizontal_derivative."""
+    patch = data.patch
+    names = patch.names
+    V = data.vertical_bivector
+    conn = data.connection
+    F = data.horizontal_form
+    curvature = []
+    for a, b in combinations(patch.base_indices, 2):
+        delta = coordinate_curvature(conn, a, b) - _hamiltonian(
+            V, F.comps.get((a, b), patch.zero()))
+        curvature += tensor_witnesses(delta, (names[a], names[b]))
+    return [
+        tensor_witnesses(schouten(V, V)),
+        [w for a in patch.base_indices for w in tensor_witnesses(
+            lie_derivative(conn.hor(a), V), (names[a],))],
+        curvature,
+        tensor_witnesses(reference_d_gamma(conn, F)),
+    ]
+
+
+@pytest.mark.parametrize("patch", [
+    FP3,
+    FiberedPatch.build("x1 x2 x3", "q p z"),
+    FiberedPatch.build("x1 x2 x3", "th p z", angles=["th"]),
+], ids=["FP3", "three_fibers", "angle"])
+def test_check_integrability_matches_the_generic_kernels(patch):
+    rng = random.Random(29)
+    failed = set()
+    for _ in range(12):
+        data = random_data(rng, patch)
+        report = check_integrability(data)
+        for name, reference in zip(CONDITION_ORDER, generic_witnesses(data)):
+            got = report.condition(name).witnesses
+            want = ConditionReport(name, reference).witnesses
+            assert [(w.indices, w.expression) for w in got] == \
+                [(w.indices, w.expression) for w in want], name
+            if got:
+                failed.add(name)
+    # on two fiber coordinates a vertical bivector always self-commutes
+    assert failed == set(CONDITION_ORDER) - (
+        {"jacobi"} if len(patch.fiber_indices) == 2 else set())

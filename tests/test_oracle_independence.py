@@ -11,7 +11,8 @@ Both oracles still run on shared kernels, and a fault in one of them
 could make the two agree on a wrong verdict.  Each shared kernel is
 checked against a reference that does not run it:
 
-- ``symexpr._add_terms``, the one term-table merge: the merge of the
+- ``symexpr._add_terms``, the one term-table merge, and
+  ``tensorcalc._difference``, two such merges: the merge of the
   tuple-keyed ring ``tuple_ring`` (``test_packed_keys``) and float
   evaluation of sums by ``float_oracle.evaluate`` (``test_symexpr``);
 - the ring product ``ScalarExpr.__mul__``: ``tuple_ring.mul``
@@ -23,33 +24,36 @@ checked against a reference that does not run it:
   connection table (``test_hor_matches_the_table_derivative`` and
   ``test_d_gamma_matches_horizontal_derivative`` in ``test_fibered``),
   and the general formula ``curvature`` there for the lifts' brackets;
-- ``tensorcalc.contract``: ``pair``'s own sum over shared components
-  (``test_pair_equals_full_contraction``) and iterated contraction by
-  basis fields (``test_contract_agrees_with_iterated``) in
-  ``test_tensorcalc``, and, for the span oracle's pairings,
-  ``brute_force_closure`` in ``test_coupling``, which pairs every
-  bracket with every generator through ``pairing_plus``;
-- ``tensorcalc.lie_bracket``, in ``coordinate_curvature`` only:
-  ``full_lie_bracket`` in
-  ``test_calculus_matches_differentiation_along_every_coordinate``
-  (``test_tensorcalc``);
-- ``tensorcalc.sharp``, in the curvature identity (through
-  ``_hamiltonian``, which ``test_hamiltonian_is_sharp_of_the_full_gradient``
-  checks against ``sharp`` of the full gradient) and in the vertical
-  generators: ``test_sharp_pairing_identity`` and
-  ``test_sharp_convention`` (``test_tensorcalc``);
-- ``tensorcalc.d_scalar``, in the twisted differential: ``full_d_scalar``
-  in ``test_calculus_matches_differentiation_along_every_coordinate``
-  (``test_tensorcalc``).
+- ``tensorcalc._first_partials``, which the data oracle applies to the
+  bivector, each lift and the 2-form, and the span oracle to each
+  generator (``CourantSection.partials``): differentiation along every
+  coordinate, in ``test_courant_bracket_matches_cartan_formula``
+  (``test_tensorcalc``) and in the derivative counts of
+  ``test_check_differentiates_each_coefficient_once`` and
+  ``test_closure_differentiates_each_generator_once`` (``test_coupling``);
+- ``tensorcalc._products``, the products of a table with partials, from
+  which ``courant_bracket`` and all four of the data oracle's tables are
+  built: the Cartan formula built from ``lie_bracket``, ``d_scalar`` and
+  ``exterior_derivative`` (``cartan_bracket`` in
+  ``test_courant_bracket_matches_cartan_formula`` and its fraction-field
+  case, ``test_tensorcalc``) for the span oracle, and the generic kernels
+  ``schouten``, ``lie_derivative``, ``coordinate_curvature`` with
+  ``_hamiltonian``, and ``horizontal_derivative`` for the data oracle
+  (``test_check_integrability_matches_the_generic_kernels`` in
+  ``test_fibered``).
 
-The span oracle's own kernels are not shared: ``courant_bracket``, which
-reads each section's first partials (``CourantSection.partials``,
-``tensorcalc._first_partials``) and calls none of ``lie_bracket``,
-``d_scalar`` or ``exterior_derivative``, is checked against the Cartan
-formula built from those three (``cartan_bracket`` in
-``test_courant_bracket_matches_cartan_formula`` and its fraction-field
-case, ``test_tensorcalc``), and the stored partials against
-differentiation along every coordinate in the same test.
+Neither oracle reaches the generic derivative kernels any more:
+``check_integrability`` reads the first partials it takes once per call
+and calls none of ``schouten``, ``lie_derivative``, ``lie_bracket``,
+``coordinate_curvature``, ``d_scalar``, ``sharp`` or ``_hamiltonian``,
+and ``courant_bracket`` calls none of ``lie_bracket``, ``d_scalar`` or
+``exterior_derivative``.  Those stay as the public single-call API and
+are the references above.  The span oracle's own kernels are not shared:
+``tensorcalc.contract`` and ``tensorcalc.sharp`` build its generators
+(``test_contract_agrees_with_iterated``, ``test_sharp_pairing_identity``
+and ``test_sharp_convention`` in ``test_tensorcalc``), and its pairings are
+checked by ``brute_force_closure`` in ``test_coupling``, which pairs every
+bracket with every generator through ``pairing_plus``.
 
 Witness by witness, ``test_coupling`` also checks that every closure
 witness is the matching check witness times a fixed scale per condition
@@ -60,7 +64,7 @@ import pytest
 
 from corpus_util import corpus, mutation_fixtures
 
-from couplingdirac import coupling, tensorcalc
+from couplingdirac import coupling, fibered, tensorcalc
 
 DATA = [data for _, data in corpus()] + list(mutation_fixtures().values())
 
@@ -91,7 +95,7 @@ def forbid(monkeypatch, *names, module=coupling):
 
 
 @pytest.mark.parametrize("run,names,other", [
-    (span_reports, ("check_integrability", "d_gamma", "coordinate_curvature"),
+    (span_reports, ("check_integrability", "d_gamma", "_d_gamma_table"),
      coupling.check_integrability),
     (data_reports, ("build_dirac", "courant_bracket", "_pairing_row"),
      span_oracle),
@@ -111,3 +115,13 @@ def test_courant_bracket_shares_no_derivative_kernel(monkeypatch):
     forbid(monkeypatch, "lie_bracket", "d_scalar", "exterior_derivative",
            module=tensorcalc)
     assert span_reports() == expected
+
+
+def test_check_integrability_reaches_no_generic_kernel(monkeypatch):
+    expected = data_reports()
+    forbid(monkeypatch, "coordinate_curvature", "lie_bracket", module=fibered)
+    forbid(monkeypatch, "lie_bracket", "schouten", "lie_derivative",
+           "d_scalar", "pair", "sharp", "_hamiltonian", "contract",
+           module=tensorcalc)
+    forbid(monkeypatch, "sharp", "_hamiltonian", "contract")
+    assert data_reports() == expected
