@@ -36,8 +36,8 @@ from .errors import MalformedDataError, PatchError, PatchMismatchError
 from .fibered import BaseForm, Connection, FiberedPatch
 from .fractionfield import pfaffian
 from .symexpr import ScalarExpr, _add_terms
-from .tensorcalc import (Multivector, _hamiltonian, d_scalar, pair,
-                         poisson_bracket, schouten, sharp)
+from .tensorcalc import (Multivector, d_scalar, pair, poisson_bracket,
+                         schouten, sharp)
 
 
 def _parse_all(patch, values) -> tuple:
@@ -248,7 +248,7 @@ def chb_data(setup: CartanSetup, angles: Iterable[str]) -> GeometricData:
         if entry := average(curl - pair(grads[pb], fields[pa])):
             ftable[(a, b)] = entry
     if names:
-        fields = [_hamiltonian(V, average(c)) for c in coefficients]
+        fields = [sharp(V, d_scalar(patch, average(c))) for c in coefficients]
     conn = Connection(patch, {(u, a): c for a, X in zip(base, fields)
                               for (u,), c in X.items()})
     return GeometricData(patch, V, conn, BaseForm(patch, 2, ftable))

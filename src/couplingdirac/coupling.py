@@ -24,8 +24,9 @@ dictionary is ``W = -[F]^{-1}`` (bivector from data) and ``F = -[M]^{-1}``
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -51,13 +52,13 @@ from .tensorcalc import (
     Multivector,
     _difference,
     _first_partials,
-    _hamiltonian,
     _merge_indices,
     _pairing_row,
     _products,
     _slot_index,
     contract,
     courant_bracket,
+    d_scalar,
     sharp,
 )
 
@@ -213,9 +214,10 @@ class DiracPresentation:
     """Labelled Courant sections split into horizontal/vertical generators.
 
     Presentations are immutable: assigning an attribute raises
-    ``AttributeError``.  ``pairings``, the generator pairings, is computed
-    on first use and kept on the presentation, so ``verify_isotropy`` and
-    the isotropy guard of ``verify_closure`` evaluate it once between them.
+    ``AttributeError``.  ``pairings``, the nonzero generator pairings, is
+    computed on first use and kept on the presentation, so
+    ``verify_isotropy`` and the isotropy guard of ``verify_closure``
+    evaluate it once between them.
     """
 
     __slots__ = ("patch", "horizontal", "vertical", "_pairings")
@@ -253,23 +255,20 @@ class DiracPresentation:
         return tuple(s for _, _, s in self.labeled())
 
     @property
-    def pairings(self) -> tuple:
-        """``(i, j, pairing_plus(e_i, e_j))`` for every i <= j, in
-        ``labeled()`` order.
+    def pairings(self):
+        """``{(i, j): pairing_plus(e_i, e_j)}``, read-only, over the pairs
+        i <= j, in ``labeled()`` order, that pair to nonzero; empty on an
+        isotropic presentation, as on every ``build_dirac`` span.
 
         Built from one pairing row per generator over the generators' slot
-        index: row i holds pairing_plus(e_i, e_j) for the e_j, j >= i, that
-        pair with it to nonzero, and every other entry is the patch's zero."""
+        index: row i holds the nonzero pairing_plus(e_i, e_j), j >= i."""
         if self._pairings is None:
             gens = self.sections
             n = len(gens)
             index = _slot_index(gens)
-            zero = self.patch.zero()
-            table = []
-            for i in range(n):
-                row = _pairing_row(gens[i], index, i, n)
-                table += [(i, j, row.get(j, zero)) for j in range(i, n)]
-            object.__setattr__(self, "_pairings", tuple(table))
+            table = {(i, j): val for i in range(n) for j, val
+                     in _pairing_row(gens[i], index, i, n).items()}
+            object.__setattr__(self, "_pairings", MappingProxyType(table))
         return self._pairings
 
     def __len__(self):
@@ -425,7 +424,7 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
     """
     gens = list(L.labeled())
     iso = [Witness((gens[i][1], gens[j][1]), val)
-           for i, j, val in L.pairings if val]
+           for (i, j), val in L.pairings.items()]
 
     maxi = []
     patch = L.patch
@@ -471,6 +470,15 @@ def _signed_orbit(i: int, j: int, k: int, val) -> tuple:
 def verify_closure(L: DiracPresentation) -> CheckReport:
     """Pair Courant brackets of generators against generators.
 
+    ``L`` must be isotropic: every generator pairing <e_i,e_j>, i = j
+    included, is the exact zero, as on every ``build_dirac`` span.  The
+    guard reads the presentation's ``pairings`` table, which
+    ``verify_isotropy`` shares, and decides this itself, independently of
+    ``check_integrability``.  A nonzero pairing raises
+    ``DegenerateInputError`` naming the two generator labels and the
+    pairing's value, before any bracket is formed: off an isotropic span,
+    vanishing pairings do not mean closure.
+
     The span is bracket-closed iff every pairing T(i,j,k) = <[e_i,e_j], e_k>
     vanishes (the span is maximal isotropic, so membership equals
     orthogonality).  Each nonzero pairing is filed under the integrability
@@ -486,13 +494,13 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
         [a,b] + [b,a] = 2 d<a,b>,
         X_a <b,c> = <[a,b],c> + <b,[a,c]>.
 
-    When every generator pairing <e_i,e_j> (i = j included) is the exact
-    zero, the first identity makes T skew in its first two slots and the
-    second makes it skew in its last two, so T is totally skew: it
-    vanishes on repeated indices and one pairing per triple i<j<k
-    determines the whole table, each nonzero value standing for the six
-    witnesses of its triple (negated for odd orderings).  Expressions are
-    canonical, so those witnesses print exactly as direct pairings would.
+    As every generator pairing is zero, the first identity makes T skew
+    in its first two slots and the second makes it skew in its last two,
+    so T is totally skew: it vanishes on repeated indices and one pairing
+    per triple i<j<k determines the whole table, each nonzero value
+    standing for the six witnesses of its triple (negated for odd
+    orderings).  Expressions are canonical, so those witnesses print
+    exactly as direct pairings would.
 
     A triple needs only one of its three pairs bracketed.  Splitting the
     generators into halves [0, m) and [m, N) with m = ceil(N/2), triple
@@ -508,32 +516,25 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     at, so a generator sharing no slot with the bracket costs nothing.
     Still one value is read per triple; ``ConditionReport`` sorts the
     witnesses, so either half lists the orbit from (a, b, c).
-
-    A guard decides this isotropy itself (independently of
-    ``check_integrability``) from the presentation's ``pairings`` table,
-    which ``verify_isotropy`` shares, and falls back to all N^2 brackets
-    and N^3 pairings when a generator pairing is nonzero, as on a
-    hand-built presentation.
     """
     gens = list(L.labeled())
+    if L.pairings:
+        (i, j), val = min(L.pairings.items())
+        raise DegenerateInputError(
+            f"generators {gens[i][1]} and {gens[j][1]} pair to {val}: "
+            f"closure is decided on an isotropic span only")
     n = len(gens)
     m = (n + 1) // 2
     sections = [s for _, _, s in gens]
-    isotropic = not any(val for _, _, val in L.pairings)
     # each bracketed pair (a, b) with the thirds lo <= c < hi it is read at
-    if isotropic:
-        pairs = chain(((a, b, b + 1, n) for a, b in combinations(range(m), 2)),
-                      ((a, b, 0, a) for a, b in combinations(range(m, n), 2)))
-    else:
-        pairs = ((a, b, 0, n) for a, b in product(range(n), repeat=2))
+    pairs = chain(((a, b, b + 1, n) for a, b in combinations(range(m), 2)),
+                  ((a, b, 0, a) for a, b in combinations(range(m, n), 2)))
     index = _slot_index(sections)
     buckets = {name: [] for name in CONDITION_ORDER}
     for a, b, lo, hi in pairs:
         br = courant_bracket(sections[a], sections[b])
         for c, val in _pairing_row(br, index, lo, hi).items():
-            orbit = (_signed_orbit(a, b, c, val) if isotropic
-                     else (((a, b, c), val),))
-            for triple, v in orbit:
+            for triple, v in _signed_orbit(a, b, c, val):
                 cls = CONDITION_ORDER[sum(gens[t][0] == "H" for t in triple)]
                 buckets[cls].append(
                     Witness(tuple(gens[t][1] for t in triple), v))
@@ -740,7 +741,7 @@ def equivalent_data(data: GeometricData, potential: BaseForm) -> GeometricData:
         raise PatchMismatchError("potential lives on a different patch")
     V = data.vertical_bivector
     for (a,), c in sorted(potential.items()):
-        ham = _hamiltonian(V, c)
+        ham = sharp(V, d_scalar(patch, c))
         if ham:
             name = patch.coords[a].name
             raise NonCasimirError(
@@ -761,7 +762,7 @@ def check_casimir_complex(data: GeometricData, casimirs) -> CheckReport:
     for pos, C in enumerate(casimirs):
         if isinstance(C, str):
             C = patch.parse(C)
-        ham = _hamiltonian(V, C)
+        ham = sharp(V, d_scalar(patch, C))
         if ham:
             raise NonCasimirError(
                 f"listed function {C} is not a Casimir; its Hamiltonian "

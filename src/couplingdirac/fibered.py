@@ -146,10 +146,11 @@ def coordinate_curvature(conn: Connection, a, b) -> Multivector:
     Coordinate fields commute, ``[d_a, d_b] = 0``, so the ``hor([X, Y])``
     term of ``Curv(X, Y) = hor([X, Y]) - [hor(X), hor(Y)]`` vanishes and
     ``Curv(d_a, d_b) = -[hor(d_a), hor(d_b)]``, with the lifts read from
-    ``conn.hor``.  That is formed as ``[hor(d_b), hor(d_a)]``, whose terms
-    are those of ``-[hor(d_a), hor(d_b)]`` one by one, so no negated copy
-    is built.  The tests check this against the general formula on
-    lifted vector fields.
+    ``conn.hor``.  That is formed as ``[hor(d_b), hor(d_a)]`` by
+    ``lie_bracket``, which is ``schouten`` in degree one; its terms are
+    those of ``-[hor(d_a), hor(d_b)]`` one by one, so no negated copy is
+    built.  The tests check this against the general formula on lifted
+    vector fields.
     """
     return lie_bracket(conn.hor(b), conn.hor(a))
 

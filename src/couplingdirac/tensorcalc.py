@@ -21,6 +21,10 @@ Sign conventions, fixed once and asserted by the tests:
   ``sharp(V, a) = sum_{i<j} V^ij (a_i d_j - a_j d_i)``;
 * the Schouten bracket restricts to the Lie bracket in degree one and to
   ``X(f)`` against functions.
+
+Each operation has one implementation: ``lie_bracket`` is ``schouten``
+in degree one, ``pairing_plus`` is half the sum of two ``pair`` calls,
+and a Hamiltonian field is ``sharp(V, d_scalar(patch, f))``.
 """
 
 from __future__ import annotations
@@ -280,7 +284,12 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
 
 
 def contract(V: Multivector, omega: DiffForm) -> DiffForm:
-    """Interior product i_V omega, contracting V's lowest index first."""
+    """Interior product i_V omega, contracting V's lowest index first.
+
+    ``V`` must be a ``Multivector`` and ``omega`` a form, a ``DiffForm`` or
+    a ``BaseForm``; swapped kinds raise ``TypeError``."""
+    if not isinstance(V, Multivector) or isinstance(omega, Multivector):
+        raise TypeError("contract expects a Multivector and a form")
     if V.degree > omega.degree:
         raise DegreeError(
             f"cannot contract degree {V.degree} into degree {omega.degree}")
@@ -312,45 +321,24 @@ def pair(omega: DiffForm, X: Multivector):
     vector field, as a scalar; any other degrees raise ``DegreeError``.
 
     Equal to ``contract(X, omega).scalar()``, summed directly over the
-    components the two share.
+    components the two share; the patch's zero when they share none.
     """
     if not (isinstance(omega, DiffForm) and omega.degree == 1
             and isinstance(X, Multivector) and X.degree == 1):
         raise DegreeError("pair needs a 1-form and a vector field")
     if X.patch != omega.patch:
         raise PatchMismatchError("tensors live on different patches")
-    total = _shared_sum(omega.comps, X.comps)
-    return X.patch.zero() if total is None else total
-
-
-def _shared_sum(form: dict, vf: dict, total=None):
-    """``total`` plus the sum of ``vf[k] * form[k]`` over the keys the two
-    tables share; None when ``total`` is None and they share none."""
-    for key, xc in vf.items():
-        wc = form.get(key)
-        if wc is not None:
-            term = xc * wc
-            total = term if total is None else total + term
-    return total
+    terms = [xc * wc for key, xc in X.comps.items()
+             if (wc := omega.comps.get(key)) is not None]
+    return sum(terms[1:], terms[0]) if terms else X.patch.zero()
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
-    """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k, each coefficient differentiated
-    only along the indices of the other field in its support."""
+    """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k: ``schouten`` in degree one,
+    for two vector fields only."""
     if X.degree != 1 or Y.degree != 1:
         raise DegreeError("lie_bracket needs two vector fields")
-    if X.patch != Y.patch:
-        raise PatchMismatchError("tensors live on different patches")
-    pairs = []
-    for P, Q, negate in ((X, Y, False), (Y, X, True)):
-        along = P.comps
-        for key, qc in Q.comps.items():
-            for j in qc.coordinates_used():
-                pc = along.get((j,))
-                if pc is not None and (dc := qc.differentiate(j)):
-                    c = pc * dc
-                    pairs.append((key, -c if negate else c))
-    return Multivector._trusted(X.patch, 1, _add_terms({}, pairs))
+    return schouten(X, Y)
 
 
 def _odd_derivatives(T: Multivector) -> dict:
@@ -438,15 +426,6 @@ def sharp(V: Multivector, alpha: DiffForm) -> Multivector:
     return Multivector._trusted(V.patch, 1, _add_terms({}, pairs))
 
 
-def _hamiltonian(V: Multivector, f) -> Multivector:
-    """The Hamiltonian field ``sharp(V, df)``, with ``f`` differentiated
-    only along the slots of ``V`` in its support: ``sharp`` reads no other
-    component of ``df``."""
-    slots = f.coordinates_used().intersection(chain.from_iterable(V.comps))
-    return sharp(V, DiffForm._trusted(V.patch, 1, {
-        (i,): df for i in slots if (df := f.differentiate(i))}))
-
-
 def poisson_bracket(V: Multivector, f, g):
     """{f, g} = V(df, dg)."""
     if V.degree != 2:
@@ -522,19 +501,11 @@ class CourantSection:
 
 
 def pairing_plus(s1: CourantSection, s2: CourantSection):
-    """Symmetric pairing (1/2)(form1(vf2) + form2(vf1)).
-
-    Both halves sum over the indices a form shares with the other
-    section's vector field, in one pass; when there is no such index the
-    patch's zero comes back before any ring operation.
-    """
+    """Symmetric pairing (1/2)(form1(vf2) + form2(vf1)), as two ``pair``
+    calls halved."""
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    total = _shared_sum(s2.form.comps, s1.vf.comps,
-                        _shared_sum(s1.form.comps, s2.vf.comps))
-    if total is None:
-        return s1.patch.zero()
-    return total * _HALF if total else total
+    return (pair(s1.form, s2.vf) + pair(s2.form, s1.vf)) * _HALF
 
 
 def _slot_index(sections: Sequence[CourantSection]) -> tuple:

@@ -89,10 +89,14 @@ def test_noncasimir_manifest_exits_3(tmp_path, capsys):
     doc["casimirs"] = ["q"]
     path = tmp_path / "bad.json"
     path.write_text(dumps(doc))
-    code, _, err = run_lines(
+    message = ("listed function q is not a Casimir; its Hamiltonian field "
+               "is d_p")
+    code, lines, err = run_lines(capsys, ["check", "--manifest", str(path)])
+    assert (code, lines, err) == (3, [], f"error: {message}\n")
+    code, lines, err = run_lines(
         capsys, ["check", "--manifest", str(path), "--report", "json"])
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == 3
+    assert (code, lines) == (3, [])
+    assert json.loads(err) == {"error": {"code": 3, "message": message}}
 
 
 # ----------------------------------------------------------------- verify

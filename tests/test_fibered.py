@@ -28,12 +28,13 @@ from couplingdirac.errors import DegreeError, PatchMismatchError
 from couplingdirac.tensorcalc import (
     DiffForm,
     Multivector,
-    _hamiltonian,
     contract,
+    d_scalar,
     lie_bracket,
     lie_derivative,
     pair,
     schouten,
+    sharp,
 )
 
 FP = FiberedPatch.build("x1 x2", "q p")
@@ -333,7 +334,8 @@ def random_data(rng, patch):
 def generic_witnesses(data):
     """check_integrability's four witness lists, built from the generic
     kernels: schouten, lie_derivative, coordinate_curvature less the
-    Hamiltonian field, and d_gamma through horizontal_derivative."""
+    Hamiltonian field sharp(V, d_scalar(F_ab)), and d_gamma through
+    horizontal_derivative."""
     patch = data.patch
     names = patch.names
     V = data.vertical_bivector
@@ -341,8 +343,8 @@ def generic_witnesses(data):
     F = data.horizontal_form
     curvature = []
     for a, b in combinations(patch.base_indices, 2):
-        delta = coordinate_curvature(conn, a, b) - _hamiltonian(
-            V, F.comps.get((a, b), patch.zero()))
+        delta = coordinate_curvature(conn, a, b) - sharp(V, d_scalar(
+            patch, F.comps.get((a, b), patch.zero())))
         curvature += tensor_witnesses(delta, (names[a], names[b]))
     return [
         tensor_witnesses(schouten(V, V)),

@@ -33,21 +33,22 @@ checked against a reference that does not run it:
   ``test_closure_differentiates_each_generator_once`` (``test_coupling``);
 - ``tensorcalc._products``, the products of a table with partials, from
   which ``courant_bracket`` and all four of the data oracle's tables are
-  built: the Cartan formula built from ``lie_bracket``, ``d_scalar`` and
-  ``exterior_derivative`` (``cartan_bracket`` in
-  ``test_courant_bracket_matches_cartan_formula`` and its fraction-field
-  case, ``test_tensorcalc``) for the span oracle, and the generic kernels
-  ``schouten``, ``lie_derivative``, ``coordinate_curvature`` with
-  ``_hamiltonian``, and ``horizontal_derivative`` for the data oracle
-  (``test_check_integrability_matches_the_generic_kernels`` in
-  ``test_fibered``).
+  built: the Cartan formula built from ``lie_bracket`` (which is
+  ``schouten`` in degree one), ``d_scalar`` and ``exterior_derivative``
+  (``cartan_bracket`` in ``test_courant_bracket_matches_cartan_formula``
+  and its fraction-field case, ``test_tensorcalc``) for the span oracle,
+  and the generic kernels ``schouten``, ``lie_derivative``,
+  ``coordinate_curvature`` less the Hamiltonian field
+  ``sharp(V, d_scalar(patch, f))``, and ``horizontal_derivative`` for the
+  data oracle (``test_check_integrability_matches_the_generic_kernels``
+  in ``test_fibered``).
 
 Neither oracle reaches the generic derivative kernels any more:
 ``check_integrability`` reads the first partials it takes once per call
 and calls none of ``schouten``, ``lie_derivative``, ``lie_bracket``,
-``coordinate_curvature``, ``d_scalar``, ``sharp`` or ``_hamiltonian``,
-and ``courant_bracket`` calls none of ``lie_bracket``, ``d_scalar`` or
-``exterior_derivative``.  Those stay as the public single-call API and
+``coordinate_curvature``, ``d_scalar`` or ``sharp``, and
+``courant_bracket`` calls none of ``lie_bracket``, ``schouten``,
+``d_scalar`` or ``exterior_derivative``.  Those stay as the public single-call API and
 are the references above.  The span oracle's own kernels are not shared:
 ``tensorcalc.contract`` and ``tensorcalc.sharp`` build its generators
 (``test_contract_agrees_with_iterated``, ``test_sharp_pairing_identity``
@@ -112,8 +113,8 @@ def test_each_oracle_runs_without_the_other(monkeypatch, run, names, other):
 
 def test_courant_bracket_shares_no_derivative_kernel(monkeypatch):
     expected = span_reports()
-    forbid(monkeypatch, "lie_bracket", "d_scalar", "exterior_derivative",
-           module=tensorcalc)
+    forbid(monkeypatch, "lie_bracket", "schouten", "d_scalar",
+           "exterior_derivative", module=tensorcalc)
     assert span_reports() == expected
 
 
@@ -121,7 +122,6 @@ def test_check_integrability_reaches_no_generic_kernel(monkeypatch):
     expected = data_reports()
     forbid(monkeypatch, "coordinate_curvature", "lie_bracket", module=fibered)
     forbid(monkeypatch, "lie_bracket", "schouten", "lie_derivative",
-           "d_scalar", "pair", "sharp", "_hamiltonian", "contract",
-           module=tensorcalc)
-    forbid(monkeypatch, "sharp", "_hamiltonian", "contract")
+           "d_scalar", "pair", "sharp", "contract", module=tensorcalc)
+    forbid(monkeypatch, "d_scalar", "sharp", "contract")
     assert data_reports() == expected
