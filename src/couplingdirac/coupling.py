@@ -46,11 +46,10 @@ from .fibered import (
     d_gamma,
 )
 from .fractionfield import RatExpr, divide_exact, rat_inverse
-from .symexpr import ScalarExpr, _add_terms
+from .symexpr import ScalarExpr, _add_terms, _sum_products
 from .tensorcalc import (
     CourantSection,
     Multivector,
-    _difference,
     _first_partials,
     _merge_indices,
     _pairing_row,
@@ -306,8 +305,8 @@ def check_integrability(data: GeometricData) -> CheckReport:
     The first partials of ``V``'s coefficients, of each lift
     ``hor(d_a)``'s and of each ``F_ab`` are taken once per call
     (``tensorcalc._first_partials``), along each coefficient's support;
-    each condition is then one table of products read from them, its
-    negative products subtracted:
+    each condition is then one ``_sum_products`` table of the products
+    read from them, its negative products subtracted:
 
     * jacobi: ``[V,V]^{ijk} = 2 sum_cyc V^{il} d_l V^{jk}``, which is
       ``schouten(V, V)``;
@@ -340,9 +339,9 @@ def check_integrability(data: GeometricData) -> CheckReport:
             for i, v, s in row:
                 hit = _merge_indices((i,), key)
                 if hit is not None:
-                    (plus if hit[0] == s else minus).append((hit[1], v * d))
+                    (plus if hit[0] == s else minus).append((hit[1], v, d))
     jac = _witnesses(names, {key: c * 2 for key, c in
-                             _difference(plus, minus).items()})
+                             _sum_products(patch, plus, minus).items()})
 
     # -d_k X^i V^{kj} = s*v d_k X^i on (i, j); the -d_k X^j V^{ik} terms
     # are its transposes, so each lands on the sorted key once, signed
@@ -355,8 +354,9 @@ def check_integrability(data: GeometricData) -> CheckReport:
                 for j, v, s in row:
                     if i != j:
                         (plus if (i < j) == (s > 0) else minus).append(
-                            ((i, j) if i < j else (j, i), v * d))
-        pres += _witnesses(names, _difference(plus, minus), (names[a],))
+                            ((i, j) if i < j else (j, i), v, d))
+        pres += _witnesses(names, _sum_products(patch, plus, minus),
+                           (names[a],))
 
     curv = []
     for a, b in combinations(lifts, 2):
@@ -364,8 +364,8 @@ def check_integrability(data: GeometricData) -> CheckReport:
         minus = list(_products(lifts[a], lift_along[b]))
         for (l,), d in F_of.get((a, b), ()):
             for i, v, s in slots.get(l, ()):  # -V#(dF_ab) at d_i
-                (plus if s > 0 else minus).append(((i,), v * d))
-        curv += _witnesses(names, _difference(plus, minus),
+                (plus if s > 0 else minus).append(((i,), v, d))
+        curv += _witnesses(names, _sum_products(patch, plus, minus),
                            (names[a], names[b]))
 
     closed = _witnesses(names, _d_gamma_table(conn, F_along))

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DegreeError, PatchError, PatchMismatchError
-from .symexpr import Coordinate, Patch, ScalarExpr
+from .symexpr import Coordinate, Patch, ScalarExpr, _sum_products
 from .tensorcalc import (
-    DiffForm, Multivector, _Alternating, _difference, _first_partials,
-    _merge_indices, lie_bracket)
+    DiffForm, Multivector, _Alternating, _first_partials, _merge_indices,
+    lie_bracket)
 
 
 class FiberedPatch(Patch):
@@ -161,7 +161,7 @@ def d_gamma(conn: Connection, alpha: BaseForm) -> BaseForm:
     On coordinate base fields the bracket terms vanish, leaving
     ``(d_gamma a)_{a0..ak} = sum_i (-1)^i hor(d_{ai}) a_{a0..^ai..ak}``.
     Each coefficient of ``alpha`` is differentiated once along its
-    support; the table is then one merge (``_d_gamma_table``).
+    support; the table is then one ``_sum_products`` (``_d_gamma_table``).
     """
     if alpha.patch != conn.patch:
         raise PatchMismatchError("base form lives on a different patch")
@@ -182,8 +182,8 @@ def _d_gamma_table(conn: Connection, along: dict) -> dict:
             for key, dc in along.get(k, ()):
                 hit = _merge_indices((a,), key)
                 if hit is not None:
-                    (plus if hit[0] > 0 else minus).append((hit[1], xc * dc))
-    return _difference(plus, minus)
+                    (plus if hit[0] > 0 else minus).append((hit[1], xc, dc))
+    return _sum_products(conn.patch, plus, minus)
 
 
 def ann_hor_basis(conn: Connection) -> list:

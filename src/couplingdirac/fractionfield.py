@@ -322,6 +322,12 @@ class RatExpr:
         """The union of the numerator's and denominator's supports."""
         return self.num.coordinates_used() | self.den.coordinates_used()
 
+    def _gradient(self) -> dict:
+        """``{i: d/dx_i self}`` for each coordinate of the support whose
+        partial is nonzero, in increasing order, as ``ScalarExpr`` has."""
+        return {i: d for i in sorted(self.coordinates_used())
+                if (d := self.differentiate(i))}
+
     def differentiate(self, coord) -> "RatExpr":
         dn = self.num.differentiate(coord)
         dd = self.den.differentiate(coord)

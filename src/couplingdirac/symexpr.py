@@ -286,6 +286,28 @@ def _same_angles(mono: int, angles: int, other: int, c) -> list:
     return out
 
 
+def _term_products(out: list, left: dict, right: dict, patch: Patch,
+                   negate: bool = False) -> None:
+    """Append the term products of the tables ``left`` and ``right`` on
+    ``patch`` to ``out``, negated if ``negate``.  Keys add, and only an
+    angle field both terms use goes through :func:`_same_angles`."""
+    angles = patch._angles
+    guard = patch._guard & ~angles  # the exponent fields' guards
+    right = right.items()
+    for m1, c1 in left.items():
+        if negate:
+            c1 = -c1
+        a1 = m1 & angles
+        for m2, c2 in right:
+            mono = m1 + m2
+            if mono & guard:
+                raise _too_large("an exponent of a product")
+            if a1 and m2 & angles:
+                out += _same_angles(mono, a1, m2, c1 * c2)
+            else:  # at most one side has trig factors: keys add
+                out.append((mono, c1 * c2))
+
+
 def _unpack(mono: int) -> tuple:
     """A packed key as ``((coordinate, field), ...)`` in increasing
     coordinate order: one step per nonzero field, from the top one down."""
@@ -355,9 +377,10 @@ class ScalarExpr:
         """The product; a zero operand is returned as is, a constant one
         returns the other operand or scales its coefficients, and only
         two non-constant operands multiply term by term."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not ScalarExpr or other.patch is not self.patch:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         left, right = self.terms, other.terms
         if not left:
             return self
@@ -367,20 +390,8 @@ class ScalarExpr:
             return _scaled(self, right[_ONE_KEY])
         if len(left) == 1 and _ONE_KEY in left:
             return _scaled(other, left[_ONE_KEY])
-        angles = self.patch._angles
-        guard = self.patch._guard & ~angles  # the exponent fields' guards
         products = []
-        right = right.items()
-        for m1, c1 in left.items():
-            a1 = m1 & angles
-            for m2, c2 in right:
-                mono = m1 + m2
-                if mono & guard:
-                    raise _too_large("an exponent of a product")
-                if a1 and m2 & angles:
-                    products += _same_angles(mono, a1, m2, c1 * c2)
-                else:  # at most one side has trig factors: keys add
-                    products.append((mono, c1 * c2))
+        _term_products(products, left, right, self.patch)
         return _expr(self.patch, _add_terms({}, products))
 
     __rmul__ = __mul__
@@ -439,22 +450,40 @@ class ScalarExpr:
     # -- calculus ------------------------------------------------------------
     def differentiate(self, coord: str | Coordinate | int) -> "ScalarExpr":
         i = self.patch.index(coord)
-        shift = _WIDTH * i
-        unit = 1 << shift
-        out = []
-        if not self.patch.coords[i].angle:
-            for key, c in self.terms.items():
-                e = key >> shift & _FIELD
-                if e:
-                    out.append((key - unit, c * e))
-            return _expr(self.patch, _add_terms({}, out))
-        # d/dt cos(k*t) = -k*sin(k*t), d/dt sin(k*t) = k*cos(k*t)
+        partial = self._gradient(_FIELD << (_WIDTH * i))
+        return partial[i] if partial else self.patch.zero()
+
+    def _gradient(self, fields: int = -1) -> dict:
+        """``{i: d/dx_i self}``, in increasing ``i``, for each coordinate
+        used whose field meets the mask ``fields``, from one walk over the
+        terms.  These partials are nonzero and distinct terms have distinct
+        partial keys, so nothing is merged."""
+        angles = self.patch._angles
+        tables: dict = {}
         for key, c in self.terms.items():
-            f = key >> shift & _FIELD
-            if f:
-                k = f >> 1
-                out.append((key ^ unit, c * k if f & 1 else c * -k))
-        return _expr(self.patch, _add_terms({}, out))
+            rest = key & fields
+            while rest:  # the term's fields, from the top one down
+                i = (rest.bit_length() - 1) // _WIDTH
+                shift = _WIDTH * i
+                f = rest >> shift
+                rest -= f << shift
+                unit = 1 << shift
+                # x^e' = e x^(e-1); cos(kt)' = -k sin(kt), sin(kt)' = k cos(kt)
+                if angles & unit:
+                    k = f >> 1
+                    dkey, dc = key ^ unit, c * k if f & 1 else c * -k
+                else:
+                    dkey, dc = key - unit, c * f
+                if type(dc) is Fraction:
+                    dc = _coefficient(dc)
+                table = tables.get(i)
+                if table is None:
+                    table = tables[i] = {}
+                table[dkey] = dc
+        if not tables:
+            return tables
+        patch = self.patch
+        return {i: _expr(patch, tables[i]) for i in sorted(tables)}
 
     def angle_average(self, coord: str | Coordinate | int) -> "ScalarExpr":
         """Fourier constant term in the given angle coordinate."""
@@ -572,15 +601,55 @@ def _expr(patch: Patch, terms: dict) -> ScalarExpr:
     """A ScalarExpr that owns ``terms`` as given.
 
     The ring operations build their results here: their tables come from
-    :func:`_add_terms`, the one place the canonical form is kept, or from
-    scaling a canonical table by a nonzero rational, so they hold no zero
-    coefficient and no integral ``Fraction`` already.  The coordinate
-    support is left unset until :meth:`ScalarExpr.coordinates_used`.
+    :func:`_add_terms`, the one place terms are merged and the canonical
+    form is kept, or from scaling a canonical table by a nonzero rational
+    or differentiating it (``_gradient``), which keep keys distinct and
+    store integral coefficients as ``int``.  So they hold no zero
+    coefficient and no integral ``Fraction``.  The coordinate support is
+    left unset until :meth:`ScalarExpr.coordinates_used`.
     """
     e = object.__new__(ScalarExpr)
     e.patch = patch
     e.terms = terms
     return e
+
+
+def _sum_products(patch: Patch, plus, minus=()) -> dict:
+    """``{key: sum of x*y over plus - sum of x*y over minus}`` over the
+    ``(key, x, y)`` triples, zero sums left out.  As in Monagan and Pearce
+    (CASC 2007), the term products of all of a key's ``ScalarExpr``
+    triples on ``patch`` go into one list merged once by
+    :func:`_add_terms`, a rational factor only scaling the other's terms;
+    other operands multiply through their own ``__mul__``."""
+    products: dict = {}
+    rest = None  # (key, x*y) of the other triples: plus, minus
+    for triples, negate in ((plus, False), (minus, True)):
+        for key, x, y in triples:
+            if (type(x) is ScalarExpr and type(y) is ScalarExpr
+                    and x.patch is patch and y.patch is patch):
+                out = products.get(key)
+                if out is None:
+                    out = products[key] = []
+                xt, yt = x.terms, y.terms
+                if len(xt) == 1 and _ONE_KEY in xt:  # a rational goes right
+                    xt, yt = yt, xt
+                if len(yt) == 1 and _ONE_KEY in yt:  # a rational: keys stay
+                    c = -yt[_ONE_KEY] if negate else yt[_ONE_KEY]
+                    out += xt.items() if c == 1 else [
+                        (m, cx * c) for m, cx in xt.items()]
+                else:
+                    _term_products(out, xt, yt, patch, negate)
+            else:
+                if rest is None:
+                    rest = ([], [])
+                rest[negate].append((key, x * y))
+    table = {}
+    for key, out in products.items():
+        if terms := _add_terms({}, out):
+            table[key] = _expr(patch, terms)
+    if rest is not None:
+        _add_terms(_add_terms(table, rest[0]), rest[1], sub)
+    return table
 
 # --------------------------------------------------------------------------
 # parsing

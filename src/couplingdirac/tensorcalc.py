@@ -9,7 +9,10 @@ the ring/derivative/support protocol.
 The public constructor checks every key and drops zero coefficients.
 Every table the calculus builds is merged by
 :func:`~couplingdirac.symexpr._add_terms`, the one place the canonical
-form of a table is kept, and is trusted once built.  Derivatives follow
+form of a table is kept, and is trusted once built; where each value is
+a sum of coefficient products (the Courant bracket, the pairing rows,
+the data oracle's tables), :func:`~couplingdirac.symexpr._sum_products`
+merges the term products of each value with it once.  Derivatives follow
 each coefficient's coordinate support (``coordinates_used()``), as every
 other partial derivative is zero.
 
@@ -37,7 +40,7 @@ from typing import Mapping, Sequence
 from .errors import (
     DegreeError, ExpressionError, PatchError, PatchMismatchError, quote)
 from .fractionfield import RatExpr
-from .symexpr import Patch, ScalarExpr, _add_terms
+from .symexpr import Patch, ScalarExpr, _add_terms, _sum_products
 
 
 def _merge_indices(left: tuple, right: tuple):
@@ -266,8 +269,7 @@ class DiffForm(_Alternating):
 def d_scalar(patch: Patch, f) -> DiffForm:
     """Exterior derivative of a scalar function, as a 1-form."""
     return DiffForm._trusted(patch, 1, {
-        (i,): df for i in sorted(f.coordinates_used())
-        if (df := f.differentiate(i))})
+        (i,): df for i, df in f._gradient().items()})
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -438,19 +440,18 @@ _HALF = Fraction(1, 2)
 
 
 def _first_partials(T: _Alternating) -> tuple:
-    """The nonzero first partials of a vector field's or a 1-form's
-    coefficients, each coefficient differentiated once along its coordinate
-    support, as ``(along, of)``: ``along[(i,)]`` lists ``(key, d_i T[key])``
+    """The nonzero first partials of the coefficients of a tensor of any
+    degree, as ``(along, of)``: ``along[(i,)]`` lists ``(key, d_i T[key])``
     by the coordinate differentiated along, ``of[key]`` lists
-    ``((i,), d_i T[key])`` by component."""
+    ``((i,), d_i T[key])`` by component, from one ``_gradient`` per
+    coefficient."""
     along: dict = {}
     of: dict = {}
     for key, c in T.comps.items():
         row = of[key] = []
-        for i in c.coordinates_used():
-            if dc := c.differentiate(i):
-                along.setdefault((i,), []).append((key, dc))
-                row.append(((i,), dc))
+        for i, dc in c._gradient().items():
+            along.setdefault((i,), []).append((key, dc))
+            row.append(((i,), dc))
     return along, of
 
 
@@ -529,25 +530,19 @@ def _pairing_row(s: CourantSection, index: tuple, lo: int, hi: int) -> dict:
     the vector-field map, so a section sharing no slot with ``s`` costs
     nothing.  Each nonzero sum of the two halves is halved once, here."""
     vfs, forms = index
-    row = _add_terms({}, chain(
-        ((c, xc * wc) for key, xc in s.vf.comps.items()
+    row = _sum_products(s.patch, chain(
+        ((c, xc, wc) for key, xc in s.vf.comps.items()
          for c, wc in forms.get(key, ()) if lo <= c < hi),
-        ((c, xc * wc) for key, wc in s.form.comps.items()
+        ((c, xc, wc) for key, wc in s.form.comps.items()
          for c, xc in vfs.get(key, ()) if lo <= c < hi)))
     return {c: v * _HALF for c, v in row.items()}
 
 
 def _products(T: dict, partials: dict):
-    """``(key, T[k] * d)`` for each partial ``(key, d)`` filed under a key
-    ``k`` of ``T``."""
-    return ((key, tc * dc) for k, tc in T.items()
+    """The ``_sum_products`` triple ``(key, T[k], d)`` for each partial
+    ``(key, d)`` filed under a key ``k`` of ``T``."""
+    return ((key, tc, dc) for k, tc in T.items()
             for key, dc in partials.get(k, ()))
-
-
-def _difference(plus, minus) -> dict:
-    """One table: the ``(key, value)`` pairs of ``plus`` merged, then those
-    of ``minus`` subtracted, so no negative term is negated first."""
-    return _add_terms(_add_terms({}, plus), minus, sub)
 
 
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
@@ -562,18 +557,18 @@ def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
     section and reused across every bracket it enters; no derivative is
     taken here.  The X1^i d_j form2_i terms, which i_{X1} d form2 and
     d<form2, X1> carry with opposite signs, are never formed.  Each half
-    merges its positive products into one table and subtracts its
-    negative ones.
+    is one ``_sum_products`` of its positive and negative products.
     """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
+    patch = s1.patch
     X1, X2 = s1.vf.comps, s2.vf.comps
     along1, of1, form_along1, form_of1 = s1.partials
     along2, _, form_along2, _ = s2.partials
-    vf = _difference(_products(X1, along2), _products(X2, along1))
-    form = _difference(chain(_products(X1, form_along2),
-                             _products(s2.form.comps, of1),
-                             _products(X2, form_of1)),
-                       _products(X2, form_along1))
-    return CourantSection(Multivector._trusted(s1.patch, 1, vf),
-                          DiffForm._trusted(s1.patch, 1, form))
+    vf = _sum_products(patch, _products(X1, along2), _products(X2, along1))
+    form = _sum_products(patch, chain(_products(X1, form_along2),
+                                      _products(s2.form.comps, of1),
+                                      _products(X2, form_of1)),
+                         _products(X2, form_along1))
+    return CourantSection(Multivector._trusted(patch, 1, vf),
+                          DiffForm._trusted(patch, 1, form))

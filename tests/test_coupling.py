@@ -790,60 +790,66 @@ def test_closure_of_non_isotropic_presentation_raises(monkeypatch):
     assert brackets == []
 
 
+def refuse_derivative(self, coord):
+    raise AssertionError("an oracle differentiated along one coordinate")
+
+
 def test_closure_differentiates_each_generator_once(monkeypatch):
-    # a generator's first partials are taken once, however many brackets
-    # it enters, floor((N-1)^2/4) of them on a span, and none again
+    # each coefficient of a generator that enters a bracket is walked once
+    # by ScalarExpr._gradient, however many brackets the generator enters,
+    # floor((N-1)^2/4) of them on a span, and none again; no derivative
+    # along a single coordinate is taken
     presentations = [build_dirac(ymh_fixture())]
     presentations += [build_dirac(next(random_shaped_data(*shape)))
                       for shape in SHAPES]
-    real = ScalarExpr.differentiate
+    real = ScalarExpr._gradient
     real_bracket = coupling.courant_bracket
     bracket_counts = set()
     total = 0
     for L in presentations:
-        nonzero = {id(s): sum(bool(c.differentiate(i))
-                              for T in (s.vf, s.form) for c in T.comps.values()
-                              for i in range(len(L.patch)))
-                   for s in L.sections}
-        derivatives = []
+        walked = []
         operands = []
 
-        def counting(self, coord):
-            derivatives.append(coord)
-            return real(self, coord)
+        def counting(self, *args):
+            walked.append(id(self))
+            return real(self, *args)
 
         def bracket(s1, s2):
             operands.append((s1, s2))
             return real_bracket(s1, s2)
 
         with monkeypatch.context() as patched:
-            patched.setattr(ScalarExpr, "differentiate", counting)
+            patched.setattr(ScalarExpr, "_gradient", counting)
+            patched.setattr(ScalarExpr, "differentiate", refuse_derivative)
             patched.setattr(coupling, "courant_bracket", bracket)
             verify_closure(L)
-            entered = {id(s) for pair in operands for s in pair}
-            assert len(derivatives) == sum(nonzero[k] for k in entered)
+            entered = {id(s): s for pair in operands for s in pair}
+            coefficients = sorted(id(c) for s in entered.values()
+                                  for T in (s.vf, s.form)
+                                  for c in T.comps.values())
+            assert sorted(walked) == coefficients
             first = len(operands)
             verify_closure(L)
-            assert len(derivatives) == sum(nonzero[k] for k in entered)
+            assert sorted(walked) == coefficients
         assert len(operands) == 2 * first
         bracket_counts.add((first, len(L)))
-        total += len(derivatives)
+        total += len(walked)
     assert {(2, 4), (9, 7), (12, 8)} <= bracket_counts
     assert total > 50
 
 
 def test_check_differentiates_each_coefficient_once(monkeypatch):
-    # one check takes each first partial of V's, every lift's and F's
-    # coefficients once, along the coefficient's support, and no
-    # (coefficient, coordinate) derivative twice
+    # one check walks each coefficient of V, of every lift and of F once
+    # (ScalarExpr._gradient), and takes no derivative along a single
+    # coordinate
     datas = [data for _, data in corpus()] + list(random_data())
     datas += [data for shape in SHAPES for data in random_shaped_data(*shape)]
-    real = ScalarExpr.differentiate
-    taken = []
+    real = ScalarExpr._gradient
+    walked = []
 
-    def counting(self, coord):
-        taken.append((id(self), coord))
-        return real(self, coord)
+    def counting(self, *args):
+        walked.append(id(self))
+        return real(self, *args)
 
     total = 0
     for data in datas:
@@ -852,14 +858,13 @@ def test_check_differentiates_each_coefficient_once(monkeypatch):
                         *data.horizontal_form.comps.values()]
         coefficients += [c for a in data.patch.base_indices
                          for c in conn.hor(a).comps.values()]
-        taken.clear()
+        walked.clear()
         with monkeypatch.context() as patched:
-            patched.setattr(ScalarExpr, "differentiate", counting)
+            patched.setattr(ScalarExpr, "_gradient", counting)
+            patched.setattr(ScalarExpr, "differentiate", refuse_derivative)
             check_integrability(data)
-        assert len(set(taken)) == len(taken)
-        assert len(taken) == sum(len(c.coordinates_used())
-                                 for c in coefficients)
-        total += len(taken)
+        assert sorted(walked) == sorted(map(id, coefficients))
+        total += len(walked)
     assert total > 250
 
 

@@ -11,37 +11,44 @@ Both oracles still run on shared kernels, and a fault in one of them
 could make the two agree on a wrong verdict.  Each shared kernel is
 checked against a reference that does not run it:
 
-- ``symexpr._add_terms``, the one term-table merge, and
-  ``tensorcalc._difference``, two such merges: the merge of the
+- ``symexpr._add_terms``, the one term-table merge: the merge of the
   tuple-keyed ring ``tuple_ring`` (``test_packed_keys``) and float
   evaluation of sums by ``float_oracle.evaluate`` (``test_symexpr``);
-- the ring product ``ScalarExpr.__mul__``: ``tuple_ring.mul``
-  (``test_packed_keys``) and float evaluation of products
-  (``test_symexpr``);
-- ``ScalarExpr.differentiate``: ``tuple_ring.differentiate``
-  (``test_packed_keys``);
+- the ring product ``ScalarExpr.__mul__``, whose term-product loop
+  ``_sum_products`` shares: ``tuple_ring.mul`` (``test_packed_keys``) and
+  float evaluation of products (``test_symexpr``);
+- ``symexpr._sum_products``, the fused sum of products from which
+  ``courant_bracket``, the pairing rows and all four of the data oracle's
+  tables are built, fed the triples of ``tensorcalc._products``: sums of
+  ``tuple_ring.mul`` products on polynomial and angle patches, with
+  cancelling keys and the exponent and frequency guards, and summed
+  ``x * y`` for fraction-field quotients (the ``_sum_products`` tests in
+  ``test_packed_keys``); end to end, the Cartan formula built from
+  ``lie_bracket`` (which is ``schouten`` in degree one), ``d_scalar`` and
+  ``exterior_derivative`` (``cartan_bracket`` in
+  ``test_courant_bracket_matches_cartan_formula`` and its fraction-field
+  case, ``test_tensorcalc``) for the span oracle, and the generic kernels
+  ``schouten``, ``lie_derivative``, ``coordinate_curvature`` less the
+  Hamiltonian field ``sharp(V, d_scalar(patch, f))``, and
+  ``horizontal_derivative`` for the data oracle
+  (``test_check_integrability_matches_the_generic_kernels`` in
+  ``test_fibered``);
+- ``ScalarExpr._gradient``, the one derivative walk, which
+  ``differentiate`` runs along one coordinate and ``d_scalar`` along all:
+  ``tuple_ring.differentiate`` along every coordinate
+  (``test_gradient_matches_the_tuple_derivatives`` and
+  ``test_packed_ring_matches_the_tuple_reference`` in
+  ``test_packed_keys``);
 - ``Connection.hor``: ``horizontal_derivative``, written from the
   connection table (``test_hor_matches_the_table_derivative`` and
   ``test_d_gamma_matches_horizontal_derivative`` in ``test_fibered``),
   and the general formula ``curvature`` there for the lifts' brackets;
-- ``tensorcalc._first_partials``, which the data oracle applies to the
-  bivector, each lift and the 2-form, and the span oracle to each
-  generator (``CourantSection.partials``): differentiation along every
-  coordinate, in ``test_courant_bracket_matches_cartan_formula``
-  (``test_tensorcalc``) and in the derivative counts of
+- ``tensorcalc._first_partials``, one ``_gradient`` per coefficient, which
+  the data oracle applies to the bivector, each lift and the 2-form, and
+  the span oracle to each generator (``CourantSection.partials``): the
+  Cartan formula above, and the walk counts of
   ``test_check_differentiates_each_coefficient_once`` and
-  ``test_closure_differentiates_each_generator_once`` (``test_coupling``);
-- ``tensorcalc._products``, the products of a table with partials, from
-  which ``courant_bracket`` and all four of the data oracle's tables are
-  built: the Cartan formula built from ``lie_bracket`` (which is
-  ``schouten`` in degree one), ``d_scalar`` and ``exterior_derivative``
-  (``cartan_bracket`` in ``test_courant_bracket_matches_cartan_formula``
-  and its fraction-field case, ``test_tensorcalc``) for the span oracle,
-  and the generic kernels ``schouten``, ``lie_derivative``,
-  ``coordinate_curvature`` less the Hamiltonian field
-  ``sharp(V, d_scalar(patch, f))``, and ``horizontal_derivative`` for the
-  data oracle (``test_check_integrability_matches_the_generic_kernels``
-  in ``test_fibered``).
+  ``test_closure_differentiates_each_generator_once`` (``test_coupling``).
 
 Neither oracle reaches the generic derivative kernels any more:
 ``check_integrability`` reads the first partials it takes once per call

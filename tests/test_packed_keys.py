@@ -2,7 +2,10 @@
 
 ``tuple_ring`` keeps the kernels of the tuple-keyed ring; every ring
 result here must be the packed image of the reference result, with the
-same coefficient types, and print the same text.
+same coefficient types, and print the same text.  The fused kernels the
+two oracles share, ``_sum_products`` and ``ScalarExpr._gradient``, are
+checked here against sums of ``tuple_ring.mul`` products and against
+``tuple_ring.differentiate``.
 """
 
 from fractions import Fraction
@@ -11,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from couplingdirac import COS, SIN, ExpressionError, Patch
-from couplingdirac.fractionfield import divide_exact
+from couplingdirac.fractionfield import RatExpr, divide_exact
 from couplingdirac.symexpr import (
-    _FREQUENCY, _LIMIT, _WIDTH, _add_terms, _expr)
+    _FREQUENCY, _LIMIT, _WIDTH, _add_terms, _expr, _sum_products)
+from couplingdirac.tensorcalc import Multivector
+from test_tensorcalc import assert_clean
 import tuple_ring as ref
 
 POLY = Patch.build("x y q p")
@@ -222,3 +227,109 @@ def test_one_key_and_coordinate_keys():
     assert ref.unpack(ref.pack(((0, 5), (7, _LIMIT - 1)))) == (
         (0, 5), (7, _LIMIT - 1))
     assert POLY.parse("1/2*x").terms == {ref.key(((0, 1),)): Fraction(1, 2)}
+
+
+# -- the fused kernels ---------------------------------------------------
+
+KEYS = [(0,), (1,), (2,)]  # vector-field slots on every patch above
+ONE = {((), ()): 1}
+
+
+def summed(plus, minus):
+    """Each key's ``tuple_ring`` products, plus less minus; zero sums out."""
+    out = {}
+    for triples, sign in ((plus, 1), (minus, -1)):
+        for key, a, b in triples:
+            out[key] = ref.add(out.get(key, {}),
+                               ref.mul(ref.mul(a, b), {((), ()): sign}))
+    return {key: tab for key, tab in out.items() if tab}
+
+
+def triples(patch):
+    return st.lists(st.tuples(st.sampled_from(KEYS), tables(patch),
+                              tables(patch)), max_size=4)
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(PATCHES).flatmap(lambda patch: st.tuples(
+    st.just(patch), triples(patch), triples(patch), st.booleans())))
+def test_sum_products_matches_summed_tuple_products(case):
+    patch, plus, minus, cancel = case
+    if cancel and plus:  # the first product also subtracted, factors swapped
+        key, a, b = plus[0]
+        minus = minus + [(key, b, a)]
+    got = _sum_products(
+        patch, [(key, expr(patch, a), expr(patch, b)) for key, a, b in plus],
+        [(key, expr(patch, a), expr(patch, b)) for key, a, b in minus])
+    want = summed(plus, minus)
+    assert got.keys() == want.keys()
+    assert all(same(got[key], want[key]) for key in want)
+    assert_clean(Multivector._trusted(patch, 1, got))
+
+
+def test_sum_products_drops_cancelled_keys_and_stores_integers():
+    x, y, half = (POLY.parse(t) for t in ("x", "y + 1", "1/2*x"))
+    got = _sum_products(POLY, [((0,), half, y), ((0,), y, half),
+                               ((1,), x, y)], [((1,), y, x)])
+    assert got == {(0,): x * y}
+    assert all(type(c) is int for c in got[(0,)].terms.values())
+    # cos^2 + sin^2: every product-to-sum half cancels or sums to 1
+    cos, sin = (ONE_ANGLE.trig(kind, 1, "th") for kind in (COS, SIN))
+    got = _sum_products(ONE_ANGLE, [((2,), cos, cos), ((2,), sin, sin)])
+    assert got == {(2,): ONE_ANGLE.one()}
+    assert got[(2,)].terms == {0: 1} and type(got[(2,)].terms[0]) is int
+    assert _sum_products(ONE_ANGLE, [((0,), cos, sin)], [((0,), sin, cos)]) \
+        == {}
+
+
+def test_sum_products_multiplies_quotients_through_their_product():
+    parse = POLY.parse
+    r = RatExpr(parse("x - 2*q"), parse("1 + y"))
+    s = RatExpr(parse("p^2"), parse("3 - x*q"))
+    a, b = parse("x*y + 1/3"), parse("q - p")
+    plus = [((0,), r, a), ((0,), a, b), ((1,), s, r), ((2,), b, s),
+            ((2,), a, a)]
+    minus = [((0,), b, r), ((1,), r, s), ((2,), s, a)]
+    got = _sum_products(POLY, plus, minus)
+    want = {}
+    for group, sign in ((plus, 1), (minus, -1)):
+        for key, x, y in group:
+            want[key] = want.get(key, 0) + sign * (x * y)
+    assert got.keys() == {(0,), (2,)}  # (1,): s*r - r*s is dropped
+    assert all(got[key] == want[key] for key in got)
+    assert not want[(1,)]
+    assert_clean(Multivector._trusted(POLY, 1, got))
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(PATCHES).flatmap(lambda patch: st.tuples(
+    st.just(patch), tables(patch))))
+def test_gradient_matches_the_tuple_derivatives(operand):
+    patch, tab = operand
+    gradient = expr(patch, tab)._gradient()
+    assert list(gradient) == sorted(ref.coordinates_used(tab))
+    for i in range(len(patch)):
+        want = ref.differentiate(tab, patch, i)
+        assert same(gradient[i], want) if want else i not in gradient
+    assert_clean(Multivector._trusted(
+        patch, 1, {(i,): d for i, d in gradient.items()}))
+
+
+def test_sum_products_guards_like_the_product():
+    top = _LIMIT - 1
+    k = _FREQUENCY // 2
+    cases = [
+        (POLY, POLY.parse(f"x^{top}"), POLY.parse("x + 1")),
+        (WIDE, WIDE.parse(f"x119^{top}*cos(th)"), WIDE.parse("x119*sin(th)")),
+        (ONE_ANGLE, ONE_ANGLE.trig(COS, k, "th"),
+         ONE_ANGLE.parse(f"x + cos({k}*th)")),
+    ]
+    for patch, a, b in cases:
+        with pytest.raises(ExpressionError) as product:
+            a * b
+        one = patch.one()
+        for plus, minus in (([((0,), a, b)], ()), ((), [((0,), a, b)]),
+                            ([((0,), one, one), ((0,), b, a)], ())):
+            with pytest.raises(ExpressionError) as fused:
+                _sum_products(patch, plus, minus)
+            assert str(fused.value) == str(product.value)
