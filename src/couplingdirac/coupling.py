@@ -24,7 +24,7 @@ dictionary is ``W = -[F]^{-1}`` (bivector from data) and ``F = -[M]^{-1}``
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,6 +50,7 @@ from .symexpr import ScalarExpr, _add_terms, _sum_products
 from .tensorcalc import (
     CourantSection,
     Multivector,
+    _bracket_reach,
     _first_partials,
     _merge_indices,
     _pairing_row,
@@ -460,6 +461,10 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
                         ConditionReport("maximality", maxi)])
 
 
+def _or_pair(p: tuple, q: tuple) -> tuple:
+    return p[0] | q[0], p[1] | q[1]
+
+
 def _signed_orbit(i: int, j: int, k: int, val) -> tuple:
     """The six orderings of a totally skew triple with their values."""
     neg = -val
@@ -487,9 +492,10 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
 
     ``courant_bracket`` is the non-skew (Dorfman) bracket.  It reads the
     first partials each generator keeps (``CourantSection.partials``),
-    taken on the generator's first bracket, so a generator coefficient is
-    differentiated once whatever the number of brackets, and a second
-    closure of the same presentation differentiates nothing.  It obeys
+    taken when the schedule below first reads the generator's masks, so a
+    generator coefficient is differentiated once whatever the number of
+    brackets, and a second closure of the same presentation
+    differentiates nothing.  It obeys
 
         [a,b] + [b,a] = 2 d<a,b>,
         X_a <b,c> = <[a,b],c> + <b,[a,c]>.
@@ -506,9 +512,20 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     generators into halves [0, m) and [m, N) with m = ceil(N/2), triple
     i<j<k reads <[e_i,e_j], e_k> when j < m, and otherwise <[e_j,e_k], e_i>,
     which is T(j,k,i) = T(i,j,k) since a cyclic permutation is even.  So
-    only pairs inside one half are bracketed: C(m,2) + C(N-m,2) =
-    floor((N-1)^2/4) brackets, the fewest pairs meeting every triple
-    (Mantel), for C(N,3) pairings.
+    only pairs inside one half are candidates: C(m,2) + C(N-m,2) =
+    floor((N-1)^2/4) pairs, the fewest meeting every triple (Mantel), for
+    C(N,3) pairings.
+
+    A candidate is bracketed only if it can give its row anything.  Pair
+    (a, b) of the first half is read at the thirds [b+1, N), one of the
+    second half at [0, a); its row pairs the bracket's vector field with
+    those thirds' forms and its form with their vector fields.
+    ``tensorcalc._bracket_reach`` bounds the bracket's slots from the two
+    generators' masks, and the thirds' slots are unions of their
+    generators' slot masks, formed once as suffix and prefix unions.  A
+    pair whose reach meets none of the slots its row reads has an empty
+    row, so it is skipped unformed: at most floor((N-1)^2/4) brackets,
+    and the same table as bracketing every candidate.
 
     Each bracket is paired with the generators in one pass: over an index
     of the generators' vector-field and form slots, one pairing row per
@@ -526,12 +543,22 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     n = len(gens)
     m = (n + 1) // 2
     sections = [s for _, _, s in gens]
-    # each bracketed pair (a, b) with the thirds lo <= c < hi it is read at
-    pairs = chain(((a, b, b + 1, n) for a, b in combinations(range(m), 2)),
-                  ((a, b, 0, a) for a, b in combinations(range(m, n), 2)))
+    # the vector-field and form slots of the thirds [0, c) and [c, n)
+    slots = [(s.masks[0], s.masks[3]) for s in sections]
+    before = [(0, 0), *accumulate(slots, _or_pair)]
+    after = [*accumulate(reversed(slots), _or_pair)][::-1] + [(0, 0)]
+    # each bracketed pair (a, b) with the thirds lo <= c < hi it is read
+    # at and the slots those thirds hold
+    pairs = chain(((a, b, b + 1, n, after[b + 1])
+                   for a, b in combinations(range(m), 2)),
+                  ((a, b, 0, a, before[a])
+                   for a, b in combinations(range(m, n), 2)))
     index = _slot_index(sections)
     buckets = {name: [] for name in CONDITION_ORDER}
-    for a, b, lo, hi in pairs:
+    for a, b, lo, hi, (xs, ws) in pairs:
+        vf, form = _bracket_reach(sections[a], sections[b])
+        if not (vf & ws or form & xs):
+            continue
         br = courant_bracket(sections[a], sections[b])
         for c, val in _pairing_row(br, index, lo, hi).items():
             for triple, v in _signed_orbit(a, b, c, val):

@@ -61,7 +61,18 @@ are the references above.  The span oracle's own kernels are not shared:
 (``test_contract_agrees_with_iterated``, ``test_sharp_pairing_identity``
 and ``test_sharp_convention`` in ``test_tensorcalc``), and its pairings are
 checked by ``brute_force_closure`` in ``test_coupling``, which pairs every
-bracket with every generator through ``pairing_plus``.
+bracket with every generator through ``pairing_plus``.  The closure
+schedule's skip is span-oracle-only too: ``tensorcalc._bracket_reach``
+and the ``CourantSection.masks`` it reads are built from the span's
+sections alone, never from ``GeometricData``, and the data oracle calls
+neither.  Their reference is the bracket itself: the reach contains the
+slots of every bracket formed (``test_bracket_reach_bounds_the_bracket``
+on random sections and ``test_bracket_reach_bounds_every_generator_bracket``
+on every generator pair of the corpus and generated spans, in
+``test_tensorcalc``), and every pair the schedule skips, bracketed
+directly, has an empty row
+(``test_isotropic_closure_brackets_one_pair_per_triple`` in
+``test_coupling``).
 
 Witness by witness, ``test_coupling`` also checks that every closure
 witness is the matching check witness times a fixed scale per condition
@@ -105,7 +116,8 @@ def forbid(monkeypatch, *names, module=coupling):
 @pytest.mark.parametrize("run,names,other", [
     (span_reports, ("check_integrability", "d_gamma", "_d_gamma_table"),
      coupling.check_integrability),
-    (data_reports, ("build_dirac", "courant_bracket", "_pairing_row"),
+    (data_reports, ("build_dirac", "courant_bracket", "_pairing_row",
+                    "_bracket_reach"),
      span_oracle),
 ], ids=["span_oracle", "data_oracle"])
 def test_each_oracle_runs_without_the_other(monkeypatch, run, names, other):

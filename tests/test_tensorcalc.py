@@ -1,16 +1,21 @@
 """Exterior/Lie/Schouten/Courant calculus."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from corpus_util import corpus, mutation_fixtures
 from couplingdirac import DegreeError, ExpressionError, Patch, PatchError
+from couplingdirac.coupling import build_dirac
 from couplingdirac.fractionfield import RatExpr
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _bracket_reach,
     contract,
     courant_bracket,
     d_scalar,
@@ -23,6 +28,7 @@ from couplingdirac.tensorcalc import (
     schouten,
     sharp,
 )
+from test_coupling import SHAPES, random_shaped_data
 
 QP = Patch.build("q p")
 XYZ = Patch.build("x1 x2 x3")
@@ -553,12 +559,60 @@ def test_courant_bracket_matches_cartan_formula():
     assert fractions > 60
 
 
+# --- bracket reach ------------------------------------------------------------
+# verify_closure leaves a pair unbracketed when _bracket_reach meets no
+# slot its pairing row reads; that is exact only if the reach bounds the
+# bracket's slots.
+
+def slot_mask(T):
+    return sum(1 << i for (i,) in T.comps)
+
+
+def assert_within_reach(s1, s2):
+    vf, form = _bracket_reach(s1, s2)
+    br = courant_bracket(s1, s2)
+    assert slot_mask(br.vf) & ~vf == 0, (s1, s2)
+    assert slot_mask(br.form) & ~form == 0, (s1, s2)
+
+
+def rnd_half(rng, patch, cls, scalar):
+    # a zero half now and then, so a single term of the reach is exposed
+    if rng.random() < 0.2:
+        return cls.zero(patch, 1)
+    return rnd_tensor(rng, patch, cls, 1, scalar=scalar)
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((XYZ, BIG, ANG)), st.sampled_from((rnd_scalar, rnd_mixed)),
+       st.randoms(use_true_random=False))
+def test_bracket_reach_bounds_the_bracket(patch, scalar, rng):
+    s1, s2 = (CourantSection(rnd_half(rng, patch, Multivector, scalar),
+                             rnd_half(rng, patch, DiffForm, scalar))
+              for _ in range(2))
+    for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+        assert_within_reach(a, b)
+
+
+def test_bracket_reach_bounds_every_generator_bracket():
+    datas = [data for _, data in corpus()] + list(mutation_fixtures().values())
+    datas += [data for shape in SHAPES for data in random_shaped_data(*shape)]
+    brackets = 0
+    for data in datas:
+        gens = build_dirac(data).sections
+        for s1, s2 in product(gens, repeat=2):
+            assert_within_reach(s1, s2)
+            brackets += 1
+    assert brackets > 1500
+
+
 def test_courant_section_is_immutable():
     s = CourantSection(Multivector.basis(QP, "q"), DiffForm.basis(QP, "p"))
-    for name in ("vf", "form", "partials", "_partials", "other"):
+    for name in ("vf", "form", "partials", "_partials", "masks", "_masks",
+                 "other"):
         with pytest.raises(AttributeError):
             setattr(s, name, DiffForm.zero(QP, 1))
     assert s.partials == ({}, {(0,): []}, {}, {(1,): []})
+    assert s.masks == (0b01, 0, 0, 0b10, 0, 0)
     assert s.form == DiffForm.basis(QP, "p")
 
 
