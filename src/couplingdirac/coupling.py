@@ -46,18 +46,21 @@ from .fibered import (
     d_gamma,
 )
 from .fractionfield import RatExpr, divide_exact, rat_inverse
-from .symexpr import ScalarExpr, _add_terms, _sum_products
+from .symexpr import _FIELD, _WIDTH, ScalarExpr, _add_terms, _sum_products
 from .tensorcalc import (
     CourantSection,
     Multivector,
+    _bracket,
     _bracket_reach,
     _first_partials,
     _merge_indices,
     _pairing_row,
     _products,
+    _reach_masks,
+    _read_along,
+    _section_partials,
     _slot_index,
     contract,
-    courant_bracket,
     d_scalar,
     sharp,
 )
@@ -217,10 +220,11 @@ class DiracPresentation:
     ``AttributeError``.  ``pairings``, the nonzero generator pairings, is
     computed on first use and kept on the presentation, so
     ``verify_isotropy`` and the isotropy guard of ``verify_closure``
-    evaluate it once between them.
+    evaluate it once between them; the generators' slot index it is built
+    from is kept beside it, and closure's pairing rows read it too.
     """
 
-    __slots__ = ("patch", "horizontal", "vertical", "_pairings")
+    __slots__ = ("patch", "horizontal", "vertical", "_pairings", "_index")
 
     def __init__(self, patch, horizontal=(), vertical=()):
         horizontal = tuple((str(n), s) for n, s in horizontal)
@@ -239,6 +243,7 @@ class DiracPresentation:
         object.__setattr__(self, "horizontal", horizontal)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "_pairings", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -261,15 +266,23 @@ class DiracPresentation:
         isotropic presentation, as on every ``build_dirac`` span.
 
         Built from one pairing row per generator over the generators' slot
-        index: row i holds the nonzero pairing_plus(e_i, e_j), j >= i."""
+        index (``_generator_index``): row i holds the nonzero
+        pairing_plus(e_i, e_j), j >= i."""
         if self._pairings is None:
             gens = self.sections
             n = len(gens)
-            index = _slot_index(gens)
+            index = self._generator_index()
             table = {(i, j): val for i in range(n) for j, val
                      in _pairing_row(gens[i], index, i, n).items()}
             object.__setattr__(self, "_pairings", MappingProxyType(table))
         return self._pairings
+
+    def _generator_index(self) -> tuple:
+        """``tensorcalc._slot_index`` of the generators in ``labeled()``
+        order, built on first use and kept on the presentation."""
+        if self._index is None:
+            object.__setattr__(self, "_index", _slot_index(self.sections))
+        return self._index
 
     def __len__(self):
         return len(self.horizontal) + len(self.vertical)
@@ -305,9 +318,12 @@ def check_integrability(data: GeometricData) -> CheckReport:
 
     The first partials of ``V``'s coefficients, of each lift
     ``hor(d_a)``'s and of each ``F_ab`` are taken once per call
-    (``tensorcalc._first_partials``), along each coefficient's support;
-    each condition is then one ``_sum_products`` table of the products
-    read from them, its negative products subtracted:
+    (``tensorcalc._first_partials``), along what the conditions read of
+    them: ``V`` along its whole support, lift ``a`` along every coordinate
+    but ``x_a``, and ``F_ab`` along the lifts' slots and ``V``'s other
+    than ``x_a`` and ``x_b``.  Each
+    condition is then one ``_sum_products`` table of the products read
+    from them, its negative products subtracted:
 
     * jacobi: ``[V,V]^{ijk} = 2 sum_cyc V^{il} d_l V^{jk}``, which is
       ``schouten(V, V)``;
@@ -327,10 +343,16 @@ def check_integrability(data: GeometricData) -> CheckReport:
     names = patch.names
     conn = data.connection
     lifts = {a: conn.hor(a).comps for a in patch.base_indices}
-    lift_along = {a: _first_partials(conn.hor(a))[0] for a in lifts}
+    # a lift is read along the other lifts' slots and V's, never its own x_a
+    lift_along = {a: _first_partials(conn.hor(a), ~(_FIELD << _WIDTH * a))[0]
+                  for a in lifts}
     V_along = _first_partials(data.vertical_bivector)[0]
-    F_along, F_of = _first_partials(data.horizontal_form)
     slots = _bivector_slots(data.vertical_bivector)
+    # F_K is read along the lifts' slots outside K (d_gamma) and V's
+    # (curvature)
+    read = set(slots).union(*[(i for (i,) in X) for X in lifts.values()])
+    F_along, F_of = _first_partials(
+        data.horizontal_form, sum(_FIELD << _WIDTH * i for i in read), True)
 
     # V^{il} d_l V^{jk} lands on the sorted (i, j, k) with the sign of
     # putting i in front, which the cyclic sum makes the same for all three
@@ -410,7 +432,8 @@ def verify_isotropy(L: DiracPresentation) -> CheckReport:
     """Check all pairwise symmetric pairings vanish and the span is maximal.
 
     The pairings are read from ``L.pairings``, which is evaluated once per
-    presentation.
+    presentation over the generators' slot index; closure's pairing rows
+    read that same index.
 
     Maximality is certified structurally rather than by a rank
     computation: the labels must claim every patch coordinate exactly
@@ -490,12 +513,7 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     condition its generator-kind pattern instantiates, which localizes a
     single broken condition.
 
-    ``courant_bracket`` is the non-skew (Dorfman) bracket.  It reads the
-    first partials each generator keeps (``CourantSection.partials``),
-    taken when the schedule below first reads the generator's masks, so a
-    generator coefficient is differentiated once whatever the number of
-    brackets, and a second closure of the same presentation
-    differentiates nothing.  It obeys
+    ``courant_bracket`` is the non-skew (Dorfman) bracket.  It obeys
 
         [a,b] + [b,a] = 2 d<a,b>,
         X_a <b,c> = <[a,b],c> + <b,[a,c]>.
@@ -519,13 +537,25 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     A candidate is bracketed only if it can give its row anything.  Pair
     (a, b) of the first half is read at the thirds [b+1, N), one of the
     second half at [0, a); its row pairs the bracket's vector field with
-    those thirds' forms and its form with their vector fields.
-    ``tensorcalc._bracket_reach`` bounds the bracket's slots from the two
+    those thirds' forms and its form with their vector fields.  Each
+    generator's ``tensorcalc._reach_masks`` are read off its coefficients'
+    packed keys once per call, before any bracket;
+    ``tensorcalc._bracket_reach`` bounds a bracket's slots from the two
     generators' masks, and the thirds' slots are unions of their
     generators' slot masks, formed once as suffix and prefix unions.  A
     pair whose reach meets none of the slots its row reads has an empty
     row, so it is skipped unformed: at most floor((N-1)^2/4) brackets,
     and the same table as bracketing every candidate.
+
+    Only then is anything differentiated, and only what the formed
+    brackets read: each half of a generator that enters one is walked
+    once (``_first_partials``), along the union over its brackets of the
+    coordinates ``tensorcalc._read_along`` names, and a generator that
+    enters none is not walked.  Each bracket is the kernel of
+    ``courant_bracket`` formed only at the slots its row reads: its vector
+    field at the thirds' form slots, its form at their vector-field
+    slots.  Nothing is kept on the generators, so every call takes its
+    partials afresh.
 
     Each bracket is paired with the generators in one pass: over an index
     of the generators' vector-field and form slots, one pairing row per
@@ -543,23 +573,36 @@ def verify_closure(L: DiracPresentation) -> CheckReport:
     n = len(gens)
     m = (n + 1) // 2
     sections = [s for _, _, s in gens]
+    masks = [_reach_masks(s) for s in sections]
     # the vector-field and form slots of the thirds [0, c) and [c, n)
-    slots = [(s.masks[0], s.masks[3]) for s in sections]
+    slots = [(mk[0], mk[3]) for mk in masks]
     before = [(0, 0), *accumulate(slots, _or_pair)]
     after = [*accumulate(reversed(slots), _or_pair)][::-1] + [(0, 0)]
-    # each bracketed pair (a, b) with the thirds lo <= c < hi it is read
-    # at and the slots those thirds hold
+    # each candidate pair (a, b) with the thirds lo <= c < hi it is read
+    # at and the slots those thirds hold; formed if its reach meets them
     pairs = chain(((a, b, b + 1, n, after[b + 1])
                    for a, b in combinations(range(m), 2)),
                   ((a, b, 0, a, before[a])
                    for a, b in combinations(range(m, n), 2)))
-    index = _slot_index(sections)
-    buckets = {name: [] for name in CONDITION_ORDER}
+    formed = []
+    along: dict = {}  # generator: the (vf, form) masks it is read along
     for a, b, lo, hi, (xs, ws) in pairs:
-        vf, form = _bracket_reach(sections[a], sections[b])
-        if not (vf & ws or form & xs):
-            continue
-        br = courant_bracket(sections[a], sections[b])
+        vf, form = _bracket_reach(masks[a], masks[b])
+        if vf & ws or form & xs:
+            formed.append((a, b, lo, hi, xs, ws))
+            for g, (v, f) in zip((a, b), _read_along(masks[a], masks[b],
+                                                     ws, xs)):
+                v0, f0 = along.get(g, (0, 0))
+                along[g] = v0 | v, f0 | f
+    # a half has partials only along the coordinates it uses
+    partials = {g: _section_partials(sections[g], v & masks[g][1],
+                                     f & masks[g][4])
+                for g, (v, f) in along.items()}
+    index = L._generator_index()
+    buckets = {name: [] for name in CONDITION_ORDER}
+    for a, b, lo, hi, xs, ws in formed:
+        br = _bracket(sections[a], sections[b], partials[a], partials[b],
+                      ws, xs)
         for c, val in _pairing_row(br, index, lo, hi).items():
             for triple, v in _signed_orbit(a, b, c, val):
                 cls = CONDITION_ORDER[sum(gens[t][0] == "H" for t in triple)]

@@ -322,11 +322,17 @@ class RatExpr:
         """The union of the numerator's and denominator's supports."""
         return self.num.coordinates_used() | self.den.coordinates_used()
 
-    def _gradient(self) -> dict:
+    def _key_union(self) -> int:
+        """The OR of the numerator's and denominator's packed term keys."""
+        return self.num._key_union() | self.den._key_union()
+
+    def _gradient(self, fields: int = -1) -> dict:
         """``{i: d/dx_i self}`` for each coordinate of the support whose
-        partial is nonzero, in increasing order, as ``ScalarExpr`` has."""
+        field meets the mask ``fields`` and whose partial is nonzero, in
+        increasing order, as ``ScalarExpr`` has."""
         return {i: d for i in sorted(self.coordinates_used())
-                if (d := self.differentiate(i))}
+                if fields >> _WIDTH * i & _FIELD
+                and (d := self.differentiate(i))}
 
     def differentiate(self, coord) -> "RatExpr":
         dn = self.num.differentiate(coord)

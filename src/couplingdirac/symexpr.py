@@ -56,7 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import add, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -441,11 +442,14 @@ class ScalarExpr:
         try:
             return self._support
         except AttributeError:
-            fields = 0
-            for key in self.terms:
-                fields |= key
-            used = self._support = frozenset(i for i, _ in _unpack(fields))
+            used = self._support = frozenset(
+                i for i, _ in _unpack(self._key_union()))
             return used
+
+    def _key_union(self) -> int:
+        """The OR of the packed term keys: coordinate ``i``'s field is
+        nonzero exactly when some term uses ``i``."""
+        return reduce(or_, self.terms, 0)
 
     # -- calculus ------------------------------------------------------------
     def differentiate(self, coord: str | Coordinate | int) -> "ScalarExpr":

@@ -40,7 +40,8 @@ from typing import Mapping, Sequence
 from .errors import (
     DegreeError, ExpressionError, PatchError, PatchMismatchError, quote)
 from .fractionfield import RatExpr
-from .symexpr import Patch, ScalarExpr, _add_terms, _sum_products
+from .symexpr import (
+    _FIELD, _LIMIT, _WIDTH, Patch, ScalarExpr, _add_terms, _sum_products)
 
 
 def _merge_indices(left: tuple, right: tuple):
@@ -439,43 +440,41 @@ def poisson_bracket(V: Multivector, f, g):
 _HALF = Fraction(1, 2)
 
 
-def _first_partials(T: _Alternating) -> tuple:
+def _first_partials(T: _Alternating, fields: int = -1,
+                    skip_own: bool = False) -> tuple:
     """The nonzero first partials of the coefficients of a tensor of any
-    degree, as ``(along, of)``: ``along[(i,)]`` lists ``(key, d_i T[key])``
-    by the coordinate differentiated along, ``of[key]`` lists
-    ``((i,), d_i T[key])`` by component, from one ``_gradient`` per
-    coefficient."""
+    degree along the coordinates whose key fields meet the mask
+    ``fields``, and with ``skip_own`` not along the indices of the
+    component's own key, as ``(along, of)``: ``along[(i,)]`` lists
+    ``(key, d_i T[key])`` by the coordinate differentiated along,
+    ``of[key]`` lists ``((i,), d_i T[key])`` by component, from one
+    ``_gradient`` per coefficient.  A zero mask walks nothing."""
     along: dict = {}
     of: dict = {}
+    if not fields:
+        return along, of
     for key, c in T.comps.items():
         row = of[key] = []
-        for i, dc in c._gradient().items():
+        mask = fields
+        if skip_own:
+            for i in key:
+                mask &= ~(_FIELD << _WIDTH * i)
+        for i, dc in c._gradient(mask).items():
             along.setdefault((i,), []).append((key, dc))
             row.append(((i,), dc))
     return along, of
-
-
-def _slot_masks(along: dict, of: dict) -> tuple:
-    """``(slots, along, varying)`` of a degree-1 tensor, from its
-    ``_first_partials``, as bit masks with bit ``i`` for slot ``(i,)`` or
-    coordinate ``i``: its slots, the coordinates it has a partial along,
-    and the slots whose coefficient has a partial."""
-    return (sum(1 << i for (i,) in of), sum(1 << i for (i,) in along),
-            sum(1 << i for (i,), row in of.items() if row))
 
 
 class CourantSection:
     """A section (vector field, 1-form) of the generalized tangent bundle.
 
     Sections are immutable: assigning an attribute raises
-    ``AttributeError``.  ``partials``, the first partials of both halves'
-    coefficients, is computed on first use and kept on the section, so a
-    generator that enters many brackets is differentiated once.  ``masks``,
-    the slot and partial bit masks ``_bracket_reach`` reads, is read off
-    those partials once and kept beside them.
+    ``AttributeError``.  They keep nothing derived from their halves: the
+    closure schedule takes, once per call, only the partials its brackets
+    read.
     """
 
-    __slots__ = ("vf", "form", "_partials", "_masks")
+    __slots__ = ("vf", "form")
 
     def __init__(self, vf: Multivector, form: DiffForm):
         if not isinstance(vf, Multivector) or not isinstance(form, DiffForm):
@@ -486,8 +485,6 @@ class CourantSection:
             raise PatchMismatchError("section halves live on different patches")
         object.__setattr__(self, "vf", vf)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_partials", None)
-        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CourantSection is immutable; cannot set {name!r}")
@@ -495,25 +492,6 @@ class CourantSection:
     @property
     def patch(self) -> Patch:
         return self.vf.patch
-
-    @property
-    def partials(self) -> tuple:
-        """``(vf along, vf of, form along, form of)``: ``_first_partials``
-        of the vector field and of the form."""
-        if self._partials is None:
-            object.__setattr__(self, "_partials", _first_partials(self.vf)
-                               + _first_partials(self.form))
-        return self._partials
-
-    @property
-    def masks(self) -> tuple:
-        """``(X, XD, XW, W, WD, WW)``: ``_slot_masks`` of the vector field
-        and of the form."""
-        if self._masks is None:
-            p = self.partials
-            object.__setattr__(self, "_masks", _slot_masks(*p[:2])
-                               + _slot_masks(*p[2:]))
-        return self._masks
 
     def __eq__(self, other):
         return (isinstance(other, CourantSection)
@@ -567,12 +545,45 @@ def _products(T: dict, partials: dict):
             for key, dc in partials.get(k, ()))
 
 
-def _bracket_reach(s1: CourantSection, s2: CourantSection) -> tuple:
-    """``(vf mask, form mask)``, bit ``i`` for slot ``(i,)``: a bound on the
-    slots of ``courant_bracket(s1, s2)``'s halves, decided from the
-    sections' ``masks`` before any bracket is formed.  With X/W a half's
-    slots, XD/WD the coordinates it has partials along and XW/WW its slots
-    with a partial, each term of the bracket's formula gives
+def _fields(mask: int) -> int:
+    """The key fields whose guard bits are set in ``mask`` (-1: all)."""
+    return (mask << 1) - (mask >> _WIDTH - 1)
+
+
+def _reach_masks(s: CourantSection) -> tuple:
+    """``(X, XD, XW, W, WD, WW)``: with bit ``32i + 31``, the guard bit of
+    coordinate i's key field, standing for slot ``(i,)`` or coordinate i,
+    the vector field's slots, the coordinates its coefficients use and its
+    slots whose coefficient is not constant, then the same of the form.
+
+    They are read off the coefficients' packed keys and no key is
+    unpacked: a half's coefficients use coordinate i exactly when field i
+    of the OR of their keys is nonzero, and adding 2^31 - 1 to every field
+    of that OR carries into the guard bit exactly then, never past it.  A
+    ``ScalarExpr`` coefficient has a nonzero partial along each coordinate
+    it uses; a fraction-field quotient's partials can cancel, so its
+    masks contain the partials' slots and coordinates."""
+    guard = s.patch._guard
+    low = guard - (guard >> _WIDTH - 1)
+    out = ()
+    for T in (s.vf, s.form):
+        slots = used = varying = 0
+        for (i,), c in T.comps.items():
+            bit = _LIMIT << _WIDTH * i
+            slots |= bit
+            if keys := c._key_union():
+                used |= keys
+                varying |= bit
+        out += (slots, used + low & guard, varying)
+    return out
+
+
+def _bracket_reach(m1: tuple, m2: tuple) -> tuple:
+    """``(vf mask, form mask)``: a bound on the slots of the halves of
+    ``courant_bracket(s1, s2)``, decided from the sections' ``_reach_masks``
+    ``m1`` and ``m2`` before any bracket is formed.  With X/W a half's
+    slots, XD/WD the coordinates it uses and XW/WW its slots with a
+    non-constant coefficient, each term of the bracket's formula gives
 
         X1^i d_i X2^k           XW2 if X1 & XD2
         X2^i d_i X1^k           XW1 if X2 & XD1
@@ -581,17 +592,80 @@ def _bracket_reach(s1: CourantSection, s2: CourantSection) -> tuple:
         X2^i d_i form1_j        WW1 if X2 & WD1
         X2^i d_j form1_i        WD1 if X2 & WW1
 
-    The masks are read off the partials, not off the coefficients'
-    supports: supports would spare the partials of a generator that enters
-    no formed bracket, but reading them walks every coefficient as the
-    partials do, so each generator that is bracketed is walked twice, and
-    the benchmark's ``scaled`` closures measured slower that way."""
-    X1, XD1, XW1, W1, WD1, WW1 = s1.masks
-    X2, XD2, XW2, W2, WD2, WW2 = s2.masks
+    The masks are read off the packed keys.  Read off first partials they
+    would cost differentiating every generator; read off
+    ``coordinates_used()`` they unpack every key, and each bracketed
+    generator is then walked again for its partials, which measured slower
+    on the benchmark's ``scaled`` closures.  An OR of the keys and one
+    add-and-mask per half cost less than either walk, and leave the
+    partials to be taken afterwards only of the generators that enter a
+    formed bracket, only along what their rows read (``_read_along``)."""
+    X1, XD1, XW1, W1, WD1, WW1 = m1
+    X2, XD2, XW2, W2, WD2, WW2 = m2
     vf = (XW2 if X1 & XD2 else 0) | (XW1 if X2 & XD1 else 0)
     form = ((WW2 if X1 & WD2 else 0) | (XD1 if W2 & XW1 else 0)
             | (WW1 if X2 & WD1 else 0) | (WD1 if X2 & WW1 else 0))
     return vf, form
+
+
+def _read_along(m1: tuple, m2: tuple, vf_read: int, form_read: int) -> tuple:
+    """``((vf, form) of s1, (vf, form) of s2)``: the coordinates, as
+    ``_reach_masks`` bits, along which each half of s1 and s2 is read when
+    ``courant_bracket(s1, s2)`` is formed only at the vector-field slots
+    ``vf_read`` and the form slots ``form_read``.  Each product stream of
+    the bracket adds its case only if it can land on a read slot:
+
+        X1^i d_i X2^k       s2's vf along X1           if X2 & vf_read
+        X2^i d_i X1^k       s1's vf along X2           if X1 & vf_read
+        X1^i d_i form2_j    s2's form along X1         if W2 & form_read
+        form2_i d_j X1^i    s1's vf along form_read    if W2 & X1
+        X2^i d_j form1_i    s1's form along form_read  if X2 & W1
+        X2^i d_i form1_j    s1's form along X2         if W1 & form_read"""
+    X1, _, _, W1, _, _ = m1
+    X2, _, _, W2, _, _ = m2
+    vf1 = (X2 if X1 & vf_read else 0) | (form_read if W2 & X1 else 0)
+    form1 = (form_read if X2 & W1 else 0) | (X2 if W1 & form_read else 0)
+    vf2 = X1 if X2 & vf_read else 0
+    form2 = X1 if W2 & form_read else 0
+    return (vf1, form1), (vf2, form2)
+
+
+def _kept(T: dict, partials: dict, keep: int):
+    """The ``_products`` triples whose key is a slot ``(i,)`` with guard
+    bit ``32i + 31`` set in ``keep``."""
+    return ((key, tc, dc) for k, tc in T.items()
+            for key, dc in partials.get(k, ())
+            if keep >> _WIDTH * key[0] + _WIDTH - 1 & 1)
+
+
+def _section_partials(s: CourantSection, vf_along: int,
+                      form_along: int) -> tuple:
+    """``(vf along, vf of, form along, form of)``: ``_first_partials`` of
+    each half along the coordinates whose ``_reach_masks`` bits are set
+    in its mask (-1: every coordinate)."""
+    return (_first_partials(s.vf, _fields(vf_along))
+            + _first_partials(s.form, _fields(form_along)))
+
+
+def _bracket(s1: CourantSection, s2: CourantSection, p1: tuple, p2: tuple,
+             vf_keep: int, form_keep: int) -> CourantSection:
+    """``courant_bracket(s1, s2)`` restricted to the vector-field slots
+    ``vf_keep`` and the form slots ``form_keep`` (``_reach_masks`` bits,
+    -1 for all), read from ``_section_partials`` ``p1`` and ``p2`` of the
+    sections, which must hold every partial ``_read_along`` names for
+    those slots.  A product is formed only if it lands on a kept slot."""
+    patch = s1.patch
+    X1, X2 = s1.vf.comps, s2.vf.comps
+    along1, of1, form_along1, form_of1 = p1
+    along2, _, form_along2, _ = p2
+    vf = _sum_products(patch, _kept(X1, along2, vf_keep),
+                       _kept(X2, along1, vf_keep))
+    form = _sum_products(patch, chain(_kept(X1, form_along2, form_keep),
+                                      _kept(s2.form.comps, of1, form_keep),
+                                      _kept(X2, form_of1, form_keep)),
+                         _kept(X2, form_along1, form_keep))
+    return CourantSection(Multivector._trusted(patch, 1, vf),
+                          DiffForm._trusted(patch, 1, form))
 
 
 def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
@@ -602,25 +676,17 @@ def courant_bracket(s1: CourantSection, s2: CourantSection) -> CourantSection:
         form_j = X1^i d_i form2_j + form2_i d_j X1^i
                  - X2^i (d_i form1_j - d_j form1_i)
 
-    Every derivative is read from the sections' ``partials``, taken once per
-    section and reused across every bracket it enters; no derivative is
-    taken here.  The X1^i d_j form2_i terms, which i_{X1} d form2 and
-    d<form2, X1> carry with opposite signs, are never formed.  Each half
-    is one ``_sum_products`` of its positive and negative products.  The
-    bracket is never filtered: a caller that needs only some slots (the
-    closure schedule) asks ``_bracket_reach`` first whether any can be
-    nonzero.
+    Each section's coefficients are differentiated once, by
+    ``_first_partials`` along every coordinate, and each derivative is
+    then read wherever the formula needs it.  The X1^i d_j form2_i terms,
+    which i_{X1} d form2 and d<form2, X1> carry with opposite signs, are
+    never formed.  Each half is one ``_sum_products`` of its positive and
+    negative products.  This is the private kernel ``_bracket`` at every
+    slot, from full partials; the closure schedule runs the same kernel
+    at the slots its pairing rows read only, from partials taken only
+    along what those slots need.
     """
     if s1.patch != s2.patch:
         raise PatchMismatchError("sections live on different patches")
-    patch = s1.patch
-    X1, X2 = s1.vf.comps, s2.vf.comps
-    along1, of1, form_along1, form_of1 = s1.partials
-    along2, _, form_along2, _ = s2.partials
-    vf = _sum_products(patch, _products(X1, along2), _products(X2, along1))
-    form = _sum_products(patch, chain(_products(X1, form_along2),
-                                      _products(s2.form.comps, of1),
-                                      _products(X2, form_of1)),
-                         _products(X2, form_along1))
-    return CourantSection(Multivector._trusted(patch, 1, vf),
-                          DiffForm._trusted(patch, 1, form))
+    return _bracket(s1, s2, _section_partials(s1, -1, -1),
+                    _section_partials(s2, -1, -1), -1, -1)

@@ -6,7 +6,9 @@ Each ``BENCH_*.json`` at the repository root holds sets of runs of
 This checks that every set names a workload of ``BENCHMARK.json``, that
 every run answered correctly with no failed op and reports every
 end-to-end metric, and that each recorded median is the median of the
-recorded runs.
+recorded runs.  A record's ``claim``, where there is one, must name an
+end-to-end metric and a workload of ``BENCHMARK.json``, and the record
+must hold a set of runs on that workload, at each seed the claim names.
 """
 
 import json
@@ -48,3 +50,17 @@ def test_record_matches_its_runs(path):
                     (s["workload"], name, side)
     for workload in record.get("traced", {}).get("workloads", {}):
         assert workload in WORKLOADS, workload
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_claim_names_a_recorded_metric_and_workload(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    claim = record.get("claim")
+    if claim is None:
+        return
+    assert claim["metric"] in END_TO_END, claim
+    assert claim["workload"] in WORKLOADS, claim
+    seeds = {s.get("seed") for s in record["sets"]
+             if s["workload"] == claim["workload"]}
+    assert seeds, claim
+    assert set(claim.get("seeds", ())) <= seeds, claim

@@ -43,10 +43,11 @@ checked against a reference that does not run it:
   connection table (``test_hor_matches_the_table_derivative`` and
   ``test_d_gamma_matches_horizontal_derivative`` in ``test_fibered``),
   and the general formula ``curvature`` there for the lifts' brackets;
-- ``tensorcalc._first_partials``, one ``_gradient`` per coefficient, which
-  the data oracle applies to the bivector, each lift and the 2-form, and
-  the span oracle to each generator (``CourantSection.partials``): the
-  Cartan formula above, and the walk counts of
+- ``tensorcalc._first_partials``, one ``_gradient`` per coefficient,
+  masked to what is read, which the data oracle applies to the bivector,
+  each lift and the 2-form, and the span oracle to each generator that
+  enters a formed bracket (``_section_partials``): the Cartan formula
+  above, and the walk counts of
   ``test_check_differentiates_each_coefficient_once`` and
   ``test_closure_differentiates_each_generator_once`` (``test_coupling``).
 
@@ -62,14 +63,19 @@ are the references above.  The span oracle's own kernels are not shared:
 and ``test_sharp_convention`` in ``test_tensorcalc``), and its pairings are
 checked by ``brute_force_closure`` in ``test_coupling``, which pairs every
 bracket with every generator through ``pairing_plus``.  The closure
-schedule's skip is span-oracle-only too: ``tensorcalc._bracket_reach``
-and the ``CourantSection.masks`` it reads are built from the span's
-sections alone, never from ``GeometricData``, and the data oracle calls
-neither.  Their reference is the bracket itself: the reach contains the
+schedule's skip and its read sets are span-oracle-only too:
+``tensorcalc._reach_masks``, ``_bracket_reach``, ``_read_along``,
+``_section_partials`` and the bracket kernel ``_bracket`` are built from
+the span's sections alone, never from ``GeometricData``, and the data
+oracle calls none of them.  Their references are the partials and the
+bracket itself: the key-read masks equal the masks read off the first
+partials (``test_reach_masks_match_the_partials``), the reach contains the
 slots of every bracket formed (``test_bracket_reach_bounds_the_bracket``
 on random sections and ``test_bracket_reach_bounds_every_generator_bracket``
-on every generator pair of the corpus and generated spans, in
-``test_tensorcalc``), and every pair the schedule skips, bracketed
+on every generator pair of the corpus and generated spans), the kernel
+from the masked partials equals ``courant_bracket`` on the read slots
+(``test_read_restricted_bracket_matches_courant_bracket``), all in
+``test_tensorcalc``, and every pair the schedule skips, bracketed
 directly, has an empty row
 (``test_isotropic_closure_brackets_one_pair_per_triple`` in
 ``test_coupling``).
@@ -116,8 +122,9 @@ def forbid(monkeypatch, *names, module=coupling):
 @pytest.mark.parametrize("run,names,other", [
     (span_reports, ("check_integrability", "d_gamma", "_d_gamma_table"),
      coupling.check_integrability),
-    (data_reports, ("build_dirac", "courant_bracket", "_pairing_row",
-                    "_bracket_reach"),
+    (data_reports, ("build_dirac", "_bracket", "_pairing_row",
+                    "_bracket_reach", "_reach_masks", "_read_along",
+                    "_section_partials"),
      span_oracle),
 ], ids=["span_oracle", "data_oracle"])
 def test_each_oracle_runs_without_the_other(monkeypatch, run, names, other):

@@ -1,21 +1,30 @@
 """Exterior/Lie/Schouten/Courant calculus."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from corpus_util import corpus, mutation_fixtures
-from couplingdirac import DegreeError, ExpressionError, Patch, PatchError
-from couplingdirac.coupling import build_dirac
+from couplingdirac import (
+    DegreeError, ExpressionError, Patch, PatchError, coupling)
+from couplingdirac.coupling import build_dirac, verify_closure
 from couplingdirac.fractionfield import RatExpr
+from couplingdirac.symexpr import _LIMIT, _WIDTH
 from couplingdirac.tensorcalc import (
     CourantSection,
     DiffForm,
     Multivector,
+    _bracket,
     _bracket_reach,
+    _first_partials,
+    _reach_masks,
+    _read_along,
+    _section_partials,
     contract,
     courant_bracket,
     d_scalar,
@@ -526,10 +535,8 @@ def test_courant_bracket_matches_cartan_formula():
                                      rnd_tensor(rng, patch, DiffForm, 1))
                       for _ in range(2))
             expected = cartan_bracket(s1, s2)
-            # the second call reuses both sections' stored partials
             assert courant_bracket(s1, s2) == expected
-            assert courant_bracket(s1, s2) == expected
-            along, of, form_along, form_of = s1.partials
+            along, of, form_along, form_of = _section_partials(s1, -1, -1)
             for T, by_coord, by_comp in ((s1.vf, along, of),
                                          (s1.form, form_along, form_of)):
                 want = every_partial(T)
@@ -562,17 +569,53 @@ def test_courant_bracket_matches_cartan_formula():
 # --- bracket reach ------------------------------------------------------------
 # verify_closure leaves a pair unbracketed when _bracket_reach meets no
 # slot its pairing row reads; that is exact only if the reach bounds the
-# bracket's slots.
+# bracket's slots.  The masks it reads are bit 32i + 31 (the guard bit of
+# coordinate i's key field) for slot (i,) or coordinate i.
+
+def bit(i):
+    return _LIMIT << _WIDTH * i
+
 
 def slot_mask(T):
-    return sum(1 << i for (i,) in T.comps)
+    return sum(bit(i) for (i,) in T.comps)
+
+
+def slot_masks(along, of):
+    """The reference for _reach_masks, read off _first_partials: the
+    slots, the coordinates with a partial, the slots with a partial."""
+    return (sum(bit(i) for (i,) in of), sum(bit(i) for (i,) in along),
+            sum(bit(i) for (i,), row in of.items() if row))
 
 
 def assert_within_reach(s1, s2):
-    vf, form = _bracket_reach(s1, s2)
+    vf, form = _bracket_reach(_reach_masks(s1), _reach_masks(s2))
     br = courant_bracket(s1, s2)
     assert slot_mask(br.vf) & ~vf == 0, (s1, s2)
     assert slot_mask(br.form) & ~form == 0, (s1, s2)
+
+
+def restricted(s, vf_keep, form_keep):
+    """``s`` with only the slots whose bits are set in the masks."""
+    return CourantSection(*(
+        type(T)(T.patch, 1, {k: c for k, c in T.comps.items()
+                             if bit(k[0]) & keep})
+        for T, keep in ((s.vf, vf_keep), (s.form, form_keep))))
+
+
+def partial_count(p):
+    return sum(len(row) for table in p[1::2] for row in table.values())
+
+
+def assert_restricted_kernel(s1, s2, vf_keep, form_keep):
+    """The kernel fed only the partials _read_along names for these slots
+    equals courant_bracket restricted to them; returns how many partials
+    it was fed."""
+    (v1, f1), (v2, f2) = _read_along(_reach_masks(s1), _reach_masks(s2),
+                                     vf_keep, form_keep)
+    p1, p2 = _section_partials(s1, v1, f1), _section_partials(s2, v2, f2)
+    assert _bracket(s1, s2, p1, p2, vf_keep, form_keep) == restricted(
+        courant_bracket(s1, s2), vf_keep, form_keep), (s1, s2)
+    return partial_count(p1) + partial_count(p2)
 
 
 def rnd_half(rng, patch, cls, scalar):
@@ -582,22 +625,51 @@ def rnd_half(rng, patch, cls, scalar):
     return rnd_tensor(rng, patch, cls, 1, scalar=scalar)
 
 
+def rnd_section(rng, patch, scalar):
+    return CourantSection(rnd_half(rng, patch, Multivector, scalar),
+                          rnd_half(rng, patch, DiffForm, scalar))
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((XYZ, BIG, ANG)), st.sampled_from((rnd_scalar, rnd_mixed)),
+       st.randoms(use_true_random=False))
+def test_reach_masks_match_the_partials(patch, scalar, rng):
+    # read off the packed keys, the masks equal the ones read off the
+    # first partials for ScalarExpr coefficients; a quotient's partials
+    # can cancel, so for RatExpr ones they contain them
+    s = rnd_section(rng, patch, scalar)
+    got = _reach_masks(s)
+    for half, T in enumerate((s.vf, s.form)):
+        mine = got[3 * half:3 * half + 3]
+        ref = slot_masks(*_first_partials(T))
+        if all(type(c) is not RatExpr for c in T.comps.values()):
+            assert mine == ref, T
+        else:
+            assert mine[0] == ref[0], T
+            assert all(r & ~m == 0 for r, m in zip(ref, mine)), T
+
+
 @settings(database=None, deadline=None, max_examples=200)
 @given(st.sampled_from((XYZ, BIG, ANG)), st.sampled_from((rnd_scalar, rnd_mixed)),
        st.randoms(use_true_random=False))
 def test_bracket_reach_bounds_the_bracket(patch, scalar, rng):
-    s1, s2 = (CourantSection(rnd_half(rng, patch, Multivector, scalar),
-                             rnd_half(rng, patch, DiffForm, scalar))
-              for _ in range(2))
+    s1, s2 = (rnd_section(rng, patch, scalar) for _ in range(2))
     for a, b in ((s1, s2), (s2, s1), (s1, s1)):
         assert_within_reach(a, b)
+        keeps = [sum(bit(i) for i in range(len(patch)) if rng.random() < 0.5)
+                 for _ in range(2)]
+        assert_restricted_kernel(a, b, *keeps)
+
+
+def span_data():
+    datas = [data for _, data in corpus()] + list(mutation_fixtures().values())
+    return datas + [data for shape in SHAPES
+                    for data in random_shaped_data(*shape)]
 
 
 def test_bracket_reach_bounds_every_generator_bracket():
-    datas = [data for _, data in corpus()] + list(mutation_fixtures().values())
-    datas += [data for shape in SHAPES for data in random_shaped_data(*shape)]
     brackets = 0
-    for data in datas:
+    for data in span_data():
         gens = build_dirac(data).sections
         for s1, s2 in product(gens, repeat=2):
             assert_within_reach(s1, s2)
@@ -605,14 +677,59 @@ def test_bracket_reach_bounds_every_generator_bracket():
     assert brackets > 1500
 
 
+def read_slots(gens, a, b):
+    """``(vf, form)``: the slots of a bracket that the row of closure's
+    cover pair (a, b) reads, the form slots of its thirds for the vector
+    field and their vector-field slots for the form."""
+    thirds = gens[b + 1:] if b < (len(gens) + 1) // 2 else gens[:a]
+    return (reduce(or_, (slot_mask(s.form) for s in thirds), 0),
+            reduce(or_, (slot_mask(s.vf) for s in thirds), 0))
+
+
+def test_read_restricted_bracket_matches_courant_bracket(monkeypatch):
+    # for every bracket closure forms, on the slots the pair's row reads:
+    # the bracket closure forms from partials taken once for all of its
+    # brackets, and the kernel fed only the partials _read_along names
+    # for that one pair, both equal courant_bracket
+    calls = []
+    real = coupling._bracket
+
+    def recording(s1, s2, p1, p2, vf_keep, form_keep):
+        calls.append((s1, s2, vf_keep, form_keep,
+                      real(s1, s2, p1, p2, vf_keep, form_keep)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(coupling, "_bracket", recording)
+    masked = full = formed = 0
+    for data in span_data():
+        L = build_dirac(data)
+        gens = L.sections
+        position = {id(s): t for t, s in enumerate(gens)}
+        calls.clear()
+        verify_closure(L)
+        for s1, s2, vf_keep, form_keep, br in calls:
+            a, b = position[id(s1)], position[id(s2)]
+            assert (vf_keep, form_keep) == read_slots(gens, a, b)
+            assert br == restricted(courant_bracket(s1, s2), vf_keep,
+                                    form_keep), (data, a, b)
+            masked += assert_restricted_kernel(s1, s2, vf_keep, form_keep)
+            full += sum(partial_count(_section_partials(s, -1, -1))
+                        for s in (s1, s2))
+            formed += 1
+    assert formed > 100 and masked < full
+
+
 def test_courant_section_is_immutable():
+    # and it keeps nothing derived from its halves: closure takes the
+    # partials and masks once per call
     s = CourantSection(Multivector.basis(QP, "q"), DiffForm.basis(QP, "p"))
     for name in ("vf", "form", "partials", "_partials", "masks", "_masks",
                  "other"):
         with pytest.raises(AttributeError):
             setattr(s, name, DiffForm.zero(QP, 1))
-    assert s.partials == ({}, {(0,): []}, {}, {(1,): []})
-    assert s.masks == (0b01, 0, 0, 0b10, 0, 0)
+    assert CourantSection.__slots__ == ("vf", "form")
+    assert _section_partials(s, -1, -1) == ({}, {(0,): []}, {}, {(1,): []})
+    assert _reach_masks(s) == (bit(0), 0, 0, bit(1), 0, 0)
     assert s.form == DiffForm.basis(QP, "p")
 
 
